@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import PacketTrace, bin_to_rate, load_packet_trace, load_series_csv, write_series_csv
-from .preprocess import PreprocessConfig, StationarySeries, box_center, log_transform, pipeline, scale
+from .preprocess import PreprocessConfig, box_center, log_transform, pipeline, scale
 from .series import TimeSeries
 from .synth import SeasonalSpec, gen_linear_gaussian, gen_seasonal_traffic
 
@@ -33,7 +33,6 @@ __all__ = [
     "TimeSeries",
     "PacketTrace",
     "PreprocessConfig",
-    "StationarySeries",
     "SeasonalSpec",
     "load_packet_trace",
     "bin_to_rate",

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-from .preprocess import StationarySeries
 from .rng import normal_stream
-from .series import TimeSeries
+from .series import TimeSeries, values_of
 
 SIMULATION_BURN_IN = 500
 
@@ -103,23 +102,15 @@ class ArmaModel:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Estimation by-products: in-sample innovations and status flags."""
+    """Estimation by-products: in-sample innovations and the AR stationarity flag."""
 
     residuals: np.ndarray
-    converged: bool
-    iterations: int
     ar_stationary: bool = True
 
     def __post_init__(self):
         resid = np.array(self.residuals, dtype=float)
         resid.flags.writeable = False
         object.__setattr__(self, "residuals", resid)
-
-
-def _series_values(series) -> np.ndarray:
-    if isinstance(series, (TimeSeries, StationarySeries)):
-        return series.values
-    return np.asarray(series, dtype=float)
 
 
 def _lagged_columns(x: np.ndarray, lags: int, start: int) -> np.ndarray:
@@ -135,7 +126,7 @@ def _solve_ls(X: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.n
 
 
 def fit(
-    series: StationarySeries | TimeSeries | np.ndarray, p: int, q: int
+    series: TimeSeries | np.ndarray, p: int, q: int
 ) -> tuple[ArmaModel, FitDiagnostics]:
     """Estimate ARMA(p, q) coefficients by two-stage least squares.
 
@@ -144,7 +135,7 @@ def fit(
     than rejected: rolling one-step prediction stays anchored to observed
     history, so such a model is still usable for comparison runs.
     """
-    x = _series_values(series)
+    x = values_of(series)
     if p < 0 or q < 0 or p + q < 1:
         raise ValidationError("need p >= 0, q >= 0 and p + q >= 1")
     n = x.size
@@ -187,12 +178,7 @@ def fit(
         phi=coef[p:],
         sigma2=float(np.mean(resid**2)),
     )
-    diagnostics = FitDiagnostics(
-        residuals=resid,
-        converged=True,
-        iterations=2,
-        ar_stationary=model.is_stationary,
-    )
+    diagnostics = FitDiagnostics(residuals=resid, ar_stationary=model.is_stationary)
     return model, diagnostics
 
 
@@ -214,7 +200,7 @@ def predict_one_step(model: ArmaModel, history, innovations=()) -> float:
 
 
 def predict_series(
-    model: ArmaModel, series: StationarySeries | TimeSeries | np.ndarray
+    model: ArmaModel, series: TimeSeries | np.ndarray
 ) -> TimeSeries:
     """Rolling one-step-ahead predictions over a series.
 
@@ -222,7 +208,7 @@ def predict_series(
     error.  The first ``model.burn_in`` outputs lean on zero-padded
     history; exclude them from error metrics.
     """
-    x = _series_values(series)
+    x = values_of(series)
     p, q = model.p, model.q
     if x.size <= max(p, q):
         raise ValidationError(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, arma, kalman
-from .errors import ConfigError, PipelineError, TrafficastError
+from .errors import ConfigError, PipelineError, TrafficastError, ValidationError
 from .evaluate import (
     PredictorSpec,
     compare,
@@ -23,10 +23,9 @@ from .evaluate import (
     parse_predictor,
     render_prediction_csv,
     render_report,
-    run_predictor,
 )
 from .ingest import bin_to_rate, load_packet_trace, load_series_csv, write_series_csv
-from .preprocess import PreprocessConfig, StationarySeries, pipeline, pipeline_with_stages
+from .preprocess import PreprocessConfig, pipeline, pipeline_with_stages
 from .rng import derive_seed
 from .series import TimeSeries
 from .synth import SeasonalSpec, gen_seasonal_traffic
@@ -117,6 +116,8 @@ def load_run_config(path: Path) -> RunConfig:
             cfg.report_format = sec.get("format", cfg.report_format)
             cfg.report_name = sec.get("out", cfg.report_name)
             cfg.timing_repetitions = sec.getint("timing_reps", cfg.timing_repetitions)
+            if cfg.timing_repetitions < 1:
+                raise ValidationError(f"timing_reps must be >= 1, got {cfg.timing_repetitions}")
         if not cfg.predictors:
             cfg.predictors = [parse_predictor(s) for s in DEFAULT_PREDICTOR_GRID]
         if not cfg.synth_specs and not cfg.ingest_inputs:
@@ -148,7 +149,7 @@ def run_pipeline(config: RunConfig) -> int:
         except (TrafficastError, OSError) as exc:
             raise PipelineError("ingest", str(exc)) from exc
 
-    datasets: list[tuple[str, StationarySeries]] = []
+    datasets: list[tuple[str, TimeSeries]] = []
     for label, series in raw:
         try:
             if config.emit_stages:
@@ -180,31 +181,31 @@ def run_pipeline(config: RunConfig) -> int:
         (outdir / "time_grid.csv").write_text(
             grid_csv(report, report.time_grid), encoding="utf-8"
         )
-        _write_prediction_csvs(config, datasets, outdir)
+        _write_prediction_csvs(config, datasets, report, outdir)
     except OSError as exc:
         raise PipelineError("report", str(exc)) from exc
     return 0
 
 
-def _pick(predictors: list[PredictorSpec], kind: str, preferred=None):
-    for spec in predictors:
+def _pick(predictors: list[PredictorSpec], kind: str, preferred=None) -> int | None:
+    """Column of the first ``kind`` predictor, preferring ``params == preferred``."""
+    for col, spec in enumerate(predictors):
         if spec.kind == kind and (preferred is None or spec.params == preferred):
-            return spec
-    return next((s for s in predictors if s.kind == kind), None)
+            return col
+    return next((col for col, s in enumerate(predictors) if s.kind == kind), None)
 
 
-def _write_prediction_csvs(config, datasets, outdir: Path) -> None:
-    """Emit index/actual/arma_pred/kf_pred columns when the grid includes
-    both predictor families (the overlay-plot companion)."""
-    arma_spec = _pick(config.predictors, "arma", preferred=(2, 1))
-    kf_spec = _pick(config.predictors, "kf")
-    if arma_spec is None or kf_spec is None:
+def _write_prediction_csvs(config, datasets, report, outdir: Path) -> None:
+    """Emit index/actual/arma_pred/kf_pred columns, taken from the cells
+    ``compare`` measured, when the grid includes both predictor families
+    (the overlay-plot companion).  A dataset whose cell failed is skipped."""
+    arma_col = _pick(config.predictors, "arma", preferred=(2, 1))
+    kf_col = _pick(config.predictors, "kf")
+    if arma_col is None or kf_col is None:
         return
-    for label, series in datasets:
-        try:
-            arma_pred = run_predictor(arma_spec, series)
-            kf_pred = run_predictor(kf_spec, series)
-        except TrafficastError:
+    for (label, series), row in zip(datasets, report.predictions):
+        arma_pred, kf_pred = row[arma_col], row[kf_col]
+        if arma_pred is None or kf_pred is None:
             continue
         (outdir / f"predictions_{label}.csv").write_text(
             render_prediction_csv(series.values, arma_pred, kf_pred),
@@ -262,15 +263,8 @@ def cmd_preprocess(args) -> int:
             print(f"stage {name} -> {stage_path}")
     else:
         stationary = pipeline(series, cfg)
-    out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# dt={series.dt!r}\n")
-        fh.write(f"# scale_mean={stationary.scale_mean!r}\n")
-        fh.write(f"# scale_std={stationary.scale_std!r}\n")
-        fh.write("value\n")
-        for v in stationary.values:
-            fh.write(f"{float(v)!r}\n")
-    print(f"{len(series)} samples -> {len(stationary)} stationary samples -> {out}")
+    write_series_csv(stationary, args.out)
+    print(f"{len(series)} samples -> {len(stationary)} stationary samples -> {args.out}")
     return 0
 
 
@@ -319,8 +313,7 @@ def cmd_compare(args) -> int:
     datasets = []
     for path_text in args.datasets.split(","):
         path = Path(path_text.strip())
-        series = load_series_csv(path)
-        datasets.append((path.stem, StationarySeries(values=series.values)))
+        datasets.append((path.stem, load_series_csv(path)))
     predictors = [parse_predictor(s) for s in args.predictors]
     report = compare(datasets, predictors, timing_repetitions=args.timing_reps)
     text = render_report(report, args.format)
@@ -348,6 +341,13 @@ def cmd_repro_paper(args) -> int:
     status = run_pipeline(config)
     print(f"benchmark artifacts -> {config.outdir}")
     return status
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictors", nargs="+", default=DEFAULT_PREDICTOR_GRID,
                    help="arma:p,q and kf:q,r descriptors")
     p.add_argument("--format", choices=["csv", "markdown", "json"], default="markdown")
-    p.add_argument("--timing-reps", type=int, default=3)
+    p.add_argument("--timing-reps", type=positive_int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="repro")
-    p.add_argument("--timing-reps", type=int, default=3)
+    p.add_argument("--timing-reps", type=positive_int, default=3)
     p.set_defaults(func=cmd_repro_paper)
 
     return parser

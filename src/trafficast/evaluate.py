@@ -7,8 +7,9 @@ predictor, MSE in one grid and fit+predict seconds in the other.
 Rendering is byte-deterministic.  Cells may be ``float`` (measured),
 ``int``/``Decimal`` (values loaded from a report file, kept digit-exact)
 or ``None``/NaN for a cell whose predictor failed.  Timing uses a
-monotonic clock and reports the median of three runs by default; absolute
-times are machine-bound, only orderings are meaningful.
+monotonic clock and reports the median of ``timing_repetitions`` runs
+(three by default); the MSE and predictions come from those same runs.
+Absolute times are machine-bound, only orderings are meaningful.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import IO, Callable, Sequence, Union
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import arma, kalman
 from .errors import TrafficastError, ValidationError
-from .preprocess import StationarySeries
+from .series import TimeSeries
 
 Cell = Union[float, int, Decimal, None]
 
@@ -84,7 +85,7 @@ def parse_predictor(text: str) -> PredictorSpec:
     )
 
 
-def run_predictor(spec: PredictorSpec, series: StationarySeries) -> np.ndarray:
+def run_predictor(spec: PredictorSpec, series: TimeSeries) -> np.ndarray:
     """Fit (where applicable) and produce one-step-ahead predictions."""
     if spec.kind == "arma":
         model, _ = arma.fit(series, *spec.params)
@@ -125,13 +126,17 @@ def describe_environment() -> str:
 
 @dataclass
 class EvalReport:
-    """Per-dataset, per-predictor MSE and timing grids."""
+    """Per-dataset, per-predictor MSE and timing grids, plus each measured
+    cell's predictions (``None`` if it failed; never rendered or loaded)."""
 
     datasets: list[str]
     predictors: list[str]
     mse_grid: list[list[Cell]]
     time_grid: list[list[Cell]]
     environment: str = ""
+    predictions: list[list[np.ndarray | None]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for name, grid in (("mse_grid", self.mse_grid), ("time_grid", self.time_grid)):
@@ -147,8 +152,20 @@ class EvalReport:
                         raise ValidationError(f"{name} cells must be nonnegative")
 
 
+def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int):
+    """The predictions of the last of ``repetitions`` timed runs, and their median time."""
+    last = None
+
+    def task():
+        nonlocal last
+        last = run_predictor(spec, series)
+
+    seconds = time_predictor(task, repetitions)
+    return last, seconds
+
+
 def compare(
-    datasets: Sequence[tuple[str, StationarySeries]],
+    datasets: Sequence[tuple[str, TimeSeries]],
     predictors: Sequence[PredictorSpec],
     timing_repetitions: int = 3,
     environment: str | None = None,
@@ -156,38 +173,41 @@ def compare(
     """Fill both grids, one (dataset, predictor) cell at a time.
 
     Every predictor's MSE skips the same burn-in prefix (the largest one
-    in the report) so columns stay comparable.  A failing cell is recorded
-    as missing instead of aborting the grid.
+    in the report) so columns stay comparable; the last timed run's
+    predictions give a cell's MSE.  A failing cell is recorded as missing
+    instead of aborting the grid.
     """
     if not datasets or not predictors:
         raise ValidationError("need at least one dataset and one predictor")
+    if timing_repetitions < 1:
+        raise ValidationError(f"timing_repetitions must be >= 1, got {timing_repetitions}")
     skip = max(spec.burn_in for spec in predictors)
     mse_grid: list[list[Cell]] = []
     time_grid: list[list[Cell]] = []
+    predictions_grid: list[list[np.ndarray | None]] = []
     for _, series in datasets:
         mse_row: list[Cell] = []
         time_row: list[Cell] = []
+        predictions_row: list[np.ndarray | None] = []
         for spec in predictors:
             try:
-                predictions = run_predictor(spec, series)
+                predictions, cell_time = _run_cell(spec, series, timing_repetitions)
                 cell_mse = mse(predictions, series.values, skip=skip)
-                cell_time = time_predictor(
-                    lambda s=spec, d=series: run_predictor(s, d),
-                    repetitions=timing_repetitions,
-                )
             except TrafficastError:
-                cell_mse = None
-                cell_time = None
+                predictions = cell_mse = cell_time = None
             mse_row.append(cell_mse)
             time_row.append(cell_time)
+            predictions_row.append(predictions)
         mse_grid.append(mse_row)
         time_grid.append(time_row)
+        predictions_grid.append(predictions_row)
     return EvalReport(
         datasets=[label for label, _ in datasets],
         predictors=[spec.label for spec in predictors],
         mse_grid=mse_grid,
         time_grid=time_grid,
         environment=environment if environment is not None else describe_environment(),
+        predictions=predictions_grid,
     )
 
 
@@ -289,7 +309,7 @@ def render_prediction_csv(actual, arma_pred, kf_pred) -> str:
     return buf.getvalue()
 
 
-def inverse_transform(values, series: StationarySeries) -> np.ndarray:
+def inverse_transform(values, series: TimeSeries) -> np.ndarray:
     """Map predictions on the stationary scale back toward packet rates.
 
     Undoes the scaling and, when the producing pipeline applied it, the
@@ -297,6 +317,6 @@ def inverse_transform(values, series: StationarySeries) -> np.ndarray:
     undone, so this is a scale restoration, not a full inverse.
     """
     x = np.asarray(values, dtype=float) * series.scale_std + series.scale_mean
-    if series.config is not None and series.config.log_enabled:
+    if series.log1p:
         x = np.expm1(x)
     return x

@@ -5,9 +5,11 @@ CSV formats
 Packet trace: header ``time,protocol``, one row per packet, time in float
 seconds since capture start.
 
-Value series: optional ``# key=value`` comment lines (``dt`` is honoured),
-then a ``value`` header and one float per row.  ``write_series_csv`` emits
-values with ``repr`` so a written series reloads bit-exactly.
+Value series: optional ``# key=value`` comment lines (``dt``, ``origin``,
+``scale_mean``, ``scale_std`` and ``log1p`` are honoured, absent keys take
+the :class:`TimeSeries` defaults), then a ``value`` header and one float
+per row.  ``write_series_csv`` emits every key and the values with
+``repr`` so a written series reloads bit-exactly.
 """
 from __future__ import annotations
 
@@ -26,6 +28,15 @@ from .series import TimeSeries
 Source = Union[str, Path, IO[str]]
 
 _KNOWN_PROTOCOLS = ("TCP", "UDP")
+
+# Comment keys of a value series CSV and how each value is parsed.
+_METADATA = {
+    "dt": float,
+    "origin": float,
+    "scale_mean": float,
+    "scale_std": float,
+    "log1p": lambda text: {"true": True, "false": False}[text.lower()],
+}
 
 
 @dataclass(frozen=True)
@@ -148,10 +159,9 @@ def _iter_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
 
 
 def load_series_csv(source: Source) -> TimeSeries:
-    """Load a value series CSV; ``# dt=...`` comments set the sample spacing."""
+    """Load a value series CSV; ``# key=value`` comments set the metadata."""
     stream, owned = _open_text(source)
-    dt = 1.0
-    origin = 0.0
+    metadata: dict[str, float | bool] = {}
     values: list[float] = []
     header_seen = False
     value_idx = 0
@@ -163,18 +173,14 @@ def load_series_csv(source: Source) -> TimeSeries:
                 body = text.lstrip()[1:].strip()
                 if "=" in body:
                     key, _, val = body.partition("=")
-                    key = key.strip().lower()
-                    if key in ("dt", "origin"):
+                    key, val = key.strip().lower(), val.strip()
+                    if key in _METADATA:
                         try:
-                            parsed = float(val.strip())
-                        except ValueError:
+                            metadata[key] = _METADATA[key](val)
+                        except (KeyError, ValueError):
                             raise ParseError(
-                                f"invalid {key} metadata {val.strip()!r}", line=line
+                                f"invalid {key} metadata {val!r}", line=line
                             ) from None
-                        if key == "dt":
-                            dt = parsed
-                        else:
-                            origin = parsed
                 continue
             cells = [c.strip() for c in text.split(",")]
             if not header_seen:
@@ -201,7 +207,7 @@ def load_series_csv(source: Source) -> TimeSeries:
         raise ParseError("missing header row", line=1)
     if not values:
         raise ParseError("empty series: no value rows after header")
-    return TimeSeries(values=np.asarray(values), dt=dt, origin=origin)
+    return TimeSeries(values=np.asarray(values), **metadata)
 
 
 def write_series_csv(series: TimeSeries, dest: Source) -> None:
@@ -214,6 +220,9 @@ def write_series_csv(series: TimeSeries, dest: Source) -> None:
     try:
         stream.write(f"# dt={series.dt!r}\n")
         stream.write(f"# origin={series.origin!r}\n")
+        stream.write(f"# scale_mean={series.scale_mean!r}\n")
+        stream.write(f"# scale_std={series.scale_std!r}\n")
+        stream.write(f"# log1p={series.log1p}\n")
         stream.write("value\n")
         for v in series.values:
             stream.write(f"{float(v)!r}\n")

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterError, ValidationError
-from .preprocess import StationarySeries
-from .series import TimeSeries
+from .series import TimeSeries, values_of
 
 PSD_TOLERANCE = -1e-10
 
@@ -199,7 +198,7 @@ def default_local_level(
 
 def predict_series(
     model: StateSpaceModel,
-    series: StationarySeries | TimeSeries | np.ndarray,
+    series: TimeSeries | np.ndarray,
     init: KalmanState,
 ) -> PredictionTrace:
     """One-step-ahead filtering pass over a scalar measurement series.
@@ -208,7 +207,7 @@ def predict_series(
     sample is folded in.  Single pass; the carried state is O(1) in the
     series length.
     """
-    z = series.values if isinstance(series, (TimeSeries, StationarySeries)) else np.asarray(series, dtype=float)
+    z = values_of(series)
     if z.ndim != 1 or z.size == 0:
         raise ValidationError("measurement series must be a nonempty 1-d array")
     if model.obs_dim != 1:

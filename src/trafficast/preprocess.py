@@ -13,7 +13,7 @@ parameters so predictions can be mapped back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,43 +48,12 @@ class PreprocessConfig:
         return int(round(self.window_len * (1.0 - self.overlap_fraction)))
 
 
-@dataclass(frozen=True)
-class StationarySeries:
-    """Preprocessed series plus the scaling used to produce it.
-
-    ``scale_mean``/``scale_std`` are the parameters subtracted and divided
-    out by the final scaling stage; ``config`` records the full transform
-    when the series came out of :func:`pipeline`.
-    """
-
-    values: np.ndarray
-    scale_mean: float = 0.0
-    scale_std: float = 1.0
-    config: PreprocessConfig | None = None
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("stationary series must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("stationary series values must be finite")
-        if not self.scale_std > 0:
-            raise ValidationError(f"recorded std must be positive, got {self.scale_std}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "scale_mean", float(self.scale_mean))
-        object.__setattr__(self, "scale_std", float(self.scale_std))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
 def log_transform(series: TimeSeries) -> TimeSeries:
     """ln(1 + x) per sample; requires nonnegative input (packet counts)."""
     x = series.values
     if np.any(x < 0):
         raise ValidationError("log transform requires nonnegative values")
-    return TimeSeries(values=np.log1p(x), dt=series.dt, origin=series.origin)
+    return replace(series, values=np.log1p(x), log1p=True)
 
 
 def frame_count(n: int, window_len: int, hop: int) -> int:
@@ -113,24 +82,24 @@ def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
         frame = x[s : s + window]
         acc[s : s + window] += frame - frame.mean()
         cover[s : s + window] += 1.0
-    return TimeSeries(values=acc / cover, dt=series.dt, origin=series.origin)
+    return replace(series, values=acc / cover)
 
 
-def scale(series: TimeSeries, mode: str = "zscore") -> StationarySeries:
+def scale(series: TimeSeries, mode: str = "zscore") -> TimeSeries:
     """Scale to zero mean / unit sample std (``zscore``) or pass through (``none``)."""
     if mode not in SCALE_MODES:
         raise ValidationError(f"scale_mode must be one of {SCALE_MODES}")
     x = series.values
     if mode == "none":
-        return StationarySeries(values=x, scale_mean=0.0, scale_std=1.0)
+        return series
     mean = float(x.mean())
     std = float(x.std(ddof=1)) if x.size > 1 else 0.0
     if std <= 0:
         raise ValidationError("zero variance: cannot z-score a constant series")
-    return StationarySeries(values=(x - mean) / std, scale_mean=mean, scale_std=std)
+    return replace(series, values=(x - mean) / std, scale_mean=mean, scale_std=std)
 
 
-def pipeline(series: TimeSeries, cfg: PreprocessConfig | None = None) -> StationarySeries:
+def pipeline(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeSeries:
     """Run log -> box_center -> scale; errors carry the failing stage's name."""
     result, _ = pipeline_with_stages(series, cfg)
     return result
@@ -138,7 +107,7 @@ def pipeline(series: TimeSeries, cfg: PreprocessConfig | None = None) -> Station
 
 def pipeline_with_stages(
     series: TimeSeries, cfg: PreprocessConfig | None = None
-) -> tuple[StationarySeries, dict[str, TimeSeries]]:
+) -> tuple[TimeSeries, dict[str, TimeSeries]]:
     """Like :func:`pipeline` but also returns each stage's output for debugging."""
     cfg = cfg or PreprocessConfig()
     stages: dict[str, TimeSeries] = {}
@@ -154,20 +123,10 @@ def pipeline_with_stages(
     if cfg.scale_mode == "zscore" and float(current.values.std(ddof=1 if len(current) > 1 else 0)) == 0.0:
         # A constant input is centered to exactly zero; z-scoring it would
         # divide by zero, so the zeros pass through with a unit std recorded.
-        result = StationarySeries(
-            values=np.zeros(len(current)),
-            scale_mean=float(current.values.mean()),
-            scale_std=1.0,
-            config=cfg,
-        )
+        mean = float(current.values.mean())
+        result = replace(current, values=np.zeros(len(current)), scale_mean=mean, scale_std=1.0)
     else:
-        scaled = _run_stage("scale", scale, current, cfg.scale_mode)
-        result = StationarySeries(
-            values=scaled.values,
-            scale_mean=scaled.scale_mean,
-            scale_std=scaled.scale_std,
-            config=cfg,
-        )
+        result = _run_stage("scale", scale, current, cfg.scale_mode)
     return result, stages
 
 

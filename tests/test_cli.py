@@ -1,9 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 
-from trafficast import cli
-from trafficast.ingest import load_series_csv
+from trafficast import cli, evaluate
+from trafficast.evaluate import inverse_transform
+from trafficast.ingest import load_series_csv, write_series_csv
+from trafficast.preprocess import pipeline
+from trafficast.series import TimeSeries
+from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
 SUBCOMMANDS = ["ingest", "preprocess", "fit-arma", "predict-kf", "synth", "compare", "repro-paper"]
 
@@ -62,6 +67,23 @@ def test_preprocess_emit_stages(tmp_path):
                      "--out", str(out)]) == 0
     assert (tmp_path / "stat_log_transform.csv").exists()
     assert (tmp_path / "stat_box_center.csv").exists()
+
+
+def test_preprocess_output_reloads_with_its_scale(tmp_path):
+    raw = gen_seasonal_traffic(SeasonalSpec(n=300, period=30, seed=4))
+    series = TimeSeries(raw.values, dt=0.25, origin=3.0)
+    rates, out = tmp_path / "rates.csv", tmp_path / "stationary.csv"
+    write_series_csv(series, rates)
+    assert cli.main(["preprocess", "--input", str(rates), "--out", str(out)]) == 0
+    reloaded = load_series_csv(out)
+    expected = pipeline(series)
+    for name in ("dt", "origin", "scale_mean", "scale_std", "log1p"):
+        assert getattr(reloaded, name) == getattr(expected, name), name
+    assert reloaded.values.tobytes() == expected.values.tobytes()
+    assert (
+        inverse_transform(reloaded.values, reloaded).tobytes()
+        == inverse_transform(expected.values, expected).tobytes()
+    )
 
 
 def test_synth_seasonal_roundtrip(tmp_path):
@@ -142,6 +164,53 @@ def test_run_mse_grid_is_deterministic(tmp_path):
             + (outdir / "predictions_B.csv").read_bytes()
         )
     assert grids[0] == grids[1]
+
+
+def test_repro_computes_each_cell_once_per_timing_rep(tmp_path, monkeypatch):
+    reps = 2
+    calls, reports = [], []
+    real_run, real_compare = evaluate.run_predictor, cli.compare
+
+    def counting_run(spec, series):
+        calls.append(spec)
+        return real_run(spec, series)
+
+    def keeping_compare(*args, **kwargs):
+        reports.append(real_compare(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(evaluate, "run_predictor", counting_run)
+    monkeypatch.setattr(cli, "compare", keeping_compare)
+    outdir = tmp_path / "repro"
+    assert cli.main(["repro-paper", "--out", str(outdir), "--timing-reps", str(reps)]) == 0
+    (report,) = reports
+    assert len(calls) == 30 * reps
+    arma_col, kf_col = report.predictors.index("ARMA(2,1)"), report.predictors.index("KF")
+    for label, row in zip(report.datasets, report.predictions):
+        columns = np.loadtxt(outdir / f"predictions_{label}.csv", delimiter=",", skiprows=1)
+        assert columns[:, 2].tobytes() == row[arma_col].tobytes()
+        assert columns[:, 3].tobytes() == row[kf_col].tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv", [["repro-paper", "--out", "unused"], ["compare", "--datasets", "unused.csv"]]
+)
+def test_zero_timing_reps_flag_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--timing-reps", "0"])
+    assert exc.value.code == 2
+    assert "--timing-reps" in capsys.readouterr().err
+
+
+def test_zero_timing_reps_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {tmp_path / 'out'}\n\n"
+        "[synth]\ndatasets = A\n\n"
+        "[eval]\ntiming_reps = 0\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "timing_reps" in capsys.readouterr().err
 
 
 def test_run_missing_input_names_ingest_stage(tmp_path, capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from trafficast import evaluate
 from trafficast.errors import ValidationError
-from trafficast.preprocess import PreprocessConfig, StationarySeries, pipeline
+from trafficast.preprocess import pipeline
+from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_tables.json"
@@ -123,7 +124,7 @@ class TestCompare:
         assert r1.mse_grid == r2.mse_grid
 
     def test_failed_cell_is_recorded_not_fatal(self):
-        tiny = StationarySeries(values=np.sin(np.arange(30.0)))  # too short for ARMA
+        tiny = TimeSeries(values=np.sin(np.arange(30.0)))  # too short for ARMA
         report = evaluate.compare(
             [("tiny", tiny)],
             [evaluate.parse_predictor("arma:2,1"), evaluate.parse_predictor("kf:0.01,0.01")],
@@ -135,6 +136,14 @@ class TestCompare:
     def test_requires_inputs(self):
         with pytest.raises(ValidationError):
             evaluate.compare([], [evaluate.parse_predictor("kf:0.01,0.01")])
+
+    def test_requires_a_timing_repetition(self):
+        with pytest.raises(ValidationError, match="timing_repetitions"):
+            evaluate.compare(
+                [("A", small_dataset())],
+                [evaluate.parse_predictor("kf:0.01,0.01")],
+                timing_repetitions=0,
+            )
 
 
 class TestRendering:
@@ -215,21 +224,20 @@ class TestInverseTransform:
         y = np.array([3.0, 10.0, 0.0, 47.5])
         logged = np.log1p(y)
         mean, std = logged.mean(), logged.std(ddof=1)
-        stationary = StationarySeries(
+        stationary = TimeSeries(
             values=(logged - mean) / std,
             scale_mean=mean,
             scale_std=std,
-            config=PreprocessConfig(log_enabled=True),
+            log1p=True,
         )
         back = evaluate.inverse_transform(stationary.values, stationary)
         np.testing.assert_allclose(back, y, atol=1e-10)
 
     def test_without_log(self):
-        stationary = StationarySeries(
+        stationary = TimeSeries(
             values=np.array([-1.0, 1.0]),
             scale_mean=5.0,
             scale_std=2.0,
-            config=PreprocessConfig(log_enabled=False),
         )
         back = evaluate.inverse_transform(stationary.values, stationary)
         np.testing.assert_allclose(back, [3.0, 7.0])

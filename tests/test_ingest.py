@@ -116,6 +116,7 @@ class TestSeriesCsv:
         series = load_series_csv(io.StringIO("value\n3\n1\n4\n"))
         assert series.values.tolist() == [3.0, 1.0, 4.0]
         assert series.dt == 1.0
+        assert (series.scale_mean, series.scale_std, series.log1p) == (0.0, 1.0, False)
 
     def test_header_only_is_an_error(self):
         with pytest.raises(ParseError, match="empty series"):
@@ -135,13 +136,15 @@ class TestSeriesCsv:
 
     def test_round_trip_is_exact(self):
         values = np.array([1 / 3, np.pi, 1e-17, 12345.678901234567, 0.1])
-        original = TimeSeries(values, dt=0.25, origin=3.5)
+        original = TimeSeries(
+            values, dt=0.25, origin=3.5, scale_mean=-1 / 7, scale_std=0.3, log1p=True
+        )
         buf = io.StringIO()
         write_series_csv(original, buf)
         reloaded = load_series_csv(io.StringIO(buf.getvalue()))
         assert reloaded.values.tolist() == original.values.tolist()
-        assert reloaded.dt == original.dt
-        assert reloaded.origin == original.origin
+        for name in ("dt", "origin", "scale_mean", "scale_std", "log1p"):
+            assert getattr(reloaded, name) == getattr(original, name), name
 
 
 class TestTimeSeriesInvariants:
@@ -152,6 +155,14 @@ class TestTimeSeriesInvariants:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             TimeSeries(np.empty(0))
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValidationError):
+            TimeSeries(np.array([np.inf]))
+
+    def test_rejects_zero_scale_std(self):
+        with pytest.raises(ValidationError):
+            TimeSeries(np.array([1.0]), scale_std=0.0)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValidationError):

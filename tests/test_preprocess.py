@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from trafficast.errors import PipelineError, ValidationError
 from trafficast.preprocess import (
     PreprocessConfig,
-    StationarySeries,
     box_center,
     frame_count,
     log_transform,
@@ -170,7 +169,7 @@ class TestPipeline:
         out = pipeline(raw, CFG)
         assert abs(out.values.mean()) < 0.05
         assert abs(out.values.std(ddof=1) - 1.0) < 0.1
-        assert out.config == CFG
+        assert out.log1p
 
     def test_stage_capture(self):
         raw = gen_seasonal_traffic(SeasonalSpec(n=200, period=50))
@@ -183,13 +182,3 @@ class TestPipeline:
         raw = TimeSeries(np.arange(40.0))
         _, stages = pipeline_with_stages(raw, cfg)
         assert "log_transform" not in stages
-
-
-class TestStationarySeries:
-    def test_rejects_zero_std(self):
-        with pytest.raises(ValidationError):
-            StationarySeries(values=np.array([1.0]), scale_std=0.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            StationarySeries(values=np.array([np.inf]))
