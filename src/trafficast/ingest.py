@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,18 @@ from .series import TimeSeries
 Source = Union[str, Path, IO[str]]
 
 _KNOWN_PROTOCOLS = ("TCP", "UDP")
+
+# Protocol tags by int8 code.  The loader builds ``PacketTrace.protocols``
+# from these three objects, so the tuple costs one pointer per packet.
+_TAG_OBJECTS = np.array([*_KNOWN_PROTOCOLS, "other"], dtype=object)
+_TAG_CODES = {tag: code for code, tag in enumerate(_TAG_OBJECTS)}
+
+# Size hint, in characters, of a body chunk; a chunk is parsed or scanned
+# as a whole.
+_CHUNK_BYTES = 1 << 20
+
+# 2**63 as a float: a bin count below it fits ``np.intp``.
+_MAX_BINS = float(np.iinfo(np.intp).max)
 
 # Comment keys of a value series CSV and how each value is parsed.
 _METADATA = {
@@ -88,51 +101,138 @@ def load_packet_trace(
 
     Rows with protocols other than TCP/UDP are dropped unless
     ``filter_protocols`` is False.  Timestamps are sorted on load.
+
+    The body is read in chunks of about 1 MB.  A chunk of plain rows is
+    parsed column-wise with numpy; any other chunk (quotes, blank or ragged
+    rows, a bad value) goes through the ``csv`` row scan, which alone
+    decides what else is accepted and which line an error names.
     """
     if fmt != "timestamp-csv":
         raise ValidationError(f"unknown packet trace format {fmt!r}")
     stream, owned = _open_text(source)
     try:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
+        header_reader = csv.reader(stream)
+        header = next(header_reader, None)
+        if header is None:
             raise ParseError("missing header row", line=1)
-        fields = [f.strip().lower() for f in reader.fieldnames]
+        fields = [f.strip().lower() for f in header]
         if "time" not in fields or "protocol" not in fields:
             raise ParseError(
-                f"header must contain 'time' and 'protocol', got {reader.fieldnames}",
-                line=1,
+                f"header must contain 'time' and 'protocol', got {header}", line=1
             )
-        t_col = reader.fieldnames[fields.index("time")]
-        p_col = reader.fieldnames[fields.index("protocol")]
+        t_col = header[fields.index("time")]
+        p_col = header[fields.index("protocol")]
+        # csv.DictReader keys a row by column name, so a repeated name reads
+        # the last column that carries it.
+        ti, pi = (len(header) - 1 - header[::-1].index(c) for c in (t_col, p_col))
 
-        times: list[float] = []
-        protos: list[str] = []
-        for row in reader:
-            line = reader.line_num
-            raw_t, raw_p = row.get(t_col), row.get(p_col)
-            if raw_t is None or raw_p is None:
-                raise ParseError("row has fewer columns than the header", line=line)
-            try:
-                t = float(raw_t)
-            except ValueError:
-                raise ParseError(f"invalid time value {raw_t!r}", line=line) from None
-            if not math.isfinite(t):
-                raise ParseError(f"non-finite time value {raw_t!r}", line=line)
-            if t < 0:
-                raise ValidationError(f"negative timestamp {t} at line {line}")
-            tag = _canonical_protocol(raw_p)
-            if filter_protocols and tag == "other":
-                continue
-            times.append(t)
-            protos.append(tag)
+        line = header_reader.line_num + 1
+        times: list[np.ndarray] = []
+        codes: list[np.ndarray] = []
+        while lines := stream.readlines(_CHUNK_BYTES):
+            parsed = _parse_plain_chunk(lines, len(header), ti, pi)
+            if parsed is None:
+                chunk_t, chunk_c, n_read = _scan_rows(
+                    itertools.chain(lines, stream), header, t_col, p_col,
+                    first_line=line, min_lines=len(lines),
+                )
+            else:
+                (chunk_t, chunk_c), n_read = parsed, len(lines)
+            times.append(chunk_t)
+            codes.append(chunk_c)
+            line += n_read
     finally:
         if owned:
             stream.close()
 
-    order = np.argsort(np.asarray(times), kind="stable") if times else []
-    return PacketTrace(
-        timestamps=np.asarray(times, dtype=float)[order] if len(times) else np.empty(0),
-        protocols=tuple(protos[i] for i in order),
+    ts = np.concatenate(times) if times else np.empty(0)
+    tags = np.concatenate(codes) if codes else np.empty(0, dtype=np.int8)
+    if filter_protocols:
+        keep = tags != _TAG_CODES["other"]
+        ts, tags = ts[keep], tags[keep]
+    order = np.argsort(ts, kind="stable")
+    return PacketTrace(timestamps=ts[order], protocols=tuple(_TAG_OBJECTS[tags[order]]))
+
+
+def _parse_plain_chunk(
+    lines: list[str], ncols: int, ti: int, pi: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Time (column ``ti``) and protocol-code (column ``pi``) arrays of a
+    chunk of plain rows, or None.
+
+    Plain means what ``str.split`` reads exactly as ``csv`` does: LF or CRLF
+    line ends, no quote character, and exactly one cell per header column
+    on every row.  None also when a time is not a finite nonnegative float,
+    so the row scan raises the error the row-by-row loader always raised.
+    """
+    text = "".join(lines)
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if text.endswith("\n"):
+        text = text[:-1]
+    # Separator bytes in order; each row must read ",,...,\n".  Multi-byte
+    # UTF-8 sequences (surrogates too) hold no byte below 0x80, so these
+    # are exactly the commas and newlines of the text.
+    seps = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = np.append(seps[(seps == ord(",")) | (seps == ord("\n"))], ord("\n"))
+    row = np.array([ord(",")] * (ncols - 1) + [ord("\n")], dtype=np.uint8)
+    if seps.size % ncols or not np.all(seps.reshape(-1, ncols) == row):
+        return None
+    cells = text.replace("\n", ",").split(",")
+    try:
+        # Parses exactly the strings float() parses, to the same values.
+        ts = np.array(cells[ti::ncols], dtype=float)
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        return None
+    raw = cells[pi::ncols]
+    code_of = {p: _TAG_CODES[_canonical_protocol(p)] for p in set(raw)}
+    return ts, np.fromiter(map(code_of.__getitem__, raw), dtype=np.int8, count=len(raw))
+
+
+def _scan_rows(
+    lines: Iterator[str],
+    header: list[str],
+    t_col: str,
+    p_col: str,
+    first_line: int,
+    min_lines: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read ``lines`` with ``csv`` until at least ``min_lines`` are used.
+
+    ``first_line`` is the file line number of the first line.  Returns the
+    times, the protocol codes and the number of lines read, which exceeds
+    ``min_lines`` when a quoted field runs past the chunk.
+    """
+    reader = csv.DictReader(lines, fieldnames=header)
+    times: list[float] = []
+    codes: list[int] = []
+    for row in reader:
+        line = first_line - 1 + reader.line_num
+        raw_t, raw_p = row.get(t_col), row.get(p_col)
+        if raw_t is None or raw_p is None:
+            raise ParseError("row has fewer columns than the header", line=line)
+        try:
+            t = float(raw_t)
+        except ValueError:
+            raise ParseError(f"invalid time value {raw_t!r}", line=line) from None
+        if not math.isfinite(t):
+            raise ParseError(f"non-finite time value {raw_t!r}", line=line)
+        if t < 0:
+            raise ValidationError(f"negative timestamp {t} at line {line}")
+        times.append(t)
+        codes.append(_TAG_CODES[_canonical_protocol(raw_p)])
+        if reader.reader.line_num >= min_lines:
+            break
+    return (
+        np.array(times, dtype=float),
+        np.array(codes, dtype=np.int8),
+        reader.reader.line_num,
     )
 
 
@@ -141,15 +241,28 @@ def bin_to_rate(trace: PacketTrace, bin_width: float = 1.0) -> TimeSeries:
 
     Bin ``i`` covers ``[i*w, (i+1)*w)``; the output length is the number of
     bins needed to cover the last timestamp, so the bin counts always sum
-    to the packet count.
+    to the packet count.  A last timestamp that needs more bins than an
+    index holds, or than memory holds, is a :class:`ValidationError`.
     """
     if not bin_width > 0:
         raise ValidationError(f"bin_width must be positive, got {bin_width}")
     if len(trace) == 0:
         raise ValidationError("cannot bin an empty trace: no capture duration")
-    idx = np.floor(trace.timestamps / bin_width).astype(int)
-    n_bins = int(idx[-1]) + 1
-    counts = np.bincount(idx, minlength=n_bins).astype(float)
+    last = float(trace.timestamps[-1])
+    if not last / bin_width + 1 < _MAX_BINS:
+        raise ValidationError(
+            f"last timestamp {last!r} needs {last / bin_width + 1:.4g} bins of"
+            f" {bin_width!r} s, more than an array index can address"
+        )
+    n_bins = math.floor(last / bin_width) + 1  # exact, as the last bin index below
+    idx = np.floor(trace.timestamps / bin_width).astype(np.intp)
+    try:
+        counts = np.bincount(idx, minlength=n_bins).astype(float)
+    except MemoryError:
+        raise ValidationError(
+            f"last timestamp {last!r} needs {n_bins} bins of {bin_width!r} s,"
+            " more than memory holds"
+        ) from None
     return TimeSeries(values=counts, dt=float(bin_width), origin=0.0)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PipelineError, TrafficastError, ValidationError
 from .series import TimeSeries
@@ -75,13 +76,16 @@ def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
     window, hop = cfg.window_len, cfg.hop
     n_frames = frame_count(x.size, window, hop)
     out_len = hop * (n_frames - 1) + window
+    means = sliding_window_view(x, window)[::hop].mean(axis=1)
     acc = np.zeros(out_len)
     cover = np.zeros(out_len)
-    for f in range(n_frames):
-        s = f * hop
-        frame = x[s : s + window]
-        acc[s : s + window] += frame - frame.mean()
-        cover[s : s + window] += 1.0
+    # Offset k of every frame at once.  Going from the last offset down adds
+    # each sample's frames in frame order, so the sums round as a loop over
+    # frames would round them.
+    for k in reversed(range(window)):
+        at = slice(k, k + hop * n_frames, hop)
+        acc[at] += x[at] - means
+        cover[at] += 1.0
     return replace(series, values=acc / cover)
 
 

@@ -223,6 +223,22 @@ def test_run_missing_input_names_ingest_stage(tmp_path, capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("last", ["1e300", "1e20"])
+def test_out_of_range_timestamp_fails_with_one_line(tmp_path, capsys, last):
+    packets = tmp_path / "packets.csv"
+    packets.write_text(f"time,protocol\n0.5,TCP\n{last},UDP\n")
+    argv = ["ingest", "--input", str(packets), "--out", str(tmp_path / "rates.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trafficast: ingest: last timestamp") and err.count("\n") == 1
+
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {tmp_path / 'out'}\n\n[ingest]\ninputs = {packets}\n")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trafficast: stage failed: ingest: ") and err.count("\n") == 1
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "broken.cfg"
     config.write_text("[run]\nseed = not_an_int\n\n[synth]\ndatasets = A\n")

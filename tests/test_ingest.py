@@ -1,11 +1,17 @@
+import csv
 import io
+import itertools
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficast.errors import ParseError, ValidationError
+from trafficast import ingest
+from trafficast.errors import ParseError, TrafficastError, ValidationError
 from trafficast.ingest import (
     PacketTrace,
     bin_to_rate,
@@ -63,6 +69,176 @@ class TestLoadPacketTrace:
             load_packet_trace(packet_csv([]), fmt="pcap")
 
 
+def assert_matches_row_oracle(text, filter_protocols=True, newline=""):
+    """Load ``text`` and compare with the whole-text row oracle: the same
+    trace, or the same error class and line."""
+    def load():
+        stream = io.StringIO(text, newline=newline)
+        return load_packet_trace(stream, filter_protocols=filter_protocols)
+
+    try:
+        times, tags = reference.load_packet_rows(text, filter_protocols, newline)
+    except reference.RowError as want:
+        with pytest.raises(TrafficastError) as raised:
+            load()
+        got = (type(raised.value).__name__, reference.error_line(raised.value))
+        assert got == (want.kind, want.line)
+    except csv.Error:
+        with pytest.raises(csv.Error):
+            load()
+    else:
+        trace = load()
+        assert trace.timestamps.tobytes() == np.array(times, dtype=float).tobytes()
+        assert trace.protocols == tuple(tags)
+
+
+_VALID_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e7, allow_nan=False).map(repr),
+    st.integers(min_value=0, max_value=10**9).map(lambda us: f"{us / 1e6:.6f}"),
+    st.sampled_from(["0", "-0.0", " 2.5 ", "1e3", "3.", ".25", "1_0", "+4"]),
+)
+_BAD_TIMES = st.sampled_from(["oops", "", "nan", "-inf", "inf", "-1.5", "0x10", "1e400"])
+_PROTOCOLS = st.sampled_from(["TCP", "UDP", "tcp", " Udp ", "ICMP", "other", "", "tCp\t"])
+_PLAIN_EXTRAS = ["x", "", "7", "a b"]
+_QUOTED_EXTRAS = ["a,b", 'say "hi"', "two\nlines"]
+_LINE_ENDS = [["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r\n", "\r"]]
+
+
+def _quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def packet_csv_texts(draw):
+    """CSV text a capture tool might write, with a rare bad or odd row.
+
+    Covers column order, extra columns, header case and whitespace, LF,
+    CRLF and lone CR line ends, blank, short and long rows, quoted fields
+    (some holding commas, quotes or newlines) and a missing final newline.
+    Quoting and lone CRs are drawn per file, so plain files stay common.
+    """
+    columns = draw(st.permutations(
+        ["time", "protocol", *draw(st.sampled_from([[], ["extra"], ["extra", "note"]]))]
+    ))
+    header = [draw(st.sampled_from([c, c.upper(), f" {c.title()} "])) for c in columns]
+    quoting = draw(st.booleans())
+    extras = st.sampled_from(_PLAIN_EXTRAS + (_QUOTED_EXTRAS if quoting else []))
+    ends = st.sampled_from(draw(st.sampled_from(_LINE_ENDS)))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        odd = draw(st.integers(min_value=0, max_value=39))
+        if odd == 0:
+            lines.append("")
+            continue
+        cell = {
+            "time": draw(_BAD_TIMES if odd == 1 else _VALID_TIMES),
+            "protocol": draw(_PROTOCOLS),
+        }
+        cells = [cell.get(c) or draw(extras) for c in columns]
+        if quoting:
+            cells = [
+                _quoted(c) if any(ch in c for ch in ',"\n') or draw(st.booleans()) else c
+                for c in cells
+            ]
+        if odd == 2:
+            cells.pop()
+        elif odd == 3:
+            cells.append(draw(extras))
+        lines.append(",".join(cells))
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestChunkedLoader:
+    """The chunked loader reads what the whole-text row scan reads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=packet_csv_texts(),
+        chunk=st.integers(min_value=1, max_value=80),
+        filter_protocols=st.booleans(),
+        newline=st.sampled_from(["", "\n"]),
+    )
+    def test_matches_row_oracle(self, text, chunk, filter_protocols, newline):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            assert_matches_row_oracle(text, filter_protocols, newline)
+
+    @pytest.mark.parametrize("newline", ["", "\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,protocol\n0.5,TCP\n1.5\n2.5,3.5,UDP\n",  # short then long row
+            "time,protocol\n1.0,TC\rP\n2.0,UDP\n",  # lone CR inside a row
+            "time,protocol,time\n1.0,TCP,2.0\n3.0,UDP,0.5\n",  # repeated column
+            "time,protocol\n1.0,TCP\n  \n2.0,UDP\n",  # whitespace-only row
+            "time,protocol\n1.0,TCP\n\n\noops,UDP\n",  # error after blank lines
+            "time,protocol\n1.0,T\x00CP\n2.0,UDP\n",  # NUL inside a field
+            "time,protocol\n1.0,\udcffTCP\n2.0,UDP\n\udcff,TCP\n",  # lone surrogates
+        ],
+        ids=[
+            "ragged", "lone-cr", "repeated-column", "whitespace-row", "after-blanks",
+            "nul", "surrogate",
+        ],
+    )
+    def test_odd_rows_match_row_oracle(self, text, newline):
+        assert_matches_row_oracle(text, newline=newline)
+
+    @pytest.fixture(scope="class")
+    def capture_rows(self):
+        times = 3000.0 * uniform_stream(seed=5, n=200_000)
+        tags = itertools.cycle(["TCP", "UDP", "TCP", "ICMP", "udp"])
+        return [f"{t:.6f},{p}" for t, p in zip(times, tags)]
+
+    def test_large_capture_matches_row_oracle(self, capture_rows):
+        assert_matches_row_oracle("time,protocol\n" + "\n".join(capture_rows) + "\n")
+
+    @pytest.mark.parametrize(
+        "bad_row,error,message",
+        [
+            ("12x.5,TCP", ParseError, "invalid time value '12x.5'"),
+            ("nan,UDP", ParseError, "non-finite time value 'nan'"),
+            ("-3.25,TCP", ValidationError, "negative timestamp -3.25 at"),
+            ("17.5", ParseError, "row has fewer columns than the header"),
+        ],
+        ids=["bad-time", "nan", "negative", "short-row"],
+    )
+    def test_bad_row_deep_in_large_capture(self, capture_rows, bad_row, error, message):
+        rows = list(capture_rows)
+        rows[-7] = bad_row
+        line = len(rows) - 5  # the header is line 1
+        with pytest.raises(error) as raised:
+            load_packet_trace(io.StringIO("time,protocol\n" + "\n".join(rows) + "\n"))
+        assert type(raised.value) is error
+        assert message in str(raised.value)
+        assert reference.error_line(raised.value) == line
+
+    def test_quoted_field_straddling_a_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 16)
+        head = "time,protocol,note\n" + "0.5,TCP,plain\n" * 3
+        quoted = '1.5,UDP,"first\nsecond\nthird"\n'  # lines 5-7
+        good = head + quoted + "2.5,tcp,x\n"
+        trace = load_packet_trace(io.StringIO(good))
+        assert trace.timestamps.tolist() == [0.5, 0.5, 0.5, 1.5, 2.5]
+        assert trace.protocols == ("TCP", "TCP", "TCP", "UDP", "TCP")
+        with pytest.raises(ParseError, match="line 9"):
+            load_packet_trace(io.StringIO(good + "oops,TCP,x\n"))
+
+    def test_csv_writer_file_loads_by_path(self, tmp_path):
+        path = tmp_path / "capture.csv"
+        with open(path, "w", newline="") as fh:  # csv.writer ends rows with CRLF
+            writer = csv.writer(fh)
+            writer.writerow(["protocol", "time", "note"])
+            writer.writerows([["UDP", 2.0, "a,b"], ["ICMP", 0.5, ""], ["tcp", 1.0, "c"]])
+        trace = load_packet_trace(path, filter_protocols=False)
+        assert trace.timestamps.tolist() == [0.5, 1.0, 2.0]
+        assert trace.protocols == ("other", "TCP", "UDP")
+
+    def test_protocol_tags_are_shared_objects(self):
+        rows = [(i * 0.1, ["tcp", "UDP ", "ICMP"][i % 3]) for i in range(30)]
+        trace = load_packet_trace(packet_csv(rows), filter_protocols=False)
+        assert len({id(tag) for tag in trace.protocols}) == 3
+
+
 class TestBinToRate:
     def test_basic_counting(self):
         trace = PacketTrace(np.array([0.1, 0.2, 1.5]), ("TCP",) * 3)
@@ -84,6 +260,20 @@ class TestBinToRate:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             bin_to_rate(PacketTrace(np.empty(0), ()), 1.0)
+
+    @pytest.mark.parametrize("last", [1e300, 1e20])
+    def test_timestamp_beyond_index_range_rejected(self, last):
+        trace = PacketTrace(np.array([0.5, last]), ("TCP", "TCP"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(f"timestamp {last!r} needs")):
+                bin_to_rate(trace, 1.0)
+
+    def test_unallocatable_bin_count_rejected(self):
+        # 1e18 one-second bins need 8e18 bytes, more than any address space.
+        trace = PacketTrace(np.array([0.5, 1e18]), ("TCP", "TCP"))
+        with pytest.raises(ValidationError, match="1000000000000000001 bins.*memory"):
+            bin_to_rate(trace, 1.0)
 
     def test_nonpositive_width_rejected(self):
         trace = PacketTrace(np.array([0.0]), ("TCP",))

@@ -15,6 +15,7 @@ from trafficast.preprocess import (
     pipeline_with_stages,
     scale,
 )
+from trafficast.rng import uniform_stream
 from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
@@ -87,6 +88,27 @@ class TestBoxCenter:
         out = box_center(TimeSeries(x), cfg)
         np.testing.assert_allclose(
             out.values, reference.box_center_reference(x, 8, 6), atol=1e-12
+        )
+
+    def test_default_config_is_bit_identical_to_frame_loop(self):
+        x = np.log1p(1000.0 * uniform_stream(seed=12, n=5003))
+        out = box_center(TimeSeries(x), CFG).values
+        expected = reference.box_center_frames(x, CFG.window_len, CFG.hop)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "window,overlap", [(10, 0.5), (12, 0.75), (7, 0.6), (9, 0.8), (16, 0.9)]
+    )
+    def test_many_covering_frames_match_both_oracles(self, window, overlap):
+        cfg = PreprocessConfig(window_len=window, overlap_fraction=overlap)
+        n = 101  # not a multiple of any hop here (5, 3, 3, 2, 2)
+        x = np.log1p(50.0 * uniform_stream(seed=window, n=n))
+        out = box_center(TimeSeries(x), cfg).values
+        np.testing.assert_array_equal(
+            out, reference.box_center_frames(x, window, cfg.hop)
+        )
+        np.testing.assert_allclose(
+            out, reference.box_center_reference(x, window, cfg.hop), rtol=0, atol=1e-12
         )
 
     def test_too_short_rejected(self):
