@@ -18,6 +18,13 @@ Predictions are conditional expectations: the one-step forecast replaces
 the unknown eps_t with its zero mean.  Rolling prediction updates the
 innovation estimate as ``eps_t = X_t - Xhat_t`` after every step; the
 first ``max(p, q)`` steps use zero-padded history and count as burn-in.
+That update makes the innovations the order-q recurrence
+
+    eps_t = (X_t - sum_i theta_i X_{t-i}) - sum_j phi_j eps_{t-j},
+
+which :func:`trafficast.series.linear_recurrence` solves in one scan.  It
+decays only for an invertible MA part; otherwise the innovation estimates
+grow geometrically, as they always did in the step-by-step recursion.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .rng import normal_stream
-from .series import TimeSeries, values_of
+from .series import TimeSeries, linear_recurrence, values_of
 
 SIMULATION_BURN_IN = 500
 
@@ -69,10 +76,22 @@ class ArmaModel:
             return np.empty(0, dtype=complex)
         return np.roots(np.concatenate([-self.theta[::-1], [1.0]]))
 
+    def ma_roots(self) -> np.ndarray:
+        """Roots of 1 + phi_1 z + ... + phi_q z^q."""
+        if self.q == 0:
+            return np.empty(0, dtype=complex)
+        return np.roots(np.concatenate([self.phi[::-1], [1.0]]))
+
     @property
     def is_stationary(self) -> bool:
         """True when every AR root lies outside the unit circle."""
         roots = self.ar_roots()
+        return bool(roots.size == 0 or np.min(np.abs(roots)) > 1.0)
+
+    @property
+    def is_invertible(self) -> bool:
+        """True when every MA root lies outside the unit circle."""
+        roots = self.ma_roots()
         return bool(roots.size == 0 or np.min(np.abs(roots)) > 1.0)
 
     @property
@@ -102,10 +121,12 @@ class ArmaModel:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Estimation by-products: in-sample innovations and the AR stationarity flag."""
+    """Estimation by-products: in-sample innovations, the AR stationarity
+    flag and the MA invertibility flag."""
 
     residuals: np.ndarray
     ar_stationary: bool = True
+    ma_invertible: bool = True
 
     def __post_init__(self):
         resid = np.array(self.residuals, dtype=float)
@@ -133,7 +154,10 @@ def fit(
     Requires ``p + q >= 1`` and at least ``10 * (p + q + 1)`` samples.  A
     nonstationary AR estimate is reported through the diagnostics rather
     than rejected: rolling one-step prediction stays anchored to observed
-    history, so such a model is still usable for comparison runs.
+    history, so such a model is still usable for comparison runs.  A
+    non-invertible MA estimate is reported there too: rolling prediction
+    with it lets the innovation estimates grow geometrically, which shows
+    as a huge MSE.
     """
     x = values_of(series)
     if p < 0 or q < 0 or p + q < 1:
@@ -178,7 +202,11 @@ def fit(
         phi=coef[p:],
         sigma2=float(np.mean(resid**2)),
     )
-    diagnostics = FitDiagnostics(residuals=resid, ar_stationary=model.is_stationary)
+    diagnostics = FitDiagnostics(
+        residuals=resid,
+        ar_stationary=model.is_stationary,
+        ma_invertible=model.is_invertible,
+    )
     return model, diagnostics
 
 
@@ -206,7 +234,10 @@ def predict_series(
 
     The innovation estimate is refreshed after each step from the realized
     error.  The first ``model.burn_in`` outputs lean on zero-padded
-    history; exclude them from error metrics.
+    history; exclude them from error metrics.  With a non-invertible MA
+    part (``model.is_invertible`` False) the innovation estimates, and so
+    the predictions, grow geometrically; growth that overflows within the
+    series is a :class:`ValidationError`.
     """
     x = values_of(series)
     p, q = model.p, model.q
@@ -214,19 +245,16 @@ def predict_series(
         raise ValidationError(
             f"series of length {x.size} is too short for ARMA({p},{q}) prediction"
         )
-    theta_rev = model.theta[::-1]
-    phi_rev = model.phi[::-1]
-    padded = np.concatenate([np.zeros(p), x])
-    eps = np.zeros(x.size + q)
-    preds = np.empty(x.size)
-    for t in range(x.size):
-        value = 0.0
-        if p:
-            value += float(np.dot(theta_rev, padded[t : t + p]))
-        if q:
-            value += float(np.dot(phi_rev, eps[t : t + q]))
-        preds[t] = value
-        eps[t + q] = x[t] - value
+    ar = np.zeros(x.size)
+    for i, theta in enumerate(model.theta, start=1):
+        ar[i:] += theta * x[:-i]
+    # Sum each prediction as AR + MA(eps); x - eps would lose digits
+    # whenever |prediction| << |x|.
+    preds = ar
+    if q:
+        eps = linear_recurrence(x - ar, model.phi)
+        for j, phi in enumerate(model.phi, start=1):
+            preds[j:] += phi * eps[:-j]
     dt = series.dt if isinstance(series, TimeSeries) else 1.0
     return TimeSeries(values=preds, dt=dt)
 
@@ -243,16 +271,8 @@ def simulate(model: ArmaModel, n: int, seed: int) -> TimeSeries:
         raise ValidationError("cannot simulate a nonstationary model")
     total = n + SIMULATION_BURN_IN
     eps = np.sqrt(model.sigma2) * normal_stream(seed, total)
-    p, q = model.p, model.q
-    theta_rev = model.theta[::-1]
-    phi_rev = model.phi[::-1]
-    x = np.zeros(total + p)
-    eps_pad = np.concatenate([np.zeros(q), eps])
-    for t in range(total):
-        value = eps[t]
-        if p:
-            value += float(np.dot(theta_rev, x[t : t + p]))
-        if q:
-            value += float(np.dot(phi_rev, eps_pad[t : t + q]))
-        x[t + p] = value
-    return TimeSeries(values=x[p + SIMULATION_BURN_IN :].copy())
+    drive = eps.copy()
+    for j, phi in enumerate(model.phi, start=1):
+        drive[j:] += phi * eps[:-j]
+    x = linear_recurrence(drive, -model.theta)
+    return TimeSeries(values=x[SIMULATION_BURN_IN:])

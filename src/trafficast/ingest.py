@@ -13,6 +13,7 @@ per row.  ``write_series_csv`` emits every key and the values with
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -112,7 +113,10 @@ def load_packet_trace(
     stream, owned = _open_text(source)
     try:
         header_reader = csv.reader(stream)
-        header = next(header_reader, None)
+        try:
+            header = next(header_reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV row: {exc}", line=1) from None
         if header is None:
             raise ParseError("missing header row", line=1)
         fields = [f.strip().lower() for f in header]
@@ -122,8 +126,8 @@ def load_packet_trace(
             )
         t_col = header[fields.index("time")]
         p_col = header[fields.index("protocol")]
-        # csv.DictReader keys a row by column name, so a repeated name reads
-        # the last column that carries it.
+        # A repeated name reads the last column that carries it, as a
+        # csv.DictReader keyed by column name would.
         ti, pi = (len(header) - 1 - header[::-1].index(c) for c in (t_col, p_col))
 
         line = header_reader.line_num + 1
@@ -133,7 +137,7 @@ def load_packet_trace(
             parsed = _parse_plain_chunk(lines, len(header), ti, pi)
             if parsed is None:
                 chunk_t, chunk_c, n_read = _scan_rows(
-                    itertools.chain(lines, stream), header, t_col, p_col,
+                    itertools.chain(lines, stream), ti, pi,
                     first_line=line, min_lines=len(lines),
                 )
             else:
@@ -141,6 +145,8 @@ def load_packet_trace(
             times.append(chunk_t)
             codes.append(chunk_c)
             line += n_read
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(source, exc) from None
     finally:
         if owned:
             stream.close()
@@ -197,26 +203,38 @@ def _parse_plain_chunk(
 
 def _scan_rows(
     lines: Iterator[str],
-    header: list[str],
-    t_col: str,
-    p_col: str,
+    ti: int,
+    pi: int,
     first_line: int,
     min_lines: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Read ``lines`` with ``csv`` until at least ``min_lines`` are used.
 
-    ``first_line`` is the file line number of the first line.  Returns the
-    times, the protocol codes and the number of lines read, which exceeds
-    ``min_lines`` when a quoted field runs past the chunk.
+    ``first_line`` is the file line number of the first line; ``ti`` and
+    ``pi`` are the time and protocol columns.  Returns the times, the
+    protocol codes and the number of lines read, which exceeds
+    ``min_lines`` when a quoted field runs past the chunk.  Blank rows are
+    skipped; a row that ``csv`` cannot read (an unterminated quote runs
+    into the field size limit) is a :class:`ParseError` naming the line
+    the row starts on.
     """
-    reader = csv.DictReader(lines, fieldnames=header)
+    reader = csv.reader(lines)
     times: list[float] = []
     codes: list[int] = []
-    for row in reader:
+    while reader.line_num < min_lines:
+        start = first_line + reader.line_num
+        try:
+            cells = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV row: {exc}", line=start) from None
+        if not cells:
+            continue
         line = first_line - 1 + reader.line_num
-        raw_t, raw_p = row.get(t_col), row.get(p_col)
-        if raw_t is None or raw_p is None:
+        if max(ti, pi) >= len(cells):
             raise ParseError("row has fewer columns than the header", line=line)
+        raw_t = cells[ti]
         try:
             t = float(raw_t)
         except ValueError:
@@ -226,14 +244,43 @@ def _scan_rows(
         if t < 0:
             raise ValidationError(f"negative timestamp {t} at line {line}")
         times.append(t)
-        codes.append(_TAG_CODES[_canonical_protocol(raw_p)])
-        if reader.reader.line_num >= min_lines:
-            break
+        codes.append(_TAG_CODES[_canonical_protocol(cells[pi])])
     return (
         np.array(times, dtype=float),
         np.array(codes, dtype=np.int8),
-        reader.reader.line_num,
+        reader.line_num,
     )
+
+
+def _utf8_error(source: Source, exc: UnicodeDecodeError) -> ParseError:
+    """The :class:`ParseError` for a source that is not UTF-8.
+
+    A file is scanned again as bytes to name the first bad byte's offset
+    and line (lines counted by LF); a caller's stream has no offset to
+    report.
+    """
+    if not isinstance(source, (str, Path)):
+        return ParseError(f"input is not valid UTF-8: {exc.reason}")
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = newlines = 0
+    with open(source, "rb") as raw:
+        while True:
+            chunk = raw.read(_CHUNK_BYTES)
+            pending = decoder.getstate()[0]
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as bad:
+                data = bad.object
+                return ParseError(
+                    f"byte {data[bad.start]:#04x} at offset "
+                    f"{offset - len(pending) + bad.start} is not valid UTF-8 "
+                    f"({bad.reason})",
+                    line=1 + newlines + data[: bad.start].count(b"\n"),
+                )
+            if not chunk:
+                return ParseError(f"input is not valid UTF-8: {exc.reason}")
+            offset += len(chunk)
+            newlines += chunk.count(b"\n")
 
 
 def bin_to_rate(trace: PacketTrace, bin_width: float = 1.0) -> TimeSeries:
@@ -313,6 +360,8 @@ def load_series_csv(source: Source) -> TimeSeries:
                 raise ParseError(
                     f"invalid value {cells[value_idx]!r}", line=line
                 ) from None
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(source, exc) from None
     finally:
         if owned:
             stream.close()

@@ -19,7 +19,11 @@ solved against the innovation covariance instead of inverting it.
 The default configuration is the scalar local level model (A = H = 1, no
 control): a random walk observed in noise, the smallest model consistent
 with the recursion above.  ``predict_series`` takes a fast scalar path for
-it; general matrices run the same algebra through numpy.
+it; general matrices run the same algebra through numpy.  Once the scalar
+gain settles to its fixed point K, the state update is the first-order
+recurrence ``x_k = A(1 - KH) x_{k-1} + K z_k``, and the predictions after
+that step are solved in one scan by
+:func:`trafficast.series.linear_recurrence`.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterError, ValidationError
-from .series import TimeSeries, values_of
+from .series import TimeSeries, linear_recurrence, values_of
 
 PSD_TOLERANCE = -1e-10
 
@@ -38,6 +42,14 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
 
 
 def _check_psd(M: np.ndarray, name: str) -> None:
+    if M.shape == (1, 1):
+        # Same accept set as the general test below, without its fixed cost.
+        v = float(M[0, 0])
+        if v != v:
+            raise ValidationError(f"{name} must be symmetric")
+        if v < PSD_TOLERANCE:
+            raise ValidationError(f"{name} must be positive semidefinite")
+        return
     if not np.allclose(M, M.T, atol=1e-9):
         raise ValidationError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(_symmetrize(M))) < PSD_TOLERANCE:
@@ -257,15 +269,24 @@ def _predict_series_scalar(
         gains[settled:] = gains[settled - 1]
         covs[settled:] = covs[settled - 1]
 
-    preds: list[float] = []
-    record = preds.append
-    for zi, k in zip(z.tolist(), gains.tolist()):
+    head: list[float] = []
+    record = head.append
+    for zi, k in zip(z[:settled].tolist(), gains[:settled].tolist()):
         xp = a * x
         pred = h * xp
         x = xp + k * (zi - pred)
         record(pred)
+    tail = np.empty(0)
+    if settled < n:
+        # With the gain fixed at k the update is x_t = c x_{t-1} + k z_t for
+        # c = a(1 - kh), so the predictions h a x_{t-1} obey
+        # pred_t = c pred_{t-1} + h a k z_{t-1}, from pred_settled = h a x.
+        k = float(gains[settled - 1])
+        drive = (h * a * k) * z[settled - 1 : n - 1]
+        drive[0] = h * (a * x)
+        tail = linear_recurrence(drive, [-(a * (1.0 - k * h))])
     return PredictionTrace(
-        predictions=np.asarray(preds),
+        predictions=np.concatenate([head, tail]),
         gains=gains.reshape(n, 1, 1),
         covariances=covs.reshape(n, 1, 1),
     )

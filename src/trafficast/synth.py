@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ValidationError
 from .kalman import StateSpaceModel
 from .rng import normal_stream
-from .series import TimeSeries
+from .series import TimeSeries, linear_recurrence
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,7 @@ def gen_linear_gaussian(
     draws = normal_stream(seed, 2 * n)
     w = w_std * draws[:n]
     v = v_std * draws[n:]
-    states = np.empty(n)
-    x = float(np.atleast_1d(np.asarray(init, dtype=float))[0])
-    for k in range(n):
-        x = a * x + w[k]
-        states[k] = x
+    x0 = float(np.atleast_1d(np.asarray(init, dtype=float))[0])
+    states = linear_recurrence(w, [-a], init=[x0])
     measurements = h * states + v
     return TimeSeries(values=states), TimeSeries(values=measurements)

@@ -10,6 +10,7 @@ import math
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def count_per_bin(timestamps, width):
@@ -23,11 +24,14 @@ def count_per_bin(timestamps, width):
 
 class RowError(Exception):
     """A rejected packet CSV: ``kind`` names the loader's error class and
-    ``line`` the line number the loader reports."""
+    ``line`` the line number the loader reports.  When ``csv`` cannot read
+    a row, the loader names the line the row starts on, which lies in
+    ``first_line..line``."""
 
-    def __init__(self, kind, line):
+    def __init__(self, kind, line, first_line=None):
         super().__init__(f"{kind} at line {line}")
         self.kind, self.line = kind, line
+        self.first_line = line if first_line is None else first_line
 
 
 def load_packet_rows(text, filter_protocols=True, newline=""):
@@ -37,7 +41,10 @@ def load_packet_rows(text, filter_protocols=True, newline=""):
     a row the loader must reject.
     """
     reader = csv.DictReader(io.StringIO(text, newline=newline))
-    names = reader.fieldnames
+    try:
+        names = reader.fieldnames
+    except csv.Error:
+        raise RowError("ParseError", 1) from None
     if names is None:
         raise RowError("ParseError", 1)
     lowered = [name.strip().lower() for name in names]
@@ -45,7 +52,14 @@ def load_packet_rows(text, filter_protocols=True, newline=""):
         raise RowError("ParseError", 1)
     t_col, p_col = names[lowered.index("time")], names[lowered.index("protocol")]
     rows = []
-    for row in reader:
+    while True:
+        after = reader.reader.line_num
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error:
+            raise RowError("ParseError", reader.reader.line_num, after + 1) from None
         raw_t, raw_p = row.get(t_col), row.get(p_col)
         if raw_t is None or raw_p is None:
             raise RowError("ParseError", reader.line_num)
@@ -144,3 +158,133 @@ def riccati_prior_fixed_point(q, r):
 def steady_state_gain(q, r):
     p = riccati_prior_fixed_point(q, r)
     return p / (p + r)
+
+
+def linear_recurrence_loop(u, a, init=()):
+    """y[t] = u[t] - sum_j a[j-1] * y[t-j], one sample at a time; ``init``
+    holds the outputs before u[0], most recent last, missing ones zero."""
+    q = len(a)
+    hist = [0.0] * (q - len(init)) + [float(v) for v in init]
+    out = []
+    for ut in u:
+        value = float(ut)
+        for j in range(1, q + 1):
+            value -= a[j - 1] * hist[-j]
+        hist.append(value)
+        out.append(value)
+    return np.array(out)
+
+
+def arma_predict_loop(theta, phi, x):
+    """Rolling one-step ARMA predictions with zero-padded history: the
+    per-sample loop ``arma.predict_series`` ran before its scan."""
+    theta_rev = np.asarray(theta, dtype=float)[::-1]
+    phi_rev = np.asarray(phi, dtype=float)[::-1]
+    p, q = theta_rev.size, phi_rev.size
+    x = np.asarray(x, dtype=float)
+    padded = np.concatenate([np.zeros(p), x])
+    eps = np.zeros(x.size + q)
+    preds = np.empty(x.size)
+    for t in range(x.size):
+        value = 0.0
+        if p:
+            value += float(np.dot(theta_rev, padded[t : t + p]))
+        if q:
+            value += float(np.dot(phi_rev, eps[t : t + q]))
+        preds[t] = value
+        eps[t + q] = x[t] - value
+    return preds
+
+
+def arma_simulate_loop(theta, phi, eps, burn_in):
+    """ARMA sample path driven by ``eps`` from zero history, first
+    ``burn_in`` samples dropped: the loop ``arma.simulate`` ran before its
+    scan."""
+    theta_rev = np.asarray(theta, dtype=float)[::-1]
+    phi_rev = np.asarray(phi, dtype=float)[::-1]
+    p, q = theta_rev.size, phi_rev.size
+    total = len(eps)
+    x = np.zeros(total + p)
+    eps_pad = np.concatenate([np.zeros(q), eps])
+    for t in range(total):
+        value = eps[t]
+        if p:
+            value += float(np.dot(theta_rev, x[t : t + p]))
+        if q:
+            value += float(np.dot(phi_rev, eps_pad[t : t + q]))
+        x[t + p] = value
+    return x[p + burn_in :].copy()
+
+
+def linear_gaussian_states_loop(a, w, x0):
+    """x_k = a * x_{k-1} + w_k from x_{-1} = x0, one step at a time."""
+    states = np.empty(len(w))
+    x = float(x0)
+    for k in range(len(w)):
+        x = a * x + w[k]
+        states[k] = x
+    return states
+
+
+def scalar_kalman_loop(a, h, q, r, x0, p0, z):
+    """Scalar Kalman filter, one plain-float step per sample: the loop
+    ``kalman.predict_series`` ran for scalar models before its scan.
+
+    Returns (predictions, gains, posterior covariances); raises
+    ``ValueError`` on a nonpositive innovation variance.
+    """
+    n = len(z)
+    gains = np.empty(n)
+    covs = np.empty(n)
+    p_prev = None
+    settled = n
+    p = p0
+    for i in range(n):
+        pp = a * p * a + q
+        s = h * pp * h + r
+        if not s > 0.0:
+            raise ValueError("singular innovation covariance")
+        k = pp * h / s
+        p = (1.0 - k * h) * pp
+        gains[i] = k
+        covs[i] = p
+        if p == p_prev:
+            settled = i + 1
+            break
+        p_prev = p
+    if settled < n:
+        gains[settled:] = gains[settled - 1]
+        covs[settled:] = covs[settled - 1]
+    preds = []
+    x = x0
+    for zi, k in zip(np.asarray(z, dtype=float).tolist(), gains.tolist()):
+        xp = a * x
+        pred = h * xp
+        x = xp + k * (zi - pred)
+        preds.append(pred)
+    return np.asarray(preds), gains, covs
+
+
+def poly_from_roots(roots):
+    """Coefficients c_1..c_q of prod_i (1 - z / r_i) = 1 + sum_j c_j z^j."""
+    coef = np.array([1.0])
+    for r in roots:
+        coef = np.convolve(coef, [1.0, -1.0 / r])
+    return coef[1:]
+
+
+def real_roots(low, high, max_size=3):
+    """Hypothesis strategy: up to ``max_size`` real roots with modulus in
+    [low, high], either sign."""
+    modulus = st.floats(low, high)
+    return st.lists(
+        st.tuples(modulus, st.booleans()).map(lambda t: t[0] if t[1] else -t[0]),
+        max_size=max_size,
+    )
+
+
+# Roots at least 1.3 out: a stable recurrence or invertible MA part that
+# is well conditioned even with repeated roots, so loop and scan agree to
+# 1e-12 of the scale.  Roots closer to the unit circle amplify rounding in
+# both; tests scale the tolerance by that gain there.
+stable_roots = real_roots(1.3, 6.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from trafficast import arma
 from trafficast.errors import ValidationError
 from trafficast.evaluate import mse
+from trafficast.rng import normal_stream
 
 import reference
 
@@ -189,3 +192,109 @@ class TestFit:
         assert model.theta[0] > 1.0
         assert not diag.ar_stationary
         assert not model.is_stationary
+
+
+class TestScanAgainstLoop:
+    """``predict_series`` and ``simulate`` against the per-sample loops they
+    replaced (``tests/reference.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        theta=st.lists(st.floats(-2.0, 2.0), max_size=3),
+        ma_roots=reference.stable_roots,
+        extra=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_predict_series_matches_loop(self, theta, ma_roots, extra, seed):
+        phi = reference.poly_from_roots(ma_roots)
+        model = arma.ArmaModel(p=len(theta), q=phi.size, theta=theta, phi=phi, sigma2=1.0)
+        n = max(model.p, model.q) + 1 + extra
+        x = np.random.default_rng(seed).normal(size=n)
+        got = arma.predict_series(model, x).values
+        want = reference.arma_predict_loop(theta, phi, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ar_roots=reference.stable_roots,
+        ma_roots=reference.real_roots(0.2, 6.0),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_simulate_matches_loop(self, ar_roots, ma_roots, n, seed):
+        # The AR polynomial is 1 - sum theta_i z^i; the MA part needs no
+        # invertibility to simulate.
+        theta = -reference.poly_from_roots(ar_roots)
+        phi = reference.poly_from_roots(ma_roots)
+        model = arma.ArmaModel(p=theta.size, q=phi.size, theta=theta, phi=phi, sigma2=2.0)
+        eps = np.sqrt(2.0) * normal_stream(seed, n + arma.SIMULATION_BURN_IN)
+        want = reference.arma_simulate_loop(theta, phi, eps, arma.SIMULATION_BURN_IN)
+        got = arma.simulate(model, n, seed).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class TestInvertibility:
+    @pytest.mark.parametrize(
+        "phi, invertible",
+        [
+            ([], True),
+            ([0.5], True),
+            ([-0.99], True),
+            ([1.0], False),  # root on the unit circle
+            ([-2.0], False),
+            ([0.0, 0.81], True),  # complex pair at modulus 1/0.9
+            ([0.0, 1.0], False),
+            ([2.5, 1.0], False),  # (1 + 2z)(1 + 0.5z)
+        ],
+    )
+    def test_flag(self, phi, invertible):
+        model = arma.ArmaModel(p=0, q=len(phi), theta=[], phi=phi, sigma2=1.0)
+        assert model.is_invertible is invertible
+
+    def test_ma_roots(self):
+        model = arma.ArmaModel(p=0, q=2, theta=[], phi=[2.5, 1.0], sigma2=1.0)
+        assert sorted(np.abs(model.ma_roots())) == pytest.approx([0.5, 2.0])
+
+    def test_fit_reports_an_invertible_estimate(self):
+        true = arma.ArmaModel(p=1, q=1, theta=[0.5], phi=[0.4], sigma2=1.0)
+        model, diag = arma.fit(arma.simulate(true, 3000, seed=4), 1, 1)
+        assert diag.ma_invertible is True and model.is_invertible
+        assert arma.FitDiagnostics(residuals=[0.0]).ma_invertible is True
+
+    def test_over_differenced_noise_gives_a_non_invertible_estimate(self):
+        # Differenced white noise has an MA root on the unit circle; this
+        # seed's estimate lands just inside it (phi = -1.00077).
+        noise = normal_stream(2, 401)
+        model, diag = arma.fit(noise[1:] - noise[:-1], 0, 1)
+        assert diag.ma_invertible is False and not model.is_invertible
+        got = arma.predict_series(model, noise).values
+        want = reference.arma_predict_loop(model.theta, model.phi, noise)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [
+            ([0.3], [-1.02]),  # real root at 1/1.02
+            ([0.5, -0.2], [0.4, 1.01]),  # complex pair at modulus 1/sqrt(1.01)
+            ([], [1.0]),  # root on the unit circle
+            ([0.1], [0.5, 1.02, 0.01]),
+        ],
+    )
+    def test_non_invertible_models_predict_like_the_loop(self, theta, phi):
+        # The innovation estimates grow geometrically (or, on the unit
+        # circle, linearly), in the loop and the scan alike.
+        model = arma.ArmaModel(
+            p=len(theta), q=len(phi), theta=theta, phi=phi, sigma2=1.0
+        )
+        x = np.random.default_rng(5).normal(size=3000)
+        got = arma.predict_series(model, x).values
+        want = reference.arma_predict_loop(theta, phi, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_overflowing_innovations_are_rejected_without_warnings(self):
+        # |1/root| = 1.5: the loop overflowed to inf here as well.
+        model = arma.ArmaModel(p=0, q=1, theta=[], phi=[-1.5], sigma2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                arma.predict_series(model, np.ones(3000))

@@ -239,6 +239,45 @@ def test_out_of_range_timestamp_fails_with_one_line(tmp_path, capsys, last):
     assert err.startswith("trafficast: stage failed: ingest: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            b'0.5,UDP\n1.0,"TCP\n' + b"2.0,TCP\n" * 30_000,
+            "line 3: malformed CSV row: field larger",
+        ),
+        (b"0.5,TCP\n1.0,caf\xe9\n", "line 3: byte 0xe9 at offset 29 is not valid UTF-8"),
+    ],
+    ids=["unterminated-quote", "latin1-byte"],
+)
+def test_unreadable_capture_fails_with_one_line(tmp_path, capsys, body, message):
+    packets = tmp_path / "packets.csv"
+    packets.write_bytes(b"time,protocol\n" + body)
+    argv = ["ingest", "--input", str(packets), "--out", str(tmp_path / "rates.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"trafficast: ingest: {message}") and err.count("\n") == 1
+
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {tmp_path / 'out'}\n\n[ingest]\ninputs = {packets}\n")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"trafficast: stage failed: ingest: {message}")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_series_fails_with_one_line(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_bytes(b"value\n1.0\n\xe92.0\n")
+    argv = ["preprocess", "--input", str(series), "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "trafficast: preprocess: line 3: byte 0xe9 at offset 10 is not valid UTF-8"
+        " (invalid continuation byte)\n"
+    )
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "broken.cfg"
     config.write_text("[run]\nseed = not_an_int\n\n[synth]\ndatasets = A\n")

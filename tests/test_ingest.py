@@ -81,11 +81,8 @@ def assert_matches_row_oracle(text, filter_protocols=True, newline=""):
     except reference.RowError as want:
         with pytest.raises(TrafficastError) as raised:
             load()
-        got = (type(raised.value).__name__, reference.error_line(raised.value))
-        assert got == (want.kind, want.line)
-    except csv.Error:
-        with pytest.raises(csv.Error):
-            load()
+        assert type(raised.value).__name__ == want.kind
+        assert want.first_line <= reference.error_line(raised.value) <= want.line
     else:
         trace = load()
         assert trace.timestamps.tobytes() == np.array(times, dtype=float).tobytes()
@@ -237,6 +234,73 @@ class TestChunkedLoader:
         rows = [(i * 0.1, ["tcp", "UDP ", "ICMP"][i % 3]) for i in range(30)]
         trace = load_packet_trace(packet_csv(rows), filter_protocols=False)
         assert len({id(tag) for tag in trace.protocols}) == 3
+
+
+class TestUnreadableInput:
+    """Rows ``csv`` cannot read and bytes that are not UTF-8 are
+    ``ParseError``s that say where they are."""
+
+    def test_unterminated_quote_names_the_line_it_starts_on(self, tmp_path):
+        rows = "".join(f"{i * 0.001},TCP\n" for i in range(30_000))
+        path = tmp_path / "packets.csv"
+        path.write_text('time,protocol\n0.5,UDP\n\n1.0,"TCP\n' + rows)
+        with pytest.raises(ParseError, match=r"^line 4: malformed CSV row: field larger"):
+            load_packet_trace(path)
+
+    def test_unterminated_quote_in_the_header(self):
+        text = '"time,protocol\n' + "0.5,TCP\n" * 30_000
+        with pytest.raises(ParseError, match=r"^line 1: malformed CSV row"):
+            load_packet_trace(io.StringIO(text, newline=""))
+
+    def test_unterminated_quote_at_the_end_is_one_field(self):
+        # As before: csv ends the field at the end of input.
+        text = 'time,protocol\n0.5,UDP\n1.0,"TCP\n2.0,UDP\n'
+        trace = load_packet_trace(io.StringIO(text))
+        assert trace.timestamps.tolist() == [0.5]
+
+    def test_packet_file_with_a_latin1_byte(self, tmp_path):
+        path = tmp_path / "packets.csv"
+        data = b"time,protocol\n0.5,TCP\n0.7,UDP\n1.0,caf\xe9\n2.0,TCP\n"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as raised:
+            load_packet_trace(path)
+        offset = data.index(0xE9)
+        assert str(raised.value) == (
+            f"line 4: byte 0xe9 at offset {offset} is not valid UTF-8 "
+            "(invalid continuation byte)"
+        )
+
+    def test_bad_byte_deep_in_a_large_file(self, tmp_path, monkeypatch):
+        # A small chunk size makes a valid two-byte character straddle the
+        # scan's chunk boundaries, so the offset has to carry pending bytes.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 7)
+        body = "".join(f"{i * 0.01:.2f},TCP\n" for i in range(5000)).encode()
+        data = b"time,protocol\n" + body + "0.1,é\n".encode() + b"0.2,\xff\n" + body
+        path = tmp_path / "packets.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as raised:
+            load_packet_trace(path)
+        assert raised.value.line == 5003
+        assert f"byte 0xff at offset {data.index(0xFF)} " in str(raised.value)
+
+    def test_truncated_character_at_the_end(self, tmp_path):
+        path = tmp_path / "packets.csv"
+        path.write_bytes(b"time,protocol\n0.5,TCP\n1.0,\xc3")
+        with pytest.raises(ParseError, match=r"^line 3: byte 0xc3 at offset 26 .*end of"):
+            load_packet_trace(path)
+
+    def test_series_file_with_a_latin1_byte(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"# dt=1.0\nvalue\n1.0\n2.0\n3.\xe9\n")
+        with pytest.raises(ParseError, match=r"^line 5: byte 0xe9 at offset 25 is not"):
+            load_series_csv(path)
+
+    @pytest.mark.parametrize("loader", [load_packet_trace, load_series_csv])
+    def test_undecodable_stream(self, loader):
+        data = b"value,time,protocol\n1,0.5,\xe9\n"
+        stream = io.TextIOWrapper(io.BytesIO(data), "utf-8")
+        with pytest.raises(ParseError, match="not valid UTF-8: invalid continuation"):
+            loader(stream)
 
 
 class TestBinToRate:

@@ -241,3 +241,103 @@ class TestDefaultLocalLevel:
             kalman.default_local_level(0.01, 0.0)
         with pytest.raises(ValidationError):
             kalman.default_local_level(-0.01, 0.1)
+
+
+def settle_length(a, h, q, r, p0):
+    """Steps the scalar covariance recursion takes to repeat a posterior
+    (the loop oracle's fill point), or None within 10000 steps."""
+    _, _, covs = reference.scalar_kalman_loop(a, h, q, r, 0.0, p0, np.zeros(10_000))
+    repeats = np.nonzero(covs[1:] == covs[:-1])[0]
+    return int(repeats[0]) + 2 if repeats.size else None
+
+
+def assert_matches_loop(a, h, q, r, x0, p0, z):
+    model = kalman.StateSpaceModel(A=[[a]], H=[[h]], Q=[[q]], R=[[r]])
+    trace = kalman.predict_series(model, z, scalar_state(x0, p0))
+    preds, gains, covs = reference.scalar_kalman_loop(a, h, q, r, x0, p0, z)
+    scale = max(1.0, float(np.max(np.abs(preds))))
+    assert float(np.max(np.abs(trace.predictions - preds))) <= 1e-12 * scale
+    assert trace.gain_series.tolist() == gains.tolist()
+    assert trace.covariances[:, 0, 0].tolist() == covs.tolist()
+
+
+class TestScalarScanAgainstLoop:
+    """The scalar path's steady-phase scan against the per-sample loop it
+    replaced (``reference.scalar_kalman_loop``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.floats(-1.0, 1.0),
+        h=st.floats(-2.0, 2.0),
+        q=st.floats(0.0, 2.0),
+        r=st.floats(1e-3, 2.0),
+        x0=st.floats(-5.0, 5.0),
+        p0=st.floats(0.0, 5.0),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop(self, a, h, q, r, x0, p0, n, seed):
+        z = np.random.default_rng(seed).normal(size=n)
+        assert_matches_loop(a, h, q, r, x0, p0, z)
+
+    def test_never_settling_gain_runs_the_loop_throughout(self):
+        # q = 0: the posterior variance keeps shrinking, so no step repeats.
+        assert settle_length(1.0, 1.0, 0.0, 0.5, 1.0) is None
+        z = np.random.default_rng(1).normal(size=5000) + 3.0
+        assert_matches_loop(1.0, 1.0, 0.0, 0.5, 0.0, 1.0, z)
+
+    @pytest.mark.parametrize("a", [1.0, 0.7, -0.95])
+    def test_unobserved_state_keeps_the_transition(self, a):
+        # h = 0 gives gain 0, so the steady coefficient is a itself.
+        z = np.random.default_rng(2).normal(size=3000)
+        assert_matches_loop(a, 0.0, 0.2, 1.0, 2.5, 1.0, z)
+
+    @pytest.mark.parametrize("a", [0.5, -0.8, 1.0])
+    def test_non_unit_transition(self, a):
+        z = np.cumsum(np.random.default_rng(3).normal(size=4000)) * 0.1
+        assert_matches_loop(a, 1.3, 0.05, 0.3, z[0], 2.0, z)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
+    def test_settle_on_the_last_steps(self, offset):
+        settled = settle_length(1.0, 1.0, 0.01, 0.01, 1.0)
+        assert settled is not None and settled > 5
+        z = np.random.default_rng(4).normal(size=settled + offset)
+        assert_matches_loop(1.0, 1.0, 0.01, 0.01, 0.3, 1.0, z)
+
+
+class TestCheckPsdOneByOne:
+    # Outcome of the general allclose + eigvalsh test on each 1x1 value:
+    # None (accepted), "symmetric" or "positive semidefinite".
+    CASES = [
+        (float("nan"), "symmetric"),
+        (-1e-9, "positive semidefinite"),
+        (-1.1e-10, "positive semidefinite"),
+        (-1e-10, None),
+        (-1e-11, None),
+        (0.0, None),
+        (-0.0, None),
+        (1.0, None),
+        (1e308, None),
+        (float("inf"), None),
+        (-1e308, "positive semidefinite"),
+        (float("-inf"), "positive semidefinite"),
+    ]
+
+    @staticmethod
+    def general_outcome(v):
+        M = np.array([[v]])
+        with np.errstate(all="ignore"):
+            if not np.allclose(M, M.T, atol=1e-9):
+                return "symmetric"
+            if np.min(np.linalg.eigvalsh((M + M.T) / 2.0)) < kalman.PSD_TOLERANCE:
+                return "positive semidefinite"
+        return None
+
+    @pytest.mark.parametrize("value, outcome", CASES)
+    def test_same_outcome_as_general_test(self, value, outcome):
+        assert self.general_outcome(value) == outcome
+        if outcome is None:
+            kalman._check_psd(np.array([[value]]), "Q")
+        else:
+            with pytest.raises(ValidationError, match=f"^Q must be {outcome}$"):
+                kalman._check_psd(np.array([[value]]), "Q")

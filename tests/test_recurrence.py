@@ -1,0 +1,114 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trafficast.errors import ValidationError
+from trafficast.series import linear_recurrence
+
+import reference
+from reference import poly_from_roots, real_roots, stable_roots
+
+
+def impulse_gain(a, n):
+    """Sum of |h_k| over the first n terms of the recurrence's impulse response."""
+    h = reference.linear_recurrence_loop(np.eye(1, n)[0], list(a))
+    return float(np.sum(np.abs(h)))
+
+
+def assert_close(got, want, tol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(want)))) if len(want) else 1.0
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= tol * scale
+
+
+class TestLinearRecurrence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        roots=stable_roots,
+        n=st.integers(1, 3000),
+        init_len=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_loop(self, roots, n, init_len, seed):
+        a = poly_from_roots(roots)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=n)
+        init = rng.normal(size=min(init_len, a.size))
+        got = linear_recurrence(u, a, init)
+        assert_close(got, reference.linear_recurrence_loop(u, a.tolist(), init.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=real_roots(1.02, 1.3),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_unit_circle_within_rounding_gain(self, roots, n, seed):
+        # Close (and repeated) roots amplify every rounding error by up to the
+        # impulse response's l1 norm, in the loop as much as in the scan.
+        a = poly_from_roots(roots)
+        u = np.random.default_rng(seed).normal(size=n)
+        want = reference.linear_recurrence_loop(u, a.tolist())
+        assert_close(linear_recurrence(u, a), want, tol=1e-12 * impulse_gain(a, n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4000), x0=st.floats(-10, 10), seed=st.integers(0, 2**32 - 1))
+    def test_random_walk_matches_cumulative_loop(self, n, x0, seed):
+        u = np.random.default_rng(seed).normal(size=n)
+        got = linear_recurrence(u, [-1.0], [x0])
+        assert_close(got, reference.linear_recurrence_loop(u, [-1.0], [x0]))
+
+    def test_first_order_by_hand(self):
+        # y[t] = u[t] + 0.5 y[t-1] from y[-1] = 2
+        got = linear_recurrence([1.0, 0.0, 4.0], [-0.5], init=[2.0])
+        assert got.tolist() == [2.0, 1.0, 4.5]
+
+    def test_init_is_most_recent_last(self):
+        # y[t] = u[t] - y[t-2]: y[0] = -y[-2], y[1] = -y[-1]
+        got = linear_recurrence([0.0, 0.0, 0.0], [0.0, 1.0], init=[3.0, 5.0])
+        assert got.tolist() == [-3.0, -5.0, 3.0]
+
+    def test_short_init_is_zero_padded(self):
+        got = linear_recurrence([0.0, 0.0], [0.0, 1.0], init=[5.0])
+        assert got.tolist() == [0.0, -5.0]
+
+    def test_order_zero_copies_input(self):
+        u = np.array([1.0, 2.0])
+        got = linear_recurrence(u, [])
+        assert got.tolist() == [1.0, 2.0] and got is not u
+
+    def test_zero_coefficients_stop_at_once(self):
+        u = np.arange(5.0)
+        got = linear_recurrence(u, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        assert got.tolist() == u.tolist()
+
+    def test_empty_input(self):
+        assert linear_recurrence(np.empty(0), [0.5]).size == 0
+
+    def test_does_not_modify_input(self):
+        u = np.ones(16)
+        linear_recurrence(u, [-0.5], [1.0])
+        assert u.tolist() == [1.0] * 16
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        u = np.random.default_rng(3).normal(size=10_000)
+        a = poly_from_roots([1.3, -2.0, 4.0])
+        assert linear_recurrence(u, a).tobytes() == linear_recurrence(u, a).tobytes()
+
+    def test_too_many_initial_values_rejected(self):
+        with pytest.raises(ValidationError, match="initial values"):
+            linear_recurrence([1.0], [0.5], init=[1.0, 2.0])
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            linear_recurrence(np.ones((2, 2)), [0.5])
+
+    def test_explosive_recurrence_rejected(self):
+        # The scan needs 2**1024, which overflows, for 1500 samples.
+        with pytest.raises(ValidationError, match="explosive"):
+            linear_recurrence(np.zeros(1500), [-2.0], init=[1e-300])
+
+    def test_growth_that_fits_in_range_is_kept(self):
+        got = linear_recurrence(np.zeros(100), [-2.0], init=[1.0])
+        assert got.tolist() == [2.0**k for k in range(1, 101)]

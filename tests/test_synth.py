@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficast import kalman
 from trafficast.errors import ValidationError
 from trafficast.evaluate import mse
+from trafficast.rng import normal_stream
 from trafficast.synth import SeasonalSpec, gen_linear_gaussian, gen_seasonal_traffic
 
 import reference
@@ -74,6 +77,27 @@ class TestLinearGaussian:
         target = reference.riccati_prior_fixed_point(0.01, 0.01) + 0.01
         assert mse(trace.predictions, measurements.values, skip=1) == pytest.approx(
             target, rel=0.10
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.one_of(st.just(1.0), st.just(-1.0), st.floats(-1.0, 1.0)),
+        q=st.floats(0.0, 4.0),
+        x0=st.floats(-100.0, 100.0),
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_states_match_loop(self, a, q, x0, n, seed):
+        # a = 1 is a random walk whose size grows with n, so the tolerance
+        # is relative to the largest state.
+        model = kalman.StateSpaceModel(A=[[a]], H=[[0.5]], Q=[[q]], R=[[0.1]])
+        states, measurements = gen_linear_gaussian(model, x0, n, seed=seed)
+        draws = normal_stream(seed, 2 * n)
+        want = reference.linear_gaussian_states_loop(a, np.sqrt(q) * draws[:n], x0)
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(states.values - want)) <= 1e-12 * scale
+        np.testing.assert_array_equal(
+            measurements.values, 0.5 * states.values + np.sqrt(0.1) * draws[n:]
         )
 
     def test_non_scalar_model_rejected(self):
