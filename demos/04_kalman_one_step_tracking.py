@@ -20,7 +20,7 @@ model, _ = kalman.default_local_level(Q, R)
 states, measurements = gen_linear_gaussian(model, init=0.0, n=20_000, seed=5)
 z = measurements.values
 
-init = kalman.KalmanState(x_hat=[z[0]], P=[[1.0]])
+_, init = kalman.default_local_level(Q, R, x0=z[0])
 trace = kalman.predict_series(model, measurements, init)
 
 # Steady state: positive root of p^2 - Q p - Q R = 0, gain p/(p+R).

@@ -58,10 +58,14 @@ class TimeSeries:
 
 
 def values_of(series: TimeSeries | np.ndarray) -> np.ndarray:
-    """The samples of a :class:`TimeSeries`, or an array-like as float64."""
+    """The samples of a :class:`TimeSeries`, or an array-like as float64;
+    either way they are finite."""
     if isinstance(series, TimeSeries):
         return series.values
-    return np.asarray(series, dtype=float)
+    arr = np.asarray(series, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("series values must be finite")
+    return arr
 
 
 # A growing recurrence may overflow to inf, as the sequential loop did;

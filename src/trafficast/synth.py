@@ -5,6 +5,7 @@ deterministic per seed (see :mod:`trafficast.rng`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,9 @@ def gen_seasonal_traffic(spec: SeasonalSpec) -> TimeSeries:
 
 
 def gen_linear_gaussian(
-    model: StateSpaceModel, init, n: int, seed: int
+    model: StateSpaceModel, init: float, n: int, seed: int
 ) -> tuple[TimeSeries, TimeSeries]:
-    """Simulate x_k = A x_{k-1} + w_k, z_k = H x_k + v_k for a scalar model.
+    """Simulate x_k = a x_{k-1} + w_k, z_k = h x_k + v_k.
 
     ``init`` is the state value before the first step.  The first n draws
     of the seeded stream drive the process noise, the next n the
@@ -59,19 +60,9 @@ def gen_linear_gaussian(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if model.state_dim != 1 or model.obs_dim != 1:
-        raise ValidationError(
-            "series simulation supports scalar models; filter general models "
-            "step by step instead"
-        )
-    a = float(model.A[0, 0])
-    h = float(model.H[0, 0])
-    w_std = float(np.sqrt(model.Q[0, 0]))
-    v_std = float(np.sqrt(model.R[0, 0]))
     draws = normal_stream(seed, 2 * n)
-    w = w_std * draws[:n]
-    v = v_std * draws[n:]
-    x0 = float(np.atleast_1d(np.asarray(init, dtype=float))[0])
-    states = linear_recurrence(w, [-a], init=[x0])
-    measurements = h * states + v
+    w = math.sqrt(model.q) * draws[:n]
+    v = math.sqrt(model.r) * draws[n:]
+    states = linear_recurrence(w, [-model.a], init=[float(init)])
+    measurements = model.h * states + v
     return TimeSeries(values=states), TimeSeries(values=measurements)

@@ -50,7 +50,7 @@ def test_c2_kalman_optimality_on_true_model():
     model, _ = kalman.default_local_level(0.01, 0.01)
     _, measurements = synth.gen_linear_gaussian(model, 0.0, 100_000, seed=99)
     z = measurements.values
-    init = kalman.KalmanState(x_hat=[z[0]], P=[[1.0]])
+    _, init = kalman.default_local_level(0.01, 0.01, x0=z[0])
     trace = kalman.predict_series(model, measurements, init)
     kf_mse = evaluate.mse(trace.predictions, z, skip=1)
     target = reference.riccati_prior_fixed_point(0.01, 0.01) + 0.01

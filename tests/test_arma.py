@@ -136,6 +136,13 @@ class TestFit:
         assert fitted.theta[0] == pytest.approx(yw[0], abs=0.02)
         assert diag.ar_stationary
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_raw_series_rejected(self, bad):
+        x = np.random.default_rng(0).normal(size=500)
+        x[100] = bad
+        with pytest.raises(ValidationError, match="^series values must be finite$"):
+            arma.fit(x, 2, 1)
+
     def test_white_noise_has_no_ar_structure(self):
         noise = arma.ArmaModel(p=0, q=1, theta=[], phi=[0.0], sigma2=1.0)
         sim = arma.simulate(noise, 5000, seed=3)

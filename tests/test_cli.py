@@ -294,3 +294,18 @@ def test_config_without_sources_rejected(tmp_path, capsys):
 def test_ingest_missing_file_exits_1(tmp_path, capsys):
     assert cli.main(["ingest", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o.csv")]) == 1
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--q=nan", "q must be finite, got nan"),
+    ("--q=inf", "q must be finite, got inf"),
+    ("--q=-1e-11", "q must be nonnegative, got -1e-11"),
+    ("--r=inf", "r must be finite, got inf"),
+])
+def test_predict_kf_names_a_bad_variance(tmp_path, capsys, flag, message):
+    series = tmp_path / "series.csv"
+    write_series_csv(TimeSeries(values=np.arange(20.0)), series)
+    argv = ["predict-kf", "--q", "0.01", "--r", "0.01", flag, "--input", str(series),
+            "--out", str(tmp_path / "kf.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"trafficast: predict-kf: {message}\n"

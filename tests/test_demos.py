@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in ``src``."""
+"""Each demo script, and the README's library example, runs to completion
+against the package in ``src``."""
 import os
 import subprocess
 import sys
@@ -10,15 +11,27 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_demos_are_found():
     assert len(DEMOS) >= 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    done = run_python([str(demo)], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = run_python(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,87 +15,128 @@ import reference
 LOCAL_LEVEL, _ = kalman.default_local_level(0.01, 0.01)
 
 
-def scalar_state(x, p, k=0):
-    return kalman.KalmanState(x_hat=[x], P=[[p]], k=k)
+def first_step(model, x, p, z=(0.0, 0.0)):
+    """Filter ``z`` from state (x, p).  Entry 0 of the trace holds the first
+    step's prediction ``h a x``, gain and posterior variance; prediction 1
+    is ``h a`` times that step's posterior state."""
+    return kalman.predict_series(model, np.array(z), kalman.KalmanState(x=x, p=p))
+
+
+def prior_variance(trace, r, step=0):
+    """p- of a step with h = 1, recovered from its gain k = p- / (p- + r)."""
+    k = trace.gain_series[step]
+    return k * r / (1.0 - k)
 
 
 class TestModelValidation:
     def test_dimension_checks(self):
-        with pytest.raises(ValidationError):
-            kalman.StateSpaceModel(A=[[1.0, 0.0]], H=[[1.0]], Q=[[0.1]], R=[[0.1]])
-        with pytest.raises(ValidationError):
-            kalman.StateSpaceModel(A=[[1.0]], H=[[1.0, 0.0]], Q=[[0.1]], R=[[0.1]])
+        # Each field is one float, so a matrix or vector is not a model.
+        with pytest.raises(ValidationError, match="^a must be a real number"):
+            kalman.StateSpaceModel(a=[[1.0, 0.0]], h=1.0, q=0.1, r=0.1)
+        with pytest.raises(ValidationError, match="^h must be a real number"):
+            kalman.StateSpaceModel(a=1.0, h=np.ones(2), q=0.1, r=0.1)
+        with pytest.raises(ValidationError, match="^x must be a real number"):
+            kalman.KalmanState(x=[0.0, 0.0], p=1.0)
 
     def test_q_must_be_psd(self):
-        with pytest.raises(ValidationError, match="Q"):
-            kalman.StateSpaceModel(A=[[1.0]], H=[[1.0]], Q=[[-0.1]], R=[[0.1]])
-
-    def test_r_must_be_symmetric(self):
-        with pytest.raises(ValidationError, match="R"):
-            kalman.StateSpaceModel(
-                A=np.eye(2), H=np.eye(2), Q=np.eye(2), R=[[1.0, 0.5], [0.0, 1.0]]
-            )
+        with pytest.raises(ValidationError, match="^q must be nonnegative, got -0.1$"):
+            kalman.StateSpaceModel(a=1.0, h=1.0, q=-0.1, r=0.1)
 
     def test_state_covariance_must_be_psd(self):
-        with pytest.raises(ValidationError, match="P"):
-            kalman.KalmanState(x_hat=[0.0], P=[[-1.0]])
+        with pytest.raises(ValidationError, match="^p must be nonnegative, got -1.0$"):
+            kalman.KalmanState(x=0.0, p=-1.0)
+
+    def test_caller_arrays_stay_writeable(self):
+        params = np.array([1.0, 1.0, 0.1, 0.2])
+        level = np.array(2.5)
+        model = kalman.StateSpaceModel(a=params[0], h=params[1], q=params[2], r=params[3])
+        state = kalman.KalmanState(x=level, p=params[2])
+        assert params.flags.writeable and level.flags.writeable
+        assert (model.a, model.h, model.q, model.r, state.x, state.p) == (
+            1.0, 1.0, 0.1, 0.2, 2.5, 0.1
+        )
+        assert all(type(v) is float for v in (model.q, state.x, state.p))
+
+
+class TestFieldValidation:
+    # Outcome for the variance fields q, r and p: None (accepted),
+    # "finite" or "nonnegative".  The signed fields a, h and x accept
+    # every finite value.
+    CASES = [
+        (float("nan"), "finite"),
+        (float("inf"), "finite"),
+        (float("-inf"), "finite"),
+        (-1e308, "nonnegative"),
+        (-1e-9, "nonnegative"),
+        (-1.1e-10, "nonnegative"),
+        (-1e-10, "nonnegative"),
+        (-1e-11, "nonnegative"),
+        (-0.0, None),
+        (0.0, None),
+        (1.0, None),
+        (1e308, None),
+    ]
+
+    @staticmethod
+    def build(name, value):
+        if name in ("x", "p"):
+            fields = dict(x=0.0, p=1.0)
+            cls = kalman.KalmanState
+        else:
+            fields = dict(a=1.0, h=1.0, q=0.1, r=0.1)
+            cls = kalman.StateSpaceModel
+        fields[name] = value
+        return cls(**fields)
+
+    @pytest.mark.parametrize("value, outcome", CASES)
+    @pytest.mark.parametrize("name", ["a", "h", "q", "r", "x", "p"])
+    def test_field(self, name, value, outcome):
+        if name in ("a", "h", "x") and outcome == "nonnegative":
+            outcome = None
+        if outcome is None:
+            assert getattr(self.build(name, value), name) == value
+        else:
+            message = f"{name} must be {outcome}, got {value!r}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                self.build(name, value)
 
 
 class TestTimeUpdate:
     def test_scalar_local_level(self):
-        prior = kalman.time_update(scalar_state(2.0, 0.05), LOCAL_LEVEL)
-        assert prior.x_hat[0] == 2.0
-        assert prior.P[0, 0] == pytest.approx(0.06)
-        assert prior.k == 1
+        # x- = a x and p- = a p a + q = 0.05 + 0.01.
+        trace = first_step(LOCAL_LEVEL, 2.0, 0.05)
+        assert trace.predictions[0] == 2.0
+        assert prior_variance(trace, 0.01) == pytest.approx(0.06)
 
     def test_zero_transition_forgets_state(self):
-        model = kalman.StateSpaceModel(A=[[0.0]], H=[[1.0]], Q=[[0.7]], R=[[0.1]])
-        prior = kalman.time_update(scalar_state(5.0, 3.0), model)
-        assert prior.P[0, 0] == pytest.approx(0.7)
-
-    def test_constant_velocity_covariance(self):
-        model = kalman.StateSpaceModel(
-            A=[[1.0, 1.0], [0.0, 1.0]], H=[[1.0, 0.0]], Q=np.zeros((2, 2)), R=[[0.1]]
-        )
-        prior = kalman.time_update(
-            kalman.KalmanState(x_hat=[0.0, 0.0], P=np.eye(2)), model
-        )
-        np.testing.assert_allclose(prior.P, [[2.0, 1.0], [1.0, 1.0]])
-
-    def test_control_input(self):
-        model = kalman.StateSpaceModel(
-            A=[[1.0]], H=[[1.0]], Q=[[0.0]], R=[[0.1]], B=[[2.0]]
-        )
-        prior = kalman.time_update(scalar_state(1.0, 0.0), model, u=[3.0])
-        assert prior.x_hat[0] == pytest.approx(7.0)
-
-    def test_control_without_b_rejected(self):
-        with pytest.raises(ValidationError):
-            kalman.time_update(scalar_state(1.0, 0.0), LOCAL_LEVEL, u=[1.0])
+        model = kalman.StateSpaceModel(a=0.0, h=1.0, q=0.7, r=0.1)
+        trace = first_step(model, 5.0, 3.0)
+        assert trace.predictions[0] == 0.0
+        assert prior_variance(trace, 0.1) == pytest.approx(0.7)
 
 
 class TestGain:
     def test_scalar_value(self):
-        k = kalman.gain(scalar_state(2.0, 0.06), LOCAL_LEVEL)
-        assert k[0, 0] == pytest.approx(6.0 / 7.0)
+        trace = first_step(LOCAL_LEVEL, 2.0, 0.05)
+        assert trace.gain_series[0] == pytest.approx(6.0 / 7.0)
 
     def test_huge_measurement_noise_kills_gain(self):
-        model = kalman.StateSpaceModel(A=[[1.0]], H=[[1.0]], Q=[[0.0]], R=[[1e9]])
-        k = kalman.gain(scalar_state(0.0, 1.0), model)
-        assert abs(k[0, 0]) < 1e-8
+        model = kalman.StateSpaceModel(a=1.0, h=1.0, q=0.0, r=1e9)
+        trace = first_step(model, 0.0, 1.0)
+        assert abs(trace.gain_series[0]) < 1e-8
 
     def test_zero_prior_covariance_gives_zero_gain(self):
-        k = kalman.gain(scalar_state(0.0, 0.0), LOCAL_LEVEL)
-        assert k[0, 0] == 0.0
+        model = kalman.StateSpaceModel(a=1.0, h=1.0, q=0.0, r=0.01)
+        trace = first_step(model, 1.5, 0.0, z=[4.0, 5.0, 6.0])
+        assert trace.gain_series.tolist() == [0.0, 0.0, 0.0]
+        assert trace.predictions.tolist() == [1.5, 1.5, 1.5]
 
     def test_singular_innovation_covariance_raises(self):
-        # R = 0 is a valid model for simulation but P- = 0 then makes
-        # H P- H' + R singular.
-        model = kalman.StateSpaceModel(A=[[1.0]], H=[[1.0]], Q=[[0.0]], R=[[0.0]])
-        with pytest.raises(FilterError):
-            kalman.gain(scalar_state(0.0, 0.0), model)
-        with pytest.raises(FilterError):
-            kalman.predict_series(model, np.ones(5), scalar_state(0.0, 0.0))
+        # r = 0 is a valid model for simulation but p- = 0 then makes
+        # h p- h + r zero.
+        model = kalman.StateSpaceModel(a=1.0, h=1.0, q=0.0, r=0.0)
+        with pytest.raises(FilterError, match="singular innovation covariance"):
+            kalman.predict_series(model, np.ones(5), kalman.KalmanState(x=0.0, p=0.0))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -101,47 +144,47 @@ class TestGain:
         r=st.floats(1e-6, 100.0, allow_nan=False),
     )
     def test_scalar_gain_in_unit_interval(self, p, r):
-        model = kalman.StateSpaceModel(A=[[1.0]], H=[[1.0]], Q=[[0.0]], R=[[r]])
-        k = kalman.gain(scalar_state(0.0, p), model)[0, 0]
-        assert 0.0 <= k <= 1.0
+        model = kalman.StateSpaceModel(a=1.0, h=1.0, q=0.0, r=r)
+        k = first_step(model, 0.0, p, z=np.zeros(50)).gain_series
+        assert np.all((0.0 <= k) & (k <= 1.0))
 
 
 class TestMeasurementUpdate:
     def test_scalar_correction(self):
-        posterior = kalman.measurement_update(scalar_state(2.0, 0.06), 2.7, LOCAL_LEVEL)
-        assert posterior.x_hat[0] == pytest.approx(2.6)
-        assert posterior.P[0, 0] == pytest.approx(0.06 / 7.0)
+        trace = first_step(LOCAL_LEVEL, 2.0, 0.05, z=[2.7, 0.0])
+        assert trace.predictions[1] == pytest.approx(2.6)
+        assert trace.covariances[0, 0, 0] == pytest.approx(0.06 / 7.0)
 
     def test_zero_innovation_keeps_state_but_shrinks_covariance(self):
-        prior = scalar_state(2.0, 0.06)
-        posterior = kalman.measurement_update(prior, 2.0, LOCAL_LEVEL)
-        assert posterior.x_hat[0] == 2.0
-        assert posterior.P[0, 0] < prior.P[0, 0]
+        trace = first_step(LOCAL_LEVEL, 2.0, 0.05, z=[2.0, 0.0])
+        assert trace.predictions[1] == 2.0
+        assert trace.covariances[0, 0, 0] < prior_variance(trace, 0.01)
 
     def test_perfect_measurement_limit(self):
-        model = kalman.StateSpaceModel(A=[[1.0]], H=[[1.0]], Q=[[0.01]], R=[[1e-14]])
-        posterior = kalman.measurement_update(scalar_state(0.0, 1.0), 3.25, model)
-        assert posterior.x_hat[0] == pytest.approx(3.25, abs=1e-9)
+        model = kalman.StateSpaceModel(a=1.0, h=1.0, q=0.01, r=1e-14)
+        trace = first_step(model, 0.0, 1.0, z=[3.25, 0.0])
+        assert trace.predictions[1] == pytest.approx(3.25, abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            kalman.measurement_update(scalar_state(0.0, 1.0), [1.0, 2.0], LOCAL_LEVEL)
+        # One scalar measurement per step.
+        _, init = kalman.default_local_level(0.01, 0.01)
+        for z in ([[1.0, 2.0]], [[1.0], [2.0]]):
+            with pytest.raises(ValidationError, match="1-d"):
+                kalman.predict_series(LOCAL_LEVEL, np.array(z), init)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_joseph_form_agrees_for_optimal_gain(self, seed):
         rng = np.random.default_rng(seed)
-        M = rng.standard_normal((2, 2))
-        P = M @ M.T + 0.1 * np.eye(2)
-        H = rng.standard_normal((1, 2))
-        R = np.array([[0.5]])
-        model = kalman.StateSpaceModel(A=np.eye(2), H=H, Q=np.zeros((2, 2)), R=R)
-        prior = kalman.KalmanState(x_hat=np.zeros(2), P=P)
-        K = kalman.gain(prior, model)
-        posterior = kalman.measurement_update(prior, 0.0, model)
-        I_KH = np.eye(2) - K @ H
-        joseph = I_KH @ P @ I_KH.T + K @ R @ K.T
-        np.testing.assert_allclose(posterior.P, joseph, atol=1e-10)
+        a, h = rng.uniform(-1.5, 1.5, size=2)
+        q, r, p = rng.uniform(0.01, 2.0, size=3)
+        model = kalman.StateSpaceModel(a=a, h=h, q=q, r=r)
+        trace = first_step(model, 0.0, p)
+        k = trace.gain_series[0]
+        prior = a * p * a + q
+        joseph = (1.0 - k * h) ** 2 * prior + k * k * r
+        # 1 - kh cancels by up to (h^2 p- + r) / r < 2e3 here.
+        assert trace.covariances[0, 0, 0] == pytest.approx(joseph, rel=1e-11)
 
 
 class TestPredictSeries:
@@ -172,37 +215,19 @@ class TestPredictSeries:
         oracle = reference.local_level_predictions(rng_z, 0.03, 0.2, rng_z[0], 1.0)
         np.testing.assert_allclose(trace.predictions, oracle, atol=1e-12)
 
-    def test_scalar_and_general_paths_agree(self):
-        z = np.cos(np.arange(150) * 0.05) + 0.1
-        scalar_model, init = kalman.default_local_level(0.01, 0.02, x0=z[0])
-        general_model = kalman.StateSpaceModel(
-            A=[[1.0]], H=[[1.0]], Q=[[0.01]], R=[[0.02]], B=[[0.0]]
-        )
-        fast = kalman.predict_series(scalar_model, z, init)
-        slow = kalman.predict_series(general_model, z, init)
-        np.testing.assert_allclose(fast.predictions, slow.predictions, atol=1e-12)
-        np.testing.assert_allclose(fast.gain_series, slow.gain_series, atol=1e-12)
-        np.testing.assert_allclose(fast.covariances, slow.covariances, atol=1e-12)
-
     def test_covariances_stay_symmetric_psd(self):
-        model = kalman.StateSpaceModel(
-            A=[[1.0, 1.0], [0.0, 0.95]],
-            H=[[1.0, 0.0]],
-            Q=0.01 * np.eye(2),
-            R=[[0.1]],
-        )
-        init = kalman.KalmanState(x_hat=np.zeros(2), P=np.eye(2))
+        # A 1x1 covariance is symmetric; positive semidefinite means >= 0.
+        model = kalman.StateSpaceModel(a=0.95, h=1.0, q=0.01, r=0.1)
         z = np.sin(np.arange(100) * 0.1)
-        trace = kalman.predict_series(model, z, init)
-        for P in trace.covariances:
-            assert np.allclose(P, P.T)
-            assert np.min(np.linalg.eigvalsh(P)) >= -1e-10
+        trace = kalman.predict_series(model, z, kalman.KalmanState(x=0.0, p=1.0))
+        assert trace.covariances.shape == trace.gains.shape == (100, 1, 1)
+        assert np.all(trace.covariances >= 0.0)
 
     def test_beats_naive_and_constant_baselines(self):
         model, _ = kalman.default_local_level(0.01, 0.01)
         _, measurements = gen_linear_gaussian(model, 0.0, 5000, seed=77)
         z = measurements.values
-        init = kalman.KalmanState(x_hat=[z[0]], P=[[1.0]])
+        init = kalman.KalmanState(x=z[0], p=1.0)
         trace = kalman.predict_series(model, measurements, init)
         kf = mse(trace.predictions, z, skip=1)
         naive = mse(z[:-1], z[1:])
@@ -214,14 +239,20 @@ class TestPredictSeries:
         with pytest.raises(ValidationError):
             kalman.predict_series(model, np.empty(0), init)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_measurement_rejected(self, bad):
+        model, init = kalman.default_local_level(0.01, 0.01)
+        z = np.ones(50)
+        z[7] = bad
+        with pytest.raises(ValidationError, match="^series values must be finite$"):
+            kalman.predict_series(model, z, init)
+
 
 class TestDefaultLocalLevel:
     def test_default_configuration_values(self):
         model, init = kalman.default_local_level(0.01, 0.01)
-        assert model.A[0, 0] == 1.0 and model.H[0, 0] == 1.0
-        assert model.Q[0, 0] == 0.01 and model.R[0, 0] == 0.01
-        assert model.B is None
-        assert init.P[0, 0] == 1.0
+        assert (model.a, model.h, model.q, model.r) == (1.0, 1.0, 0.01, 0.01)
+        assert (init.x, init.p) == (0.0, 1.0)
 
     def test_zero_process_noise_gain_decays(self):
         model, init = kalman.default_local_level(0.0, 0.01)
@@ -252,8 +283,8 @@ def settle_length(a, h, q, r, p0):
 
 
 def assert_matches_loop(a, h, q, r, x0, p0, z):
-    model = kalman.StateSpaceModel(A=[[a]], H=[[h]], Q=[[q]], R=[[r]])
-    trace = kalman.predict_series(model, z, scalar_state(x0, p0))
+    model = kalman.StateSpaceModel(a=a, h=h, q=q, r=r)
+    trace = kalman.predict_series(model, z, kalman.KalmanState(x=x0, p=p0))
     preds, gains, covs = reference.scalar_kalman_loop(a, h, q, r, x0, p0, z)
     scale = max(1.0, float(np.max(np.abs(preds))))
     assert float(np.max(np.abs(trace.predictions - preds))) <= 1e-12 * scale
@@ -303,41 +334,3 @@ class TestScalarScanAgainstLoop:
         assert settled is not None and settled > 5
         z = np.random.default_rng(4).normal(size=settled + offset)
         assert_matches_loop(1.0, 1.0, 0.01, 0.01, 0.3, 1.0, z)
-
-
-class TestCheckPsdOneByOne:
-    # Outcome of the general allclose + eigvalsh test on each 1x1 value:
-    # None (accepted), "symmetric" or "positive semidefinite".
-    CASES = [
-        (float("nan"), "symmetric"),
-        (-1e-9, "positive semidefinite"),
-        (-1.1e-10, "positive semidefinite"),
-        (-1e-10, None),
-        (-1e-11, None),
-        (0.0, None),
-        (-0.0, None),
-        (1.0, None),
-        (1e308, None),
-        (float("inf"), None),
-        (-1e308, "positive semidefinite"),
-        (float("-inf"), "positive semidefinite"),
-    ]
-
-    @staticmethod
-    def general_outcome(v):
-        M = np.array([[v]])
-        with np.errstate(all="ignore"):
-            if not np.allclose(M, M.T, atol=1e-9):
-                return "symmetric"
-            if np.min(np.linalg.eigvalsh((M + M.T) / 2.0)) < kalman.PSD_TOLERANCE:
-                return "positive semidefinite"
-        return None
-
-    @pytest.mark.parametrize("value, outcome", CASES)
-    def test_same_outcome_as_general_test(self, value, outcome):
-        assert self.general_outcome(value) == outcome
-        if outcome is None:
-            kalman._check_psd(np.array([[value]]), "Q")
-        else:
-            with pytest.raises(ValidationError, match=f"^Q must be {outcome}$"):
-                kalman._check_psd(np.array([[value]]), "Q")

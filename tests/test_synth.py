@@ -49,7 +49,7 @@ class TestSeasonalTraffic:
 
 class TestLinearGaussian:
     def test_noise_free_random_walk_is_constant(self):
-        model = kalman.StateSpaceModel(A=[[1.0]], H=[[1.0]], Q=[[0.0]], R=[[0.0]])
+        model = kalman.StateSpaceModel(a=1.0, h=1.0, q=0.0, r=0.0)
         states, measurements = gen_linear_gaussian(model, 3.0, 20, seed=0)
         assert np.all(states.values == 3.0)
         assert np.all(measurements.values == 3.0)
@@ -72,7 +72,7 @@ class TestLinearGaussian:
     def test_filter_mse_matches_steady_innovation_variance(self):
         model, _ = kalman.default_local_level(0.01, 0.01)
         _, measurements = gen_linear_gaussian(model, 0.0, 100_000, seed=99)
-        init = kalman.KalmanState(x_hat=[measurements.values[0]], P=[[1.0]])
+        init = kalman.KalmanState(x=measurements.values[0], p=1.0)
         trace = kalman.predict_series(model, measurements, init)
         target = reference.riccati_prior_fixed_point(0.01, 0.01) + 0.01
         assert mse(trace.predictions, measurements.values, skip=1) == pytest.approx(
@@ -90,7 +90,7 @@ class TestLinearGaussian:
     def test_states_match_loop(self, a, q, x0, n, seed):
         # a = 1 is a random walk whose size grows with n, so the tolerance
         # is relative to the largest state.
-        model = kalman.StateSpaceModel(A=[[a]], H=[[0.5]], Q=[[q]], R=[[0.1]])
+        model = kalman.StateSpaceModel(a=a, h=0.5, q=q, r=0.1)
         states, measurements = gen_linear_gaussian(model, x0, n, seed=seed)
         draws = normal_stream(seed, 2 * n)
         want = reference.linear_gaussian_states_loop(a, np.sqrt(q) * draws[:n], x0)
@@ -101,10 +101,9 @@ class TestLinearGaussian:
         )
 
     def test_non_scalar_model_rejected(self):
-        model = kalman.StateSpaceModel(
-            A=np.eye(2), H=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]]
-        )
-        with pytest.raises(ValidationError):
+        # The model holds one float per field, so a matrix never gets here.
+        with pytest.raises(ValidationError, match="^a must be a real number"):
+            model = kalman.StateSpaceModel(a=np.eye(2), h=[1.0, 0.0], q=np.eye(2), r=1.0)
             gen_linear_gaussian(model, np.zeros(2), 10, seed=0)
 
     def test_n_must_be_positive(self):
