@@ -36,9 +36,12 @@ _KNOWN_PROTOCOLS = ("TCP", "UDP")
 _TAG_OBJECTS = np.array([*_KNOWN_PROTOCOLS, "other"], dtype=object)
 _TAG_CODES = {tag: code for code, tag in enumerate(_TAG_OBJECTS)}
 
-# Size hint, in characters, of a body chunk; a chunk is parsed or scanned
-# as a whole.
-_CHUNK_BYTES = 1 << 20
+# Characters read per body chunk, before reading on to the end of the
+# line; a chunk is parsed or scanned as a whole.  256 KiB keeps the
+# chunk's working arrays a small share of peak memory.
+_CHUNK_BYTES = 1 << 18
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 # 2**63 as a float: a bin count below it fits ``np.intp``.
 _MAX_BINS = float(np.iinfo(np.intp).max)
@@ -57,8 +60,8 @@ _METADATA = {
 class PacketTrace:
     """Per-packet capture timestamps with a coarse protocol tag.
 
-    Timestamps are seconds since capture start, sorted nondecreasing;
-    tags are ``TCP``, ``UDP`` or ``other``.
+    Timestamps are finite seconds since capture start, sorted
+    nondecreasing; tags are ``TCP``, ``UDP`` or ``other``.
     """
 
     timestamps: np.ndarray
@@ -70,6 +73,8 @@ class PacketTrace:
             raise ValidationError("timestamps must be one-dimensional")
         if ts.size != len(self.protocols):
             raise ValidationError("timestamps and protocols must align")
+        if not np.all(np.isfinite(ts)):
+            raise ValidationError("timestamps must be finite")
         if ts.size and ts[0] < 0:
             raise ValidationError("timestamps must be nonnegative")
         if np.any(np.diff(ts) < 0):
@@ -103,10 +108,12 @@ def load_packet_trace(
     Rows with protocols other than TCP/UDP are dropped unless
     ``filter_protocols`` is False.  Timestamps are sorted on load.
 
-    The body is read in chunks of about 1 MB.  A chunk of plain rows is
-    parsed column-wise with numpy; any other chunk (quotes, blank or ragged
-    rows, a bad value) goes through the ``csv`` row scan, which alone
-    decides what else is accepted and which line an error names.
+    The body is read in chunks of about 256 KB that end at a line end.  A
+    chunk of plain rows is parsed column-wise: ``np.loadtxt`` reads the
+    times and byte compares read the protocol tags.  Any other chunk
+    (quotes, blank or ragged rows, a bad value) goes through the ``csv``
+    row scan, which alone decides what else is accepted and which line an
+    error names.
     """
     if fmt != "timestamp-csv":
         raise ValidationError(f"unknown packet trace format {fmt!r}")
@@ -133,15 +140,17 @@ def load_packet_trace(
         line = header_reader.line_num + 1
         times: list[np.ndarray] = []
         codes: list[np.ndarray] = []
-        while lines := stream.readlines(_CHUNK_BYTES):
-            parsed = _parse_plain_chunk(lines, len(header), ti, pi)
+        # Each chunk ends at a line end, or at the end of the input.
+        while text := stream.read(_CHUNK_BYTES) + stream.readline():
+            parsed = _parse_plain_chunk(text, len(header), ti, pi)
             if parsed is None:
+                lines = _split_lines(text, stream)
                 chunk_t, chunk_c, n_read = _scan_rows(
                     itertools.chain(lines, stream), ti, pi,
                     first_line=line, min_lines=len(lines),
                 )
             else:
-                (chunk_t, chunk_c), n_read = parsed, len(lines)
+                (chunk_t, chunk_c), n_read = parsed, parsed[0].size
             times.append(chunk_t)
             codes.append(chunk_c)
             line += n_read
@@ -160,18 +169,31 @@ def load_packet_trace(
     return PacketTrace(timestamps=ts[order], protocols=tuple(_TAG_OBJECTS[tags[order]]))
 
 
+def _split_lines(text: str, stream: IO[str]) -> list[str]:
+    """``text`` cut into lines where ``stream`` cuts them.
+
+    Only a universal-newline stream (``newline=None`` or ``""``) reports
+    the ``newlines`` it has read, and only it also ends a line at a lone
+    CR; it has reported one by the time a chunk holding it is split.  Any
+    other stream is taken to end lines at LF.
+    """
+    newline = "\n" if getattr(stream, "newlines", None) is None else ""
+    return io.StringIO(text, newline=newline).readlines()
+
+
 def _parse_plain_chunk(
-    lines: list[str], ncols: int, ti: int, pi: int
+    text: str, ncols: int, ti: int, pi: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Time (column ``ti``) and protocol-code (column ``pi``) arrays of a
     chunk of plain rows, or None.
 
-    Plain means what ``str.split`` reads exactly as ``csv`` does: LF or CRLF
-    line ends, no quote character, and exactly one cell per header column
-    on every row.  None also when a time is not a finite nonnegative float,
-    so the row scan raises the error the row-by-row loader always raised.
+    Plain means what a split at commas and newlines reads exactly as
+    ``csv`` does: LF or CRLF line ends, no quote character, and exactly one
+    cell per header column on every row.  None also when the chunk holds a
+    control character other than tab and LF, or a time is not a finite
+    nonnegative float that ``np.loadtxt`` reads, so the row scan accepts or
+    raises what the row-by-row loader always did.
     """
-    text = "".join(lines)
     if '"' in text:
         return None
     if "\r" in text:
@@ -180,25 +202,68 @@ def _parse_plain_chunk(
             return None
     if text.endswith("\n"):
         text = text[:-1]
+    data = text.encode("utf-8", "surrogatepass")
+    raw = np.frombuffer(data, dtype=np.uint8)
     # Separator bytes in order; each row must read ",,...,\n".  Multi-byte
     # UTF-8 sequences (surrogates too) hold no byte below 0x80, so these
     # are exactly the commas and newlines of the text.
-    seps = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    seps = np.append(seps[(seps == ord(",")) | (seps == ord("\n"))], ord("\n"))
-    row = np.array([ord(",")] * (ncols - 1) + [ord("\n")], dtype=np.uint8)
-    if seps.size % ncols or not np.all(seps.reshape(-1, ncols) == row):
+    seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
+    nrows, ragged = divmod(seps.size + 1, ncols)
+    row = np.array([_COMMA] * (ncols - 1) + [_NEWLINE], dtype=np.uint8)
+    if ragged or not np.all(np.append(raw[seps], _NEWLINE).reshape(nrows, ncols) == row):
         return None
-    cells = text.replace("\n", ",").split(",")
+    # loadtxt skips \x1c-\x1f as whitespace, which float() rejects, and
+    # stops at a NUL; other control characters are rare enough to leave to
+    # the row scan as well.  Besides tabs, the only ones allowed are the
+    # nrows - 1 newlines.
+    controls = np.count_nonzero(raw < 0x20) - (nrows - 1)
+    if controls and controls != text.count("\t"):
+        return None
     try:
-        # Parses exactly the strings float() parses, to the same values.
-        ts = np.array(cells[ti::ncols], dtype=float)
+        # Its C reader parses through PyOS_string_to_double, as float()
+        # does; what it rejects and float() accepts (``1_0``, non-ASCII
+        # digits) goes to the row scan.
+        ts = np.loadtxt(
+            io.StringIO(text), delimiter=",", usecols=ti, dtype=float,
+            comments=None, ndmin=1,
+        )
     except ValueError:
         return None
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         return None
-    raw = cells[pi::ncols]
-    code_of = {p: _TAG_CODES[_canonical_protocol(p)] for p in set(raw)}
-    return ts, np.fromiter(map(code_of.__getitem__, raw), dtype=np.int8, count=len(raw))
+    ends = np.append(seps, raw.size).reshape(nrows, ncols)
+    stop = ends[:, pi]
+    start = (ends[:, pi - 1] if pi else np.append(-1, ends[:-1, -1])) + 1
+    return ts, _protocol_codes(data, raw, start, stop)
+
+
+def _protocol_codes(
+    data: bytes, raw: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> np.ndarray:
+    """Tag codes of the cells ``data[start:stop]``.
+
+    A 3-byte cell that is ``TCP`` or ``UDP`` in any ASCII case is matched
+    on its bytes; every other cell goes through ``_canonical_protocol``.
+    """
+    codes = np.full(start.size, -1, dtype=np.int8)
+    short = np.flatnonzero(stop - start == 3)
+    # The bytes of each 3-byte cell as one integer, with 0x20 OR-ed into
+    # each: b | 0x20 is a lower-case ASCII letter exactly when b is that
+    # letter in either case.
+    at = start[short]
+    key = (
+        raw[at].astype(np.int32) << 16 | raw[at + 1].astype(np.int32) << 8 | raw[at + 2]
+    ) | 0x202020
+    for tag in _KNOWN_PROTOCOLS:
+        codes[short[key == int.from_bytes(tag.lower().encode(), "big")]] = _TAG_CODES[tag]
+    rest = np.flatnonzero(codes < 0)
+    cells = [data[a:b] for a, b in zip(start[rest].tolist(), stop[rest].tolist())]
+    code_of = {
+        c: _TAG_CODES[_canonical_protocol(c.decode("utf-8", "surrogatepass"))]
+        for c in set(cells)
+    }
+    codes[rest] = [code_of[c] for c in cells]
+    return codes
 
 
 def _scan_rows(

@@ -84,7 +84,9 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
     span each slot covers (Hillis-Steele): for d = 1, 2, 4, ... every slot
     t >= d adds ``C^d`` times slot t - d.  That is log2(n) elementwise
     passes, stopping early once ``C^d`` is exactly zero.  For q = 1 the
-    state is ``y`` itself and ``C^d`` a float.  The q x q products are
+    state is ``y`` itself and ``C^d = c^d`` a float; with |c| < 1 the scan
+    also stops once ``|c^d| (1 + |c|) / (1 - |c|) <= 2**-53``, which bounds
+    the lags it leaves out by 2**-53 of max |y|.  The q x q products are
     written out as elementwise sums rather than BLAS calls, so results are
     bitwise reproducible across machines.  A recurrence whose ``C^d``
     overflows within n samples is rejected as explosive; values that
@@ -111,7 +113,12 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
     d = 1
     if q == 1:
         power = -coef[0]
-        while d < n and power:
+        # The lags from d on weigh at most |c^d| / (1 - |c|) times max |u|,
+        # and max |u| <= (1 + |c|) max |y|: once that product is at most
+        # 2**-53, leaving them out moves no value by more than 2**-53
+        # max |y|.  A NaN power keeps going, to be rejected.
+        stop = 2.0**-53 * (1 - abs(power)) / (1 + abs(power)) if abs(power) < 1 else 0.0
+        while d < n and not abs(power) <= stop:
             _check_power([power], d, n)
             y[d:] += power * y[:-d]
             power *= power

@@ -175,6 +175,20 @@ def linear_recurrence_loop(u, a, init=()):
     return np.array(out)
 
 
+def first_order_scan(u, c, y_prev=0.0):
+    """y[t] = u[t] + c y[t-1] by Hillis-Steele doubling over every span
+    below n, with no early stop: the scan ``linear_recurrence`` runs for
+    q = 1 before its stop rule."""
+    y = np.array(u, dtype=float)
+    y[0] += c * y_prev
+    d, power = 1, c
+    while d < y.size:
+        y[d:] += power * y[:-d]
+        power *= power
+        d *= 2
+    return y
+
+
 def arma_predict_loop(theta, phi, x):
     """Rolling one-step ARMA predictions with zero-padded history: the
     per-sample loop ``arma.predict_series`` ran before its scan."""

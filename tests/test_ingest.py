@@ -171,14 +171,67 @@ class TestChunkedLoader:
             "time,protocol\n1.0,TCP\n\n\noops,UDP\n",  # error after blank lines
             "time,protocol\n1.0,T\x00CP\n2.0,UDP\n",  # NUL inside a field
             "time,protocol\n1.0,\udcffTCP\n2.0,UDP\n\udcff,TCP\n",  # lone surrogates
+            # Time cells: loadtxt reads \x1c-\x1f as whitespace, float() does not.
+            "time,protocol\n\x1c1.5,TCP\n2.0,UDP\n",
+            "time,protocol\n0.5,TCP\n1.5\x1f,UDP\n",
+            # float() reads these, loadtxt does not.
+            "time,protocol\n1_000,TCP\n2.0,UDP\n",
+            "time,protocol\n0.5,TCP\n\uff11,UDP\n",
+            "time,protocol\n+1,TCP\n-0,UDP\n.5,tcp\n",
+            "time,protocol\n0.5,TCP\n1e400,UDP\n",
+            "time,protocol\n0.5,TCP\nnan,UDP\n",
+            "time,protocol\n0.5,TCP\nInfinity,UDP\n",
+            "time,protocol\n0.5,TCP\n0x10,UDP\n",
+            "time,protocol\n0.5,TCP\n1\x005,UDP\n",
+            "time,protocol\n0.5,TCP\n1#5,UDP\n",
+            "time,protocol,note\n0.5,TCP,#x\n1.5,UDP,y#\n",
         ],
         ids=[
             "ragged", "lone-cr", "repeated-column", "whitespace-row", "after-blanks",
-            "nul", "surrogate",
+            "nul", "surrogate", "x1c-time", "x1f-time", "underscore-time",
+            "fullwidth-time", "signed-times", "overflow-time", "nan-time",
+            "infinity-time", "hex-time", "nul-time", "hash-time", "hash-note",
         ],
     )
     def test_odd_rows_match_row_oracle(self, text, newline):
         assert_matches_row_oracle(text, newline=newline)
+
+    def test_lone_cr_in_a_file_ends_a_line(self, tmp_path):
+        # A file is read with universal newlines, so a lone CR ends a line
+        # there, unlike in an LF-only stream.
+        path = tmp_path / "packets.csv"
+        path.write_bytes(b"time,protocol\n1.0,TCP\r2.0,UDP\n3.0,tcp\n")
+        assert load_packet_trace(path).timestamps.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ParseError, match="^line 2: malformed CSV row"):
+            load_packet_trace(io.StringIO("time,protocol\n1.0,TCP\r2.0,UDP\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,protocol\n0.5,TCP\n1.5,UDP\n2.5,ICMP\n",
+            "time,protocol\r\n0.5,TCP\r\n1.5,UDP\r\n2.5,ICMP",
+            "time,protocol\n0.5,tcp\n1.5,Udp\n2.5,ICMP\n3.5,TCPX\n4.5,a-long-tag\n",
+            "time,protocol\n0.5, TCP \n1.5,\u00dcDP\n2.5,T\u00c7P\n3.5,udp\t\n",
+            "note,Protocol, TIME ,extra\nx,TCP,0.5,1\n,UDP,1.5,\n",
+            "time,protocol,time\n9.0,TCP,0.5\n9.0,UDP,1.5\n",
+        ],
+        ids=["lf", "crlf", "tag-case-and-length", "padded-and-non-ascii", "columns", "repeated"],
+    )
+    @pytest.mark.parametrize("filter_protocols", [True, False])
+    def test_plain_chunks_skip_the_row_scan(self, text, filter_protocols, monkeypatch):
+        # A chunk that fell back would still load correctly, only slower;
+        # so would a TCP or UDP tag sent to the per-cell protocol mapping.
+        def no_scan(*args, **kwargs):
+            raise AssertionError("plain chunk sent to the csv row scan")
+
+        mapped = []
+        canonical = ingest._canonical_protocol
+        monkeypatch.setattr(ingest, "_scan_rows", no_scan)
+        monkeypatch.setattr(
+            ingest, "_canonical_protocol", lambda raw: mapped.append(raw) or canonical(raw)
+        )
+        assert_matches_row_oracle(text, filter_protocols)
+        assert not {raw.upper() for raw in mapped} & {"TCP", "UDP"}
 
     @pytest.fixture(scope="class")
     def capture_rows(self):
@@ -301,6 +354,17 @@ class TestUnreadableInput:
         stream = io.TextIOWrapper(io.BytesIO(data), "utf-8")
         with pytest.raises(ParseError, match="not valid UTF-8: invalid continuation"):
             loader(stream)
+
+
+class TestPacketTrace:
+    @pytest.mark.parametrize(
+        "timestamps",
+        [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_timestamp_rejected(self, timestamps):
+        with pytest.raises(ValidationError, match="^timestamps must be finite$"):
+            PacketTrace(timestamps=timestamps, protocols=("TCP",) * 3)
 
 
 class TestBinToRate:

@@ -59,6 +59,19 @@ class TestLinearRecurrence:
         got = linear_recurrence(u, [-1.0], [x0])
         assert_close(got, reference.linear_recurrence_loop(u, [-1.0], [x0]))
 
+    @pytest.mark.parametrize("c", [1e-3, 0.382, -0.7, 0.9, 0.999999])
+    @pytest.mark.parametrize("n", [1, 2, 37, 5000])
+    def test_first_order_stop_rule_drops_below_rounding(self, c, n):
+        # The early stop leaves out lags worth at most 2**-53 of max |y|;
+        # the full scan's extra passes round once more per slot.
+        rng = np.random.default_rng(n)
+        u = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=n)
+        y_prev = float(rng.normal())
+        got = linear_recurrence(u, [-c], [y_prev])
+        full = reference.first_order_scan(u, c, y_prev)
+        assert np.max(np.abs(got - full)) <= 2.0**-52 * np.max(np.abs(full))
+        assert_close(got, reference.linear_recurrence_loop(u, [-c], [y_prev]))
+
     def test_first_order_by_hand(self):
         # y[t] = u[t] + 0.5 y[t-1] from y[-1] = 2
         got = linear_recurrence([1.0, 0.0, 4.0], [-0.5], init=[2.0])
@@ -108,6 +121,11 @@ class TestLinearRecurrence:
         # The scan needs 2**1024, which overflows, for 1500 samples.
         with pytest.raises(ValidationError, match="explosive"):
             linear_recurrence(np.zeros(1500), [-2.0], init=[1e-300])
+
+    @pytest.mark.parametrize("a", [[np.nan], [0.5, np.nan]])
+    def test_nan_coefficient_rejected(self, a):
+        with pytest.raises(ValidationError, match="explosive"):
+            linear_recurrence(np.zeros(10), a)
 
     def test_growth_that_fits_in_range_is_kept(self):
         got = linear_recurrence(np.zeros(100), [-2.0], init=[1.0])
