@@ -273,6 +273,8 @@ def cmd_fit_arma(args) -> int:
     model, diag = arma.fit(series, args.p, args.q)
     Path(args.out).write_text(json.dumps(model.to_dict(), indent=2) + "\n", "utf-8")
     flag = "" if diag.ar_stationary else " (nonstationary AR estimate)"
+    if not diag.ma_invertible:
+        flag += " (non-invertible MA estimate)"
     print(
         f"ARMA({args.p},{args.q}): theta={np.round(model.theta, 4).tolist()} "
         f"phi={np.round(model.phi, 4).tolist()} sigma2={model.sigma2:.6g}{flag}"

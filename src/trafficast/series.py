@@ -75,22 +75,26 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
     """Solve ``y[t] = u[t] - sum_{j=1..q} a[j-1] * y[t-j]`` for t = 0..n-1.
 
     ``init`` holds the outputs before ``u[0]``, most recent last; the ones
-    it leaves out are zero.  The result matches the sequential recursion
-    to rounding (about 1e-15 relative to the data for a stable
-    recurrence) without a Python loop over samples.
+    it leaves out are zero.  They are folded into the first q inputs, so
+    the solve starts from zero history.
 
-    The state ``s_t = (y[t], ..., y[t-q+1])`` obeys ``s_t = C s_{t-1} +
-    u[t] e_1`` with the companion matrix ``C``, and the scan doubles the
-    span each slot covers (Hillis-Steele): for d = 1, 2, 4, ... every slot
-    t >= d adds ``C^d`` times slot t - d.  That is log2(n) elementwise
-    passes, stopping early once ``C^d`` is exactly zero.  For q = 1 the
-    state is ``y`` itself and ``C^d = c^d`` a float; with |c| < 1 the scan
-    also stops once ``|c^d| (1 + |c|) / (1 - |c|) <= 2**-53``, which bounds
-    the lags it leaves out by 2**-53 of max |y|.  The q x q products are
-    written out as elementwise sums rather than BLAS calls, so results are
-    bitwise reproducible across machines.  A recurrence whose ``C^d``
-    overflows within n samples is rejected as explosive; values that
-    overflow come back as inf or nan, as in the sequential loop.
+    The recurrence factors as ``prod_i (1 - c_i B)`` over its poles, the
+    roots of ``z^q + a[0] z^(q-1) + ... + a[q-1]``, and is solved as a
+    cascade of first-order scans ``y[t] = w[t] + c y[t-1]``, one per pole
+    (complex for a conjugate pair, of which the result keeps the real
+    part).  Each scan doubles the span every slot covers (Hillis-Steele):
+    for d = 1, 2, 4, ... every slot t >= d adds ``c^d`` times slot t - d.
+    With |c| < 1 it stops once ``|c^d| (1 + |c|) / (1 - |c|) <= 2**-53``,
+    which bounds the lags it leaves out by 2**-53 of max |y|.  For q = 1
+    the pole is ``-a[0]``.  For q >= 2 the poles come from ``np.roots``,
+    which moves a repeated root by about eps**(1/q), so the cascade is run
+    once more on the residual against the exact coefficients (one step of
+    iterative refinement).  The result matches the sequential loop to its
+    own rounding, near the unit circle too, with only elementwise numpy
+    arithmetic over the samples.  A non-finite coefficient, or a pole
+    whose power ``c^d`` overflows within n samples, is rejected as
+    explosive; values that overflow come back as inf or nan, as in the
+    sequential loop.
     """
     y = np.array(u, dtype=float)
     coef = np.asarray(a, dtype=float).reshape(-1).tolist()
@@ -106,56 +110,47 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
         )
     if q == 0 or n == 0:
         return y
+    if not all(map(math.isfinite, coef)):
+        raise ValidationError(
+            f"explosive recurrence: its coefficients must be finite, got {coef}"
+        )
     lags = past[::-1] + [0.0] * (q - len(past))  # lags[j] = y[-1-j]
-    # Slot 0 absorbs C s_{-1}: component 0 is -a . lags, component i >= 1
-    # is y[-i].
-    y[0] -= sum(c * v for c, v in zip(coef, lags))
-    d = 1
+    for t in range(min(q, n)):
+        y[t] -= sum(c * v for c, v in zip(coef[t:], lags))
     if q == 1:
-        power = -coef[0]
-        # The lags from d on weigh at most |c^d| / (1 - |c|) times max |u|,
-        # and max |u| <= (1 + |c|) max |y|: once that product is at most
-        # 2**-53, leaving them out moves no value by more than 2**-53
-        # max |y|.  A NaN power keeps going, to be rejected.
-        stop = 2.0**-53 * (1 - abs(power)) / (1 + abs(power)) if abs(power) < 1 else 0.0
-        while d < n and not abs(power) <= stop:
-            _check_power([power], d, n)
-            y[d:] += power * y[:-d]
-            power *= power
-            d *= 2
-        return y
-    state = [y] + [np.zeros(n) for _ in range(q - 1)]
-    for i in range(1, q):
-        state[i][0] = lags[i - 1]
-    power = [[-c for c in coef]] + [
-        [1.0 if j == i - 1 else 0.0 for j in range(q)] for i in range(1, q)
-    ]
-    while d < n:
-        flat = [v for row in power for v in row]
-        if not any(flat):
-            break
-        _check_power(flat, d, n)
-        # Every step reads the slots as they were before this pass.
-        steps = []
-        for row in power:
-            terms = [m * col[:-d] for m, col in zip(row, state) if m]
-            for term in terms[1:]:
-                terms[0] += term
-            steps.append(terms[0] if terms else None)
-        for col, step in zip(state, steps):
-            if step is not None:
-                col[d:] += step
-        power = [
-            [sum([row[k] * power[k][j] for k in range(q)]) for j in range(q)]
-            for row in power
-        ]
+        return _first_order(y, -coef[0])
+    poles = np.roots([1.0, *coef])
+    x = _cascade(y, poles)
+    # Residual of the exact recurrence, computed elementwise.
+    r = y - x
+    for j, c in enumerate(coef, 1):
+        r[j:] -= c * x[:-j]
+    return x + _cascade(r, poles)
+
+
+def _cascade(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """A copy of ``w`` run through ``y[t] = w[t] + c y[t-1]`` for each pole."""
+    y = w.astype(complex if np.iscomplexobj(poles) else float)
+    for c in poles.tolist():
+        _first_order(y, c)
+    return y.real
+
+
+def _first_order(y: np.ndarray, c) -> np.ndarray:
+    """Solve ``y[t] += c y[t-1]`` in place by doubling; returns ``y``."""
+    n = y.size
+    # The lags from d on weigh at most |c^d| / (1 - |c|) times max |u|, and
+    # max |u| <= (1 + |c|) max |y|: once that product is at most 2**-53,
+    # leaving them out moves no value by more than 2**-53 max |y|.
+    stop = 2.0**-53 * (1 - abs(c)) / (1 + abs(c)) if abs(c) < 1 else 0.0
+    d, power = 1, c
+    while d < n and not abs(power) <= stop:
+        if not math.isfinite(abs(power)):
+            raise ValidationError(
+                f"explosive recurrence: its pole powers overflow at lag {d} "
+                f"of {n} samples"
+            )
+        y[d:] += power * y[:-d]
+        power *= power
         d *= 2
     return y
-
-
-def _check_power(entries: list[float], d: int, n: int) -> None:
-    if not all(map(math.isfinite, entries)):
-        raise ValidationError(
-            f"explosive recurrence: its coefficient powers overflow at lag {d} "
-            f"of {n} samples"
-        )

@@ -4,6 +4,7 @@ Everything here is written as directly as possible from the defining
 math, without reusing package code, so tests can cross-check the real
 implementations against a second route.
 """
+import cmath
 import csv
 import io
 import math
@@ -280,11 +281,12 @@ def scalar_kalman_loop(a, h, q, r, x0, p0, z):
 
 
 def poly_from_roots(roots):
-    """Coefficients c_1..c_q of prod_i (1 - z / r_i) = 1 + sum_j c_j z^j."""
+    """Coefficients c_1..c_q of prod_i (1 - z / r_i) = 1 + sum_j c_j z^j;
+    complex roots come in conjugate pairs, so the coefficients are real."""
     coef = np.array([1.0])
     for r in roots:
         coef = np.convolve(coef, [1.0, -1.0 / r])
-    return coef[1:]
+    return coef[1:].real
 
 
 def real_roots(low, high, max_size=3):
@@ -297,8 +299,19 @@ def real_roots(low, high, max_size=3):
     )
 
 
+def conjugate_pair(low, high):
+    """Hypothesis strategy: a complex root and its conjugate, with modulus in
+    [low, high] and the argument strictly between 0 and pi."""
+    arg = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
+    return st.tuples(st.floats(low, high), arg).map(
+        lambda t: [cmath.rect(*t), cmath.rect(t[0], -t[1])]
+    )
+
+
 # Roots at least 1.3 out: a stable recurrence or invertible MA part that
 # is well conditioned even with repeated roots, so loop and scan agree to
-# 1e-12 of the scale.  Roots closer to the unit circle amplify rounding in
-# both; tests scale the tolerance by that gain there.
+# 1e-12 of the scale.  Closer to the unit circle, an error in a pole
+# (np.roots moves a repeated root by about eps**(1/q)) or in one step is
+# amplified by up to the impulse response's l1 norm, so tests scale the
+# tolerance by that gain there.
 stable_roots = real_roots(1.3, 6.0)

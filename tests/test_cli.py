@@ -7,6 +7,7 @@ from trafficast import cli, evaluate
 from trafficast.evaluate import inverse_transform
 from trafficast.ingest import load_series_csv, write_series_csv
 from trafficast.preprocess import pipeline
+from trafficast.rng import normal_stream
 from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
@@ -57,6 +58,19 @@ def test_ingest_preprocess_fit_predict_flow(tmp_path, capsys):
                      "--input", str(stationary), "--out", str(kf_out)]) == 0
     header = kf_out.read_text().splitlines()[0]
     assert header == "index,actual,predicted,gain"
+
+
+def test_fit_arma_names_a_non_invertible_ma_estimate(tmp_path, capsys):
+    # Over-differenced noise: this seed's MA(1) estimate is phi = -1.00077.
+    noise = normal_stream(2, 401)
+    data, model_path = tmp_path / "diff.csv", tmp_path / "model.json"
+    write_series_csv(TimeSeries(noise[1:] - noise[:-1]), data)
+    assert cli.main(["fit-arma", "--p", "0", "--q", "1", "--input", str(data),
+                     "--out", str(model_path)]) == 0
+    out = capsys.readouterr().out
+    assert "phi=[-1.0008]" in out
+    assert out.rstrip().endswith(" (non-invertible MA estimate)")
+    assert "nonstationary" not in out
 
 
 def test_preprocess_emit_stages(tmp_path):

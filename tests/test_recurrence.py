@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficast.errors import ValidationError
 from trafficast.series import linear_recurrence
 
 import reference
-from reference import poly_from_roots, real_roots, stable_roots
+from reference import conjugate_pair, poly_from_roots, real_roots, stable_roots
 
 
 def impulse_gain(a, n):
@@ -44,13 +44,33 @@ class TestLinearRecurrence:
         n=st.integers(1, 3000),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(roots=[1.021484375] * 3, n=533, seed=1)
     def test_near_unit_circle_within_rounding_gain(self, roots, n, seed):
-        # Close (and repeated) roots amplify every rounding error by up to the
-        # impulse response's l1 norm, in the loop as much as in the scan.
+        # Close (and repeated) roots amplify an error by up to the impulse
+        # response's l1 norm, but the loop stays far inside that bound: on
+        # the pinned triple root it is 2.7e-8 off an exact evaluation.  A
+        # scan that squares the companion matrix is 1.5e-3 off there, past
+        # the bound, which random draws find only by chance.
         a = poly_from_roots(roots)
         u = np.random.default_rng(seed).normal(size=n)
         want = reference.linear_recurrence_loop(u, a.tolist())
         assert_close(linear_recurrence(u, a), want, tol=1e-12 * impulse_gain(a, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pair=conjugate_pair(1.02, 3.0),
+        extra=real_roots(1.3, 6.0, max_size=1),
+        n=st.integers(1, 3000),
+        init_len=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_complex_poles_match_sequential_loop(self, pair, extra, n, init_len, seed):
+        a = poly_from_roots(pair + extra)
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=n)
+        init = rng.normal(size=init_len)
+        want = reference.linear_recurrence_loop(u, a.tolist(), init.tolist())
+        assert_close(linear_recurrence(u, a, init), want, tol=1e-12 * impulse_gain(a, n))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 4000), x0=st.floats(-10, 10), seed=st.integers(0, 2**32 - 1))
@@ -106,8 +126,9 @@ class TestLinearRecurrence:
 
     def test_repeated_calls_are_bitwise_identical(self):
         u = np.random.default_rng(3).normal(size=10_000)
-        a = poly_from_roots([1.3, -2.0, 4.0])
-        assert linear_recurrence(u, a).tobytes() == linear_recurrence(u, a).tobytes()
+        for roots in [1.3, -2.0, 4.0], [1.5 * np.exp(0.7j), 1.5 * np.exp(-0.7j)]:
+            a = poly_from_roots(roots)
+            assert linear_recurrence(u, a).tobytes() == linear_recurrence(u, a).tobytes()
 
     def test_too_many_initial_values_rejected(self):
         with pytest.raises(ValidationError, match="initial values"):
@@ -122,7 +143,9 @@ class TestLinearRecurrence:
         with pytest.raises(ValidationError, match="explosive"):
             linear_recurrence(np.zeros(1500), [-2.0], init=[1e-300])
 
-    @pytest.mark.parametrize("a", [[np.nan], [0.5, np.nan]])
+    @pytest.mark.parametrize(
+        "a", [[np.nan], [0.5, np.nan], [np.inf, 0.1], [0.1, 0.2, np.nan]]
+    )
     def test_nan_coefficient_rejected(self, a):
         with pytest.raises(ValidationError, match="explosive"):
             linear_recurrence(np.zeros(10), a)
