@@ -7,7 +7,7 @@ uniform rate series.
 """
 import io
 
-from trafficast.ingest import bin_to_rate, load_packet_trace
+from trafficast.ingest import bin_to_rate, load_packet_rates, load_packet_trace
 from trafficast.rng import uniform_stream
 
 # A fake 30-second capture: 900 TCP/UDP packets plus some ICMP chatter.
@@ -25,6 +25,9 @@ series = bin_to_rate(trace, bin_width=1.0)
 print(f"binned into {len(series)} one-second buckets")
 print("first ten rates:", series.values[:10].astype(int).tolist())
 print("total packets:  ", int(series.values.sum()))
+
+# One pass straight to bin counts gives the same series, without holding every packet.
+assert load_packet_rates(io.StringIO(csv_text)).values.tolist() == series.values.tolist()
 
 # Coarser bins tell the same story at lower resolution.
 coarse = bin_to_rate(trace, bin_width=5.0)

@@ -15,7 +15,14 @@ from .errors import (
     TrafficastError,
     ValidationError,
 )
-from .ingest import PacketTrace, bin_to_rate, load_packet_trace, load_series_csv, write_series_csv
+from .ingest import (
+    PacketTrace,
+    bin_to_rate,
+    load_packet_rates,
+    load_packet_trace,
+    load_series_csv,
+    write_series_csv,
+)
 from .preprocess import PreprocessConfig, box_center, log_transform, pipeline, scale
 from .series import TimeSeries
 from .synth import SeasonalSpec, gen_linear_gaussian, gen_seasonal_traffic
@@ -35,6 +42,7 @@ __all__ = [
     "PreprocessConfig",
     "SeasonalSpec",
     "load_packet_trace",
+    "load_packet_rates",
     "bin_to_rate",
     "load_series_csv",
     "write_series_csv",

@@ -24,7 +24,7 @@ from .evaluate import (
     render_prediction_csv,
     render_report,
 )
-from .ingest import bin_to_rate, load_packet_trace, load_series_csv, write_series_csv
+from .ingest import load_packet_rates, load_series_csv, write_series_csv
 from .preprocess import PreprocessConfig, pipeline, pipeline_with_stages
 from .rng import derive_seed
 from .series import TimeSeries
@@ -144,8 +144,7 @@ def run_pipeline(config: RunConfig) -> int:
             raise PipelineError("synth", str(exc)) from exc
     for path in config.ingest_inputs:
         try:
-            trace = load_packet_trace(path)
-            raw.append((path.stem, bin_to_rate(trace, config.bin_width)))
+            raw.append((path.stem, load_packet_rates(path, config.bin_width)))
         except (TrafficastError, OSError) as exc:
             raise PipelineError("ingest", str(exc)) from exc
 
@@ -239,10 +238,13 @@ def repro_config(seed: int, outdir: Path, timing_repetitions: int = 3) -> RunCon
 
 
 def cmd_ingest(args) -> int:
-    trace = load_packet_trace(args.input, filter_protocols=not args.keep_all_protocols)
-    series = bin_to_rate(trace, args.bin_width)
+    series = load_packet_rates(
+        args.input, args.bin_width, filter_protocols=not args.keep_all_protocols
+    )
     write_series_csv(series, args.out)
-    print(f"{len(trace)} packets -> {len(series)} bins of {series.dt} s -> {args.out}")
+    # The bin counts sum to the packet count.
+    n_packets = int(series.values.sum())
+    print(f"{n_packets} packets -> {len(series)} bins of {series.dt} s -> {args.out}")
     return 0
 
 
@@ -288,11 +290,9 @@ def cmd_predict_kf(args) -> int:
     trace = kalman.predict_series(model, series, init)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("index,actual,predicted,gain\n")
-        for i in range(len(series)):
-            fh.write(
-                f"{i},{float(series.values[i])!r},"
-                f"{float(trace.predictions[i])!r},{float(trace.gain_series[i])!r}\n"
-            )
+        columns = (series.values, trace.predictions, trace.gain_series)
+        rows = enumerate(zip(*map(memoryview, columns)))
+        fh.writelines(f"{i},{x!r},{p!r},{g!r}\n" for i, (x, p, g) in rows)
     print(f"filtered {len(series)} samples -> {args.out}")
     return 0
 

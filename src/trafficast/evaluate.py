@@ -304,8 +304,10 @@ def render_prediction_csv(actual, arma_pred, kf_pred) -> str:
         raise ValidationError("prediction columns must have equal length")
     buf = io.StringIO()
     buf.write("index,actual,arma_pred,kf_pred\n")
-    for i in range(a.size):
-        buf.write(f"{i},{float(a[i])!r},{float(ap[i])!r},{float(kp[i])!r}\n")
+    # A memoryview yields each value as a Python float, whose repr is the
+    # value's shortest round-trip digits, without a list per column.
+    rows = enumerate(zip(memoryview(a), memoryview(ap), memoryview(kp)))
+    buf.writelines(f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in rows)
     return buf.getvalue()
 
 

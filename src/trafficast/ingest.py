@@ -3,7 +3,11 @@
 CSV formats
 -----------
 Packet trace: header ``time,protocol``, one row per packet, time in float
-seconds since capture start.
+seconds since capture start.  ``load_packet_trace`` returns every packet
+as a :class:`PacketTrace`, and ``bin_to_rate`` counts it into a rate
+series.  ``load_packet_rates`` gives that same series in one pass: it
+counts each chunk of rows into the bins as the chunk is read, so its
+memory is one chunk plus the bin counts, whatever the capture's length.
 
 Value series: optional ``# key=value`` comment lines (``dt``, ``origin``,
 ``scale_mean``, ``scale_std`` and ``log1p`` are honoured, absent keys take
@@ -14,13 +18,14 @@ per row.  ``write_series_csv`` emits every key and the values with
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import io
 import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -117,6 +122,46 @@ def load_packet_trace(
     """
     if fmt != "timestamp-csv":
         raise ValidationError(f"unknown packet trace format {fmt!r}")
+    times: list[np.ndarray] = []
+    codes: list[np.ndarray] = []
+    for chunk_t, chunk_c in _read_chunks(source):
+        times.append(chunk_t)
+        codes.append(chunk_c)
+    ts = np.concatenate(times) if times else np.empty(0)
+    tags = np.concatenate(codes) if codes else np.empty(0, dtype=np.int8)
+    if filter_protocols:
+        keep = tags != _TAG_CODES["other"]
+        ts, tags = ts[keep], tags[keep]
+    order = np.argsort(ts, kind="stable")
+    return PacketTrace(timestamps=ts[order], protocols=tuple(_TAG_OBJECTS[tags[order]]))
+
+
+def load_packet_rates(
+    source: Source, bin_width: float = 1.0, filter_protocols: bool = True
+) -> TimeSeries:
+    """Packets per ``bin_width``-second bin of a ``time,protocol`` CSV.
+
+    The same series as ``bin_to_rate(load_packet_trace(source,
+    filter_protocols=filter_protocols), bin_width)``, counted one chunk at
+    a time as it is read, so memory holds one chunk and the bin counts,
+    never an array per packet.  Errors come in file order: a timestamp too
+    large to bin is reported when its chunk is counted, before a malformed
+    row further on, where ``load_packet_trace`` parses the whole file first.
+    """
+    other = _TAG_CODES["other"]
+    chunks = _read_chunks(source)
+    with contextlib.closing(chunks):
+        kept = (t[c != other] if filter_protocols else t for t, c in chunks)
+        return _count_bins(kept, bin_width)
+
+
+def _read_chunks(source: Source) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The times and protocol codes of a packet CSV's body, per chunk.
+
+    Checks the header, then reads the body in chunks that end at a line
+    end, or at the end of the input.  Rows keep file order and are not
+    filtered.
+    """
     stream, owned = _open_text(source)
     try:
         header_reader = csv.reader(stream)
@@ -138,9 +183,6 @@ def load_packet_trace(
         ti, pi = (len(header) - 1 - header[::-1].index(c) for c in (t_col, p_col))
 
         line = header_reader.line_num + 1
-        times: list[np.ndarray] = []
-        codes: list[np.ndarray] = []
-        # Each chunk ends at a line end, or at the end of the input.
         while text := stream.read(_CHUNK_BYTES) + stream.readline():
             parsed = _parse_plain_chunk(text, len(header), ti, pi)
             if parsed is None:
@@ -151,22 +193,13 @@ def load_packet_trace(
                 )
             else:
                 (chunk_t, chunk_c), n_read = parsed, parsed[0].size
-            times.append(chunk_t)
-            codes.append(chunk_c)
+            yield chunk_t, chunk_c
             line += n_read
     except UnicodeDecodeError as exc:
         raise _utf8_error(source, exc) from None
     finally:
         if owned:
             stream.close()
-
-    ts = np.concatenate(times) if times else np.empty(0)
-    tags = np.concatenate(codes) if codes else np.empty(0, dtype=np.int8)
-    if filter_protocols:
-        keep = tags != _TAG_CODES["other"]
-        ts, tags = ts[keep], tags[keep]
-    order = np.argsort(ts, kind="stable")
-    return PacketTrace(timestamps=ts[order], protocols=tuple(_TAG_OBJECTS[tags[order]]))
 
 
 def _split_lines(text: str, stream: IO[str]) -> list[str]:
@@ -356,26 +389,48 @@ def bin_to_rate(trace: PacketTrace, bin_width: float = 1.0) -> TimeSeries:
     to the packet count.  A last timestamp that needs more bins than an
     index holds, or than memory holds, is a :class:`ValidationError`.
     """
-    if not bin_width > 0:
-        raise ValidationError(f"bin_width must be positive, got {bin_width}")
-    if len(trace) == 0:
+    return _count_bins([trace.timestamps], bin_width)
+
+
+def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
+    """The bin counts of the timestamps in ``chunks``, as ``bin_to_rate``
+    defines them.
+
+    Each chunk is counted as it comes, by adding one per row into a count
+    array that grows by doubling.  So a chunk costs its rows, however
+    many bins its timestamps span: an unsorted capture at fine bins does
+    not pay for every bin with every chunk.
+    """
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise ValidationError(f"bin_width must be positive and finite, got {bin_width}")
+    counts = np.zeros(0, dtype=np.intp)
+    n_bins = 0
+    for ts in chunks:
+        if not ts.size:
+            continue
+        last = float(ts.max())
+        if not last / bin_width + 1 < _MAX_BINS:
+            raise ValidationError(
+                f"last timestamp {last!r} needs {last / bin_width + 1:.4g} bins of"
+                f" {bin_width!r} s, more than an array index can address"
+            )
+        idx = np.floor(ts / bin_width).astype(np.intp)
+        high = int(idx.max()) + 1
+        if high > counts.size:
+            try:
+                grown = np.zeros(max(high, 2 * counts.size), dtype=np.intp)
+            except (MemoryError, ValueError):  # ValueError: more than 2**63 bytes
+                raise ValidationError(
+                    f"last timestamp {last!r} needs {high} bins of {bin_width!r} s,"
+                    " more than memory holds"
+                ) from None
+            grown[: counts.size] = counts
+            counts = grown
+        np.add.at(counts, idx, 1)
+        n_bins = max(n_bins, high)
+    if not n_bins:
         raise ValidationError("cannot bin an empty trace: no capture duration")
-    last = float(trace.timestamps[-1])
-    if not last / bin_width + 1 < _MAX_BINS:
-        raise ValidationError(
-            f"last timestamp {last!r} needs {last / bin_width + 1:.4g} bins of"
-            f" {bin_width!r} s, more than an array index can address"
-        )
-    n_bins = math.floor(last / bin_width) + 1  # exact, as the last bin index below
-    idx = np.floor(trace.timestamps / bin_width).astype(np.intp)
-    try:
-        counts = np.bincount(idx, minlength=n_bins).astype(float)
-    except MemoryError:
-        raise ValidationError(
-            f"last timestamp {last!r} needs {n_bins} bins of {bin_width!r} s,"
-            " more than memory holds"
-        ) from None
-    return TimeSeries(values=counts, dt=float(bin_width), origin=0.0)
+    return TimeSeries(values=counts[:n_bins].astype(float), dt=float(bin_width), origin=0.0)
 
 
 def _iter_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
@@ -451,8 +506,8 @@ def write_series_csv(series: TimeSeries, dest: Source) -> None:
         stream.write(f"# scale_std={series.scale_std!r}\n")
         stream.write(f"# log1p={series.log1p}\n")
         stream.write("value\n")
-        for v in series.values:
-            stream.write(f"{float(v)!r}\n")
+        # A memoryview yields Python floats one at a time, building no list.
+        stream.writelines(f"{v!r}\n" for v in memoryview(series.values))
     finally:
         if owned:
             stream.close()

@@ -40,8 +40,8 @@ class TimeSeries:
             raise ValidationError("series must contain at least one sample")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("series values must be finite")
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
+        if not (isinstance(self.dt, (int, float)) and 0 < self.dt < math.inf):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.scale_mean) and 0 < self.scale_std < math.inf):
             raise ValidationError(
                 f"scale needs a finite mean and a positive finite std, got "

@@ -81,6 +81,30 @@ def load_packet_rows(text, filter_protocols=True, newline=""):
     return [t for t, _ in rows], [tag for _, tag in rows]
 
 
+def indexed_csv_loop(header, *columns):
+    """Row-by-row CSV of an index column and float columns, each value
+    written with ``repr``: ``header``, then ``i,x,y,...`` per row."""
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    for i in range(len(columns[0])):
+        buf.write(f"{i}," + ",".join(f"{float(col[i])!r}" for col in columns) + "\n")
+    return buf.getvalue()
+
+
+def series_values_loop(values):
+    """The value rows of a series CSV, one ``repr`` per line."""
+    return "".join(f"{float(v)!r}\n" for v in values)
+
+
+# Floats whose repr is easy to get wrong: signed zero, the shortest
+# exponent forms, the smallest subnormal, the largest float and integral
+# values.
+AWKWARD_FLOATS = [
+    -0.0, 0.0, 1e-05, 0.0001, 1e16, 1e15, 5e-324, 1.7976931348623157e308,
+    -1.7976931348623157e308, 3.0, -7.0, 2.0**53, 2.0**53 + 2, 0.1, 1 / 3,
+]
+
+
 def error_line(exc):
     """The ``line N`` a loader error names, or None."""
     found = re.search(r"line (\d+)", str(exc))

@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from trafficast import cli, evaluate
+from trafficast import cli, evaluate, ingest, kalman
 from trafficast.evaluate import inverse_transform
 from trafficast.ingest import load_series_csv, write_series_csv
 from trafficast.preprocess import pipeline
 from trafficast.rng import normal_stream
 from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
+
+import reference
 
 SUBCOMMANDS = ["ingest", "preprocess", "fit-arma", "predict-kf", "synth", "compare", "repro-paper"]
 
@@ -323,3 +325,70 @@ def test_predict_kf_names_a_bad_variance(tmp_path, capsys, flag, message):
             "--out", str(tmp_path / "kf.csv")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"trafficast: predict-kf: {message}\n"
+
+
+@pytest.mark.parametrize("flags, bin_width, filter_protocols", [
+    ([], 1.0, True),
+    (["--bin-width", "0.25", "--keep-all-protocols"], 0.25, False),
+    (["--bin-width", "7.3"], 7.3, True),
+])
+def test_ingest_writes_the_trace_path_series(tmp_path, capsys, flags, bin_width,
+                                             filter_protocols):
+    packets, rates, expected = (tmp_path / f for f in ("packets.csv", "rates.csv", "want.csv"))
+    write_packet_csv(packets, n=3000)
+    trace = ingest.load_packet_trace(packets, filter_protocols=filter_protocols)
+    series = ingest.bin_to_rate(trace, bin_width)
+    write_series_csv(series, expected)
+    assert cli.main(["ingest", "--input", str(packets), "--out", str(rates), *flags]) == 0
+    assert rates.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().out == (
+        f"{len(trace)} packets -> {len(series)} bins of {series.dt} s -> {rates}\n"
+    )
+
+
+def test_run_ingest_matches_the_trace_path(tmp_path, monkeypatch):
+    packets = tmp_path / "capture.csv"
+    write_packet_csv(packets, n=20_000)
+
+    def run(name):
+        config, outdir = tmp_path / f"{name}.cfg", tmp_path / name
+        config.write_text(
+            f"[run]\nseed = 3\noutdir = {outdir}\n\n"
+            f"[ingest]\ninputs = {packets}\nbin_width = 0.1\n\n"
+            "[predictors]\nspecs = arma:2,1 kf:0.01,0.01\n\n"
+            "[eval]\ntiming_reps = 1\n"
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        return [(outdir / f).read_bytes() for f in ("mse_grid.csv", "predictions_capture.csv")]
+
+    streamed = run("streamed")
+    monkeypatch.setattr(cli, "load_packet_rates", lambda path, bin_width: (
+        ingest.bin_to_rate(ingest.load_packet_trace(path), bin_width)
+    ))
+    assert run("traced") == streamed
+
+
+def test_infinite_bin_width_fails_with_one_line(tmp_path, capsys):
+    packets = tmp_path / "packets.csv"
+    write_packet_csv(packets)
+    rates = tmp_path / "rates.csv"
+    argv = ["ingest", "--input", str(packets), "--bin-width", "inf", "--out", str(rates)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "trafficast: ingest: bin_width must be positive and finite, got inf\n"
+    )
+    assert not rates.exists()
+
+
+def test_predict_kf_csv_matches_the_row_loop(tmp_path):
+    # Awkward values the filter tracks without overflowing.
+    values = np.array(reference.AWKWARD_FLOATS[:3] + [1.0, 2.5, -3.25e-7, 1e16])
+    data, out = tmp_path / "series.csv", tmp_path / "kf.csv"
+    write_series_csv(TimeSeries(values), data)
+    assert cli.main(["predict-kf", "--q", "0.01", "--r", "0.01",
+                     "--input", str(data), "--out", str(out)]) == 0
+    model, init = kalman.default_local_level(0.01, 0.01, x0=float(values[0]))
+    trace = kalman.predict_series(model, TimeSeries(values), init)
+    assert out.read_text() == reference.indexed_csv_loop(
+        "index,actual,predicted,gain", values, trace.predictions, trace.gain_series
+    )

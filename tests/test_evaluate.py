@@ -12,6 +12,8 @@ from trafficast.preprocess import pipeline
 from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
+import reference
+
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_tables.json"
 
 
@@ -211,6 +213,13 @@ class TestRendering:
         lines = text.splitlines()
         assert lines[0] == "index,actual,arma_pred,kf_pred"
         assert lines[1] == "0,1.0,0.5,0.9"
+
+    def test_prediction_csv_matches_the_row_loop(self):
+        values = reference.AWKWARD_FLOATS
+        columns = (values, values[::-1], np.array(values[1:] + values[:1]))
+        assert evaluate.render_prediction_csv(*columns) == reference.indexed_csv_loop(
+            "index,actual,arma_pred,kf_pred", *columns
+        )
 
     def test_negative_cells_rejected(self):
         with pytest.raises(ValidationError):

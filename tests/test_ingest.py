@@ -1,7 +1,9 @@
 import csv
 import io
 import itertools
+import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -15,6 +17,7 @@ from trafficast.errors import ParseError, TrafficastError, ValidationError
 from trafficast.ingest import (
     PacketTrace,
     bin_to_rate,
+    load_packet_rates,
     load_packet_trace,
     load_series_csv,
     write_series_csv,
@@ -146,6 +149,18 @@ def packet_csv_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
+def capture_lines(n, seed=5):
+    """Rows of an unsorted capture over 3000 s, one in five neither TCP nor UDP."""
+    times = 3000.0 * uniform_stream(seed=seed, n=n)
+    tags = itertools.cycle(["TCP", "UDP", "TCP", "ICMP", "udp"])
+    return [f"{t:.6f},{p}" for t, p in zip(times, tags)]
+
+
+@pytest.fixture(scope="module")
+def capture_rows():
+    return capture_lines(200_000)
+
+
 class TestChunkedLoader:
     """The chunked loader reads what the whole-text row scan reads."""
 
@@ -232,12 +247,6 @@ class TestChunkedLoader:
         )
         assert_matches_row_oracle(text, filter_protocols)
         assert not {raw.upper() for raw in mapped} & {"TCP", "UDP"}
-
-    @pytest.fixture(scope="class")
-    def capture_rows(self):
-        times = 3000.0 * uniform_stream(seed=5, n=200_000)
-        tags = itertools.cycle(["TCP", "UDP", "TCP", "ICMP", "udp"])
-        return [f"{t:.6f},{p}" for t, p in zip(times, tags)]
 
     def test_large_capture_matches_row_oracle(self, capture_rows):
         assert_matches_row_oracle("time,protocol\n" + "\n".join(capture_rows) + "\n")
@@ -356,6 +365,144 @@ class TestUnreadableInput:
             loader(stream)
 
 
+def assert_rates_match_trace_path(make_source, bin_width=1.0, filter_protocols=True):
+    """``load_packet_rates`` on a fresh ``make_source()`` gives the bits of
+    ``bin_to_rate(load_packet_trace(...))``, or the same error: class and
+    message, so a ``ParseError`` names the same line."""
+    try:
+        want = bin_to_rate(
+            load_packet_trace(make_source(), filter_protocols=filter_protocols), bin_width
+        )
+    except TrafficastError as exc:
+        with pytest.raises(TrafficastError) as raised:
+            load_packet_rates(make_source(), bin_width, filter_protocols)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+    else:
+        got = load_packet_rates(make_source(), bin_width, filter_protocols)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.dt, got.origin) == (want.dt, want.origin)
+
+
+class TestLoadPacketRates:
+    """Counting each chunk as it is read gives the trace path's series."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=packet_csv_texts(),
+        chunk=st.integers(min_value=1, max_value=80),
+        filter_protocols=st.booleans(),
+        newline=st.sampled_from(["", "\n"]),
+        bin_width=st.sampled_from([0.5, 1.0, 7.3]),
+    )
+    def test_matches_trace_path(self, text, chunk, filter_protocols, newline, bin_width):
+        def make_source():
+            return io.StringIO(text, newline=newline)
+
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            try:
+                trace = load_packet_trace(make_source(), filter_protocols=filter_protocols)
+            except TrafficastError:
+                # Times reach 1e7 s.  Bins this wide keep what is counted
+                # before the bad row to at most 2e4 bins.
+                bin_width *= 1e3
+            else:
+                # The same for the series itself: at most 1e5 bins.
+                while len(trace) and trace.timestamps[-1] / bin_width > 1e5:
+                    bin_width *= 10
+            assert_rates_match_trace_path(make_source, bin_width, filter_protocols)
+
+    @pytest.mark.parametrize(
+        "bad_row", ["12x.5,TCP", "nan,UDP", "-3.25,TCP", "17.5"],
+        ids=["bad-time", "nan", "negative", "short-row"],
+    )
+    def test_bad_row_deep_in_large_capture(self, capture_rows, bad_row):
+        rows = list(capture_rows)
+        rows[-7] = bad_row
+        text = "time,protocol\n" + "\n".join(rows) + "\n"
+        assert_rates_match_trace_path(lambda: io.StringIO(text))
+
+    def test_large_capture(self, capture_rows):
+        text = "time,protocol\n" + "\n".join(capture_rows) + "\n"
+        for filter_protocols, bin_width in [(True, 1.0), (False, 1e-3), (True, 7.3)]:
+            assert_rates_match_trace_path(
+                lambda: io.StringIO(text), bin_width, filter_protocols
+            )
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'time,protocol\n0.5,UDP\n\n1.0,"TCP\n' + b"2.0,TCP\n" * 30_000,
+            b"time,protocol\n0.5,TCP\n0.7,UDP\n1.0,caf\xe9\n2.0,TCP\n",
+            b"time,protocol\n0.5,TCP\n-1.0,UDP\n",
+            b"time,protocol\n0.5,ICMP\n1.5,other\n",
+            b"time,protocol\n",
+            b"time,protocol\n0.5,TCP\n1e300,UDP\n",
+            b"time,protocol\n0.5,TCP\n1e20,UDP\n",
+            b"time,protocol\n0.5,TCP\n1e18,UDP\n",
+            b"time,protocol\n0.5,TCP\n5e18,UDP\n",
+        ],
+        ids=[
+            "unterminated-quote", "latin1-byte", "negative", "all-filtered", "no-rows",
+            "beyond-index-range", "beyond-index-range-2", "beyond-memory",
+            "beyond-addressable-bytes",
+        ],
+    )
+    def test_single_fault_file_raises_as_trace_path(self, tmp_path, data):
+        path = tmp_path / "packets.csv"
+        path.write_bytes(data)
+        assert_rates_match_trace_path(lambda: path)
+
+    def test_errors_come_in_file_order(self, monkeypatch):
+        # The trace path parses every row before it bins; the streaming
+        # path bins each chunk before it reads the next.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 16)
+        text = "time,protocol\n1e300,TCP\n" + "0.5,UDP\n" * 10 + "oops,TCP\n"
+        with pytest.raises(ParseError, match="^line 13: invalid time value 'oops'"):
+            load_packet_trace(io.StringIO(text))
+        with pytest.raises(ValidationError, match="^last timestamp 1e\\+300 needs"):
+            load_packet_rates(io.StringIO(text))
+
+    @pytest.mark.parametrize("bin_width", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_width_rejected(self, bin_width):
+        with pytest.raises(
+            ValidationError, match=f"^bin_width must be positive and finite, got {bin_width}$"
+        ):
+            load_packet_rates(io.StringIO("time,protocol\n0.5,TCP\n"), bin_width)
+
+    def test_closes_the_file_on_a_binning_error(self, tmp_path, monkeypatch):
+        opened = []
+        open_text = ingest._open_text
+        monkeypatch.setattr(
+            ingest, "_open_text", lambda source: opened.append(open_text(source)) or opened[-1]
+        )
+        path = tmp_path / "packets.csv"
+        path.write_text("time,protocol\n1e300,TCP\n0.5,UDP\n")
+        # The raised error's traceback keeps the reading frame alive.
+        with pytest.raises(ValidationError) as raised:
+            load_packet_rates(path)
+        [(stream, owned)] = opened
+        assert owned and stream.closed
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        # Chunks of 16 KiB: a few hundred rows each.  Ten times the rows
+        # must not raise the peak of traced allocations; holding every
+        # chunk's times before binning raises it about fivefold.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1 << 14)
+        peaks = []
+        for n in (5_000, 50_000):
+            path = tmp_path / f"capture-{n}.csv"
+            path.write_text("time,protocol\n" + "\n".join(capture_lines(n)) + "\n")
+            tracemalloc.start()
+            try:
+                series = load_packet_rates(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert series.values.sum() == n - n // 5
+        assert peaks[1] < 1.2 * peaks[0]
+
+
 class TestPacketTrace:
     @pytest.mark.parametrize(
         "timestamps",
@@ -408,6 +555,20 @@ class TestBinToRate:
         with pytest.raises(ValidationError):
             bin_to_rate(trace, 0.0)
 
+    @pytest.mark.parametrize("bin_width", [math.inf, math.nan])
+    def test_non_finite_width_rejected(self, bin_width):
+        trace = PacketTrace(np.array([0.0, 5.0]), ("TCP", "UDP"))
+        with pytest.raises(
+            ValidationError, match=f"^bin_width must be positive and finite, got {bin_width}$"
+        ):
+            bin_to_rate(trace, bin_width)
+
+    def test_timestamp_beyond_addressable_bytes_rejected(self):
+        # 5e18 eight-byte counts pass the index check but overflow a byte size.
+        trace = PacketTrace(np.array([0.5, 5e18]), ("TCP", "TCP"))
+        with pytest.raises(ValidationError, match="5000000000000000001 bins.*memory"):
+            bin_to_rate(trace, 1.0)
+
     @settings(max_examples=60, deadline=None)
     @given(
         times=st.lists(
@@ -451,6 +612,19 @@ class TestSeriesCsv:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             load_series_csv(io.StringIO(""))
+
+    def test_non_finite_dt_rejected(self):
+        with pytest.raises(ValidationError, match="^dt must be positive and finite, got inf$"):
+            load_series_csv(io.StringIO("# dt=inf\nvalue\n1\n2\n"))
+
+    def test_values_written_as_the_row_loop_writes_them(self):
+        values = reference.AWKWARD_FLOATS
+        buf = io.StringIO()
+        write_series_csv(TimeSeries(np.array(values)), buf)
+        assert buf.getvalue().endswith("value\n" + reference.series_values_loop(values))
+        assert load_series_csv(io.StringIO(buf.getvalue())).values.tobytes() == (
+            np.array(values).tobytes()
+        )
 
     def test_round_trip_is_exact(self):
         values = np.array([1 / 3, np.pi, 1e-17, 12345.678901234567, 0.1])
