@@ -28,6 +28,7 @@ grow geometrically, as they always did in the step-by-step recursion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,16 +135,41 @@ class FitDiagnostics:
         object.__setattr__(self, "residuals", resid)
 
 
-def _lagged_columns(x: np.ndarray, lags: int, start: int) -> np.ndarray:
-    """Design-matrix columns x[t-1], ..., x[t-lags] for t in [start, len(x))."""
-    return np.column_stack([x[start - j : x.size - j] for j in range(1, lags + 1)])
+def _lagged_columns(x: np.ndarray, lags: int, start: int) -> list[np.ndarray]:
+    """Regressor views x[t-1], ..., x[t-lags] for t in [start, len(x))."""
+    return [x[start - j : x.size - j] for j in range(1, lags + 1)]
 
 
-def _solve_ls(X: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
+def _solve_ls(
+    cols: list[np.ndarray], y: np.ndarray, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of ``y`` on the columns through their normal equations.
+
+    Each Gram entry is one elementwise product summed by numpy, so no
+    (n, k) matrix is built and no BLAS call touches the data.  The Gram
+    matrix is scaled to unit diagonal; it counts as singular when a column
+    is all zero or when its smallest eigenvalue is within ``k * n`` units
+    of rounding of its largest, about the rounding error of the sums.  The
+    one small eigendecomposition gives both that test and the solution.
+    """
+    k, rows = len(cols), y.size
+    gram = np.empty((k, k))
+    rhs = np.empty(k)
+    for i, ci in enumerate(cols):
+        for j in range(i, k):
+            gram[i, j] = gram[j, i] = np.sum(ci * cols[j])
+        rhs[i] = np.sum(ci * y)
+    norms = np.sqrt(np.diag(gram))
+    if not np.all(norms > 0):
         raise FitError(f"singular regression matrix in {what}")
-    return coef, y - X @ coef
+    lam, vec = np.linalg.eigh(gram / np.outer(norms, norms))
+    if lam[0] <= k * rows * np.finfo(float).eps * lam[-1]:
+        raise FitError(f"singular regression matrix in {what}")
+    coef = vec @ ((vec.T @ (rhs / norms)) / lam) / norms
+    resid = y - coef[0] * cols[0]
+    for c, col in zip(coef[1:], cols[1:]):
+        resid -= c * col
+    return coef, resid
 
 
 def fit(
@@ -169,17 +195,20 @@ def fit(
             f"need at least {10 * (p + q + 1)} samples"
         )
 
+    # Fit a copy scaled by a power of two to a peak in [0.5, 1), so that no
+    # Gram sum overflows or underflows.  The scaling is exact: the
+    # coefficients are those of the raw series.
+    exp = int(np.frexp(np.max(np.abs(x)))[1])
+    x = np.ldexp(x, -exp)
+
     m = max(20, 2 * (p + q))
     if n - m < m:
         raise FitError(
             f"series of length {n} is too short for the long-autoregression "
             f"stage (order {m})"
         )
-    long_coef, long_resid = _solve_ls(
-        _lagged_columns(x, m, m), x[m:], "long autoregression"
-    )
-    eps = np.zeros(n)
-    eps[m:] = long_resid  # innovations are only identified from index m on
+    eps = np.zeros(n)  # innovations are only identified from index m on
+    eps[m:] = _solve_ls(_lagged_columns(x, m, m), x[m:], "long autoregression")[1]
 
     # The regression sample starts where both the p value-lags and the q
     # innovation-lags exist; the same window is used even for q = 0 so that
@@ -187,23 +216,16 @@ def fit(
     t0 = max(p, m + q)
     if n - t0 < p + q + 1:
         raise FitError(f"only {n - t0} usable rows after burn-in; need {p + q + 1}")
-    blocks = []
-    if p:
-        blocks.append(_lagged_columns(x, p, t0))
-    if q:
-        blocks.append(_lagged_columns(eps, q, t0))
-    X = np.hstack(blocks)
-    coef, resid = _solve_ls(X, x[t0:], f"ARMA({p},{q}) regression")
+    cols = _lagged_columns(x, p, t0) + _lagged_columns(eps, q, t0)
+    coef, resid = _solve_ls(cols, x[t0:], f"ARMA({p},{q}) regression")
 
-    model = ArmaModel(
-        p=p,
-        q=q,
-        theta=coef[:p],
-        phi=coef[p:],
-        sigma2=float(np.mean(resid**2)),
-    )
+    try:
+        sigma2 = math.ldexp(float(np.mean(resid**2)), 2 * exp)
+    except OverflowError:
+        raise FitError(f"innovation variance of ARMA({p},{q}) overflows") from None
+    model = ArmaModel(p=p, q=q, theta=coef[:p], phi=coef[p:], sigma2=sigma2)
     diagnostics = FitDiagnostics(
-        residuals=resid,
+        residuals=np.ldexp(resid, exp),
         ar_stationary=model.is_stationary,
         ma_invertible=model.is_invertible,
     )

@@ -21,8 +21,8 @@ from .evaluate import (
     compare,
     grid_csv,
     parse_predictor,
-    render_prediction_csv,
     render_report,
+    write_prediction_csv,
 )
 from .ingest import load_packet_rates, load_series_csv, write_series_csv
 from .preprocess import PreprocessConfig, pipeline, pipeline_with_stages
@@ -206,10 +206,9 @@ def _write_prediction_csvs(config, datasets, report, outdir: Path) -> None:
         arma_pred, kf_pred = row[arma_col], row[kf_col]
         if arma_pred is None or kf_pred is None:
             continue
-        (outdir / f"predictions_{label}.csv").write_text(
-            render_prediction_csv(series.values, arma_pred, kf_pred),
-            encoding="utf-8",
-        )
+        path = outdir / f"predictions_{label}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            write_prediction_csv(series.values, arma_pred, kf_pred, stream)
 
 
 def repro_config(seed: int, outdir: Path, timing_repetitions: int = 3) -> RunConfig:

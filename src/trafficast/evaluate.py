@@ -114,7 +114,11 @@ def time_predictor(task: Callable[[], object], repetitions: int = 3) -> float:
         start = time.perf_counter()
         task()
         times.append(time.perf_counter() - start)
-    return float(np.median(times))
+    # By hand: np.median imports numpy.ma and statistics imports fractions,
+    # a cost that every CLI process would pay once.
+    times.sort()
+    mid = len(times) // 2
+    return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
 
 
 def describe_environment() -> str:
@@ -295,19 +299,25 @@ def grid_csv(report: EvalReport, grid: list[list[Cell]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_prediction_csv(actual, arma_pred, kf_pred) -> str:
-    """Plot-ready columns: index, actual, arma_pred, kf_pred."""
+def write_prediction_csv(actual, arma_pred, kf_pred, dest: IO[str]) -> None:
+    """Write plot-ready columns to a text stream, one row at a time:
+    index, actual, arma_pred, kf_pred."""
     a = np.asarray(actual, dtype=float)
     ap = np.asarray(arma_pred, dtype=float)
     kp = np.asarray(kf_pred, dtype=float)
     if not (a.size == ap.size == kp.size):
         raise ValidationError("prediction columns must have equal length")
-    buf = io.StringIO()
-    buf.write("index,actual,arma_pred,kf_pred\n")
+    dest.write("index,actual,arma_pred,kf_pred\n")
     # A memoryview yields each value as a Python float, whose repr is the
     # value's shortest round-trip digits, without a list per column.
     rows = enumerate(zip(memoryview(a), memoryview(ap), memoryview(kp)))
-    buf.writelines(f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in rows)
+    dest.writelines(f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in rows)
+
+
+def render_prediction_csv(actual, arma_pred, kf_pred) -> str:
+    """Render the prediction columns to text (same format as ``write_prediction_csv``)."""
+    buf = io.StringIO()
+    write_prediction_csv(actual, arma_pred, kf_pred, buf)
     return buf.getvalue()
 
 

@@ -339,3 +339,33 @@ def conjugate_pair(low, high):
 # amplified by up to the impulse response's l1 norm, so tests scale the
 # tolerance by that gain there.
 stable_roots = real_roots(1.3, 6.0)
+
+
+def arma_fit_lstsq(x, p, q):
+    """Hannan-Rissanen ARMA(p, q) fit through dense design matrices and
+    ``np.linalg.lstsq``: the route ``arma.fit`` took before its normal
+    equations.  Returns (theta, phi, sigma2, residuals, lam_min), where
+    ``lam_min`` is the smallest eigenvalue over both stages of the
+    regressors' Gram matrix scaled to unit diagonal."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    m = max(20, 2 * (p + q))
+
+    def lags(v, count, start):
+        return np.column_stack([v[start - j : n - j] for j in range(1, count + 1)])
+
+    def solve(X, y):
+        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        assert rank == X.shape[1], "singular regression matrix"
+        gram = X.T @ X
+        norms = np.sqrt(np.diag(gram))
+        lam = np.linalg.eigvalsh(gram / np.outer(norms, norms))
+        return coef, y - X @ coef, lam[0]
+
+    _, long_resid, lam_long = solve(lags(x, m, m), x[m:])
+    eps = np.zeros(n)
+    eps[m:] = long_resid
+    t0 = max(p, m + q)
+    blocks = ([lags(x, p, t0)] if p else []) + ([lags(eps, q, t0)] if q else [])
+    coef, resid, lam = solve(np.hstack(blocks), x[t0:])
+    return coef[:p], coef[p:], float(np.mean(resid**2)), resid, min(lam_long, lam)

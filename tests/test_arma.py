@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,6 +201,103 @@ class TestFit:
         assert model.theta[0] > 1.0
         assert not diag.ar_stationary
         assert not model.is_stationary
+
+
+class TestFitAgainstLstsq:
+    """``fit`` against the dense-matrix ``lstsq`` route it replaced
+    (``tests/reference.py``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ar_roots=reference.stable_roots,
+        ma_roots=reference.real_roots(0.5, 6.0, max_size=2),
+        orders=st.sampled_from([(p, q) for p in range(4) for q in range(3) if p + q]),
+        n=st.integers(200, 20000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lstsq(self, ar_roots, ma_roots, orders, n, seed):
+        p, q = orders
+        theta = -reference.poly_from_roots(ar_roots)
+        phi = reference.poly_from_roots(ma_roots)
+        true = arma.ArmaModel(p=theta.size, q=phi.size, theta=theta, phi=phi, sigma2=1.0)
+        x = arma.simulate(true, n, seed).values
+        model, diag = arma.fit(x, p, q)
+        want_theta, want_phi, want_sigma2, want_resid, lam_min = reference.arma_fit_lstsq(
+            x, p, q
+        )
+        # Normal equations lose digits as the scaled Gram matrix nears
+        # singularity, so the bound grows as its smallest eigenvalue shrinks.
+        tol = 1e-12 * max(1.0, 1e-3 / lam_min)
+        want = np.concatenate([want_theta, want_phi])
+        got = np.concatenate([model.theta, model.phi])
+        assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+        assert abs(model.sigma2 - want_sigma2) <= tol * want_sigma2
+        assert np.max(np.abs(diag.residuals - want_resid)) <= tol * np.max(np.abs(x))
+
+
+class TestRankRule:
+    def test_all_zero_series_is_singular_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(arma.FitError, match="^singular regression matrix in "):
+                arma.fit(np.zeros(500), 2, 1)
+
+    @pytest.mark.parametrize("factor, singular", [(4.0, False), (0.25, True)])
+    def test_near_duplicate_column_against_the_threshold(self, factor, singular):
+        # Columns a and a + delta * b with a, b orthonormal: the scaled Gram
+        # matrix [[1, c], [c, 1]] with c = 1 / sqrt(1 + delta^2) has
+        # lam_min / lam_max = (1 - c) / (1 + c), about delta^2 / 4.
+        rows, k = 1000, 2
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=rows)
+        b = rng.normal(size=rows)
+        a /= np.sqrt(np.sum(a * a))
+        b -= np.sum(a * b) * a
+        b /= np.sqrt(np.sum(b * b))
+        threshold = k * rows * np.finfo(float).eps
+        delta = 2.0 * np.sqrt(factor * threshold)
+        y = a + rng.normal(size=rows)
+        cols = [a, a + delta * b]
+        if singular:
+            with pytest.raises(arma.FitError, match="^singular regression matrix in test$"):
+                arma._solve_ls(cols, y, "test")
+        else:
+            coef, resid = arma._solve_ls(cols, y, "test")
+            assert np.all(np.isfinite(coef)) and resid.shape == y.shape
+
+    @pytest.mark.parametrize("exp", [-600, 510])
+    def test_power_of_two_scale_gives_the_same_fit(self, exp):
+        # Unscaled, the Gram sums would underflow to zero (2**-600) or
+        # overflow (2**510) here.
+        true = arma.ArmaModel(p=2, q=1, theta=[0.6, -0.2], phi=[0.3], sigma2=1.0)
+        x = arma.simulate(true, 2000, seed=5).values
+        model, diag = arma.fit(x, 2, 1)
+        scaled, scaled_diag = arma.fit(np.ldexp(x, exp), 2, 1)
+        assert scaled.theta.tolist() == model.theta.tolist()
+        assert scaled.phi.tolist() == model.phi.tolist()
+        assert scaled.sigma2 == math.ldexp(model.sigma2, 2 * exp)
+        assert scaled_diag.residuals.tolist() == np.ldexp(diag.residuals, exp).tolist()
+
+    def test_overflowing_innovation_variance_is_a_fit_error(self):
+        x = np.ldexp(normal_stream(1, 2000), 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(arma.FitError, match="innovation variance .* overflows"):
+                arma.fit(x, 2, 1)
+
+
+def test_fit_memory_stays_below_eight_columns():
+    # A dense design matrix for the order-20 long autoregression alone
+    # would hold 20 columns; the fit keeps a few series-length vectors.
+    n = 200_000
+    x = np.random.default_rng(0).normal(size=n)
+    tracemalloc.start()
+    try:
+        arma.fit(x, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 8
 
 
 class TestScanAgainstLoop:

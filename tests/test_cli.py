@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,3 +396,21 @@ def test_predict_kf_csv_matches_the_row_loop(tmp_path):
     assert out.read_text() == reference.indexed_csv_loop(
         "index,actual,predicted,gain", values, trace.predictions, trace.gain_series
     )
+
+
+def test_repro_paper_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on first use, about 15 ms of every run;
+    # statistics.median would import fractions at startup instead.
+    code = (
+        "import sys\n"
+        "from trafficast import cli\n"
+        f"assert cli.main(['repro-paper', '--timing-reps', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print([name for name in ('numpy.ma', 'statistics') if name in sys.modules])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,16 @@ class TestMse:
 class TestTiming:
     def test_noop_task_is_fast(self):
         assert evaluate.time_predictor(lambda: None) < 1e-3
+
+    @pytest.mark.parametrize(
+        "durations, median",
+        [([5.0], 5.0), ([1.0, 4.0], 2.5), ([3.0, 1.0, 2.0], 2.0)],
+    )
+    def test_median_of_the_repetitions(self, monkeypatch, durations, median):
+        clock = iter(np.cumsum([0.0] + [d for dur in durations for d in (dur, 0.0)]))
+        monkeypatch.setattr(evaluate.time, "perf_counter", lambda: float(next(clock)))
+        got = evaluate.time_predictor(lambda: None, repetitions=len(durations))
+        assert type(got) is float and got == median
 
     def test_kf_run_records_positive_time(self):
         series = small_dataset(n=5000)
@@ -220,6 +231,26 @@ class TestRendering:
         assert evaluate.render_prediction_csv(*columns) == reference.indexed_csv_loop(
             "index,actual,arma_pred,kf_pred", *columns
         )
+
+    def test_prediction_csv_written_to_a_path_matches_the_text(self, tmp_path):
+        columns = ([1.0, -0.0, 1e-300], [0.1, 2.5, 3.0], [7.0, 8.0, 9.0])
+        path = tmp_path / "predictions.csv"
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            evaluate.write_prediction_csv(*columns, stream)
+        assert path.read_bytes() == evaluate.render_prediction_csv(*columns).encode("utf-8")
+
+    def test_prediction_csv_streams_to_a_file(self, tmp_path):
+        peaks = []
+        for n in (5_000, 50_000):
+            columns = np.random.default_rng(n).normal(size=(3, n))
+            with open(tmp_path / f"predictions-{n}.csv", "w", encoding="utf-8") as stream:
+                tracemalloc.start()
+                try:
+                    evaluate.write_prediction_csv(*columns, stream)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
 
     def test_negative_cells_rejected(self):
         with pytest.raises(ValidationError):
