@@ -9,7 +9,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__, arma, kalman
 from .errors import ConfigError, PipelineError, TrafficastError, ValidationError
 from .evaluate import (
+    REPORT_FORMATS,
     PredictorSpec,
     compare,
     grid_csv,
@@ -82,17 +83,7 @@ def load_run_config(path: Path) -> RunConfig:
                 seed=cfg.seed,
             )
             cfg.synth_specs = [
-                (
-                    label,
-                    SeasonalSpec(
-                        n=base.n,
-                        period=base.period,
-                        amplitude=base.amplitude,
-                        base_rate=base.base_rate,
-                        noise_std=base.noise_std,
-                        seed=derive_seed(cfg.seed, f"dataset-{label}"),
-                    ),
-                )
+                (label, replace(base, seed=derive_seed(cfg.seed, f"dataset-{label}")))
                 for label in labels
             ]
         if parser.has_section("ingest"):
@@ -114,6 +105,10 @@ def load_run_config(path: Path) -> RunConfig:
         if parser.has_section("eval"):
             sec = parser["eval"]
             cfg.report_format = sec.get("format", cfg.report_format)
+            if cfg.report_format not in REPORT_FORMATS:
+                raise ValidationError(
+                    f"unknown report format {cfg.report_format!r}; use one of {REPORT_FORMATS}"
+                )
             cfg.report_name = sec.get("out", cfg.report_name)
             cfg.timing_repetitions = sec.getint("timing_reps", cfg.timing_repetitions)
             if cfg.timing_repetitions < 1:

@@ -76,10 +76,12 @@ def parse_predictor(text: str) -> PredictorSpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     parts = [s.strip() for s in rest.split(",") if s.strip()]
-    if kind == "arma" and len(parts) == 2:
-        return PredictorSpec(kind="arma", params=(int(parts[0]), int(parts[1])))
-    if kind == "kf" and len(parts) == 2:
-        return PredictorSpec(kind="kf", params=(float(parts[0]), float(parts[1])))
+    number = {"arma": int, "kf": float}.get(kind)
+    if number is not None and len(parts) == 2:
+        try:
+            return PredictorSpec(kind=kind, params=(number(parts[0]), number(parts[1])))
+        except ValueError:
+            pass
     raise ValidationError(
         f"cannot parse predictor {text!r}; expected arma:p,q or kf:q,r"
     )
@@ -172,7 +174,6 @@ def compare(
     datasets: Sequence[tuple[str, TimeSeries]],
     predictors: Sequence[PredictorSpec],
     timing_repetitions: int = 3,
-    environment: str | None = None,
 ) -> EvalReport:
     """Fill both grids, one (dataset, predictor) cell at a time.
 
@@ -210,7 +211,7 @@ def compare(
         predictors=[spec.label for spec in predictors],
         mse_grid=mse_grid,
         time_grid=time_grid,
-        environment=environment if environment is not None else describe_environment(),
+        environment=describe_environment(),
         predictions=predictions_grid,
     )
 

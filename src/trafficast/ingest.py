@@ -103,15 +103,12 @@ def _canonical_protocol(raw: str) -> str:
     return tag if tag in _KNOWN_PROTOCOLS else "other"
 
 
-def load_packet_trace(
-    source: Source,
-    fmt: str = "timestamp-csv",
-    filter_protocols: bool = True,
-) -> PacketTrace:
+def load_packet_trace(source: Source, *, filter_protocols: bool = True) -> PacketTrace:
     """Load a packet trace from a ``time,protocol`` CSV.
 
-    Rows with protocols other than TCP/UDP are dropped unless
-    ``filter_protocols`` is False.  Timestamps are sorted on load.
+    Rows with protocols other than TCP/UDP are dropped unless the
+    keyword-only ``filter_protocols`` is False.  Timestamps are sorted on
+    load.
 
     The body is read in chunks of about 256 KB that end at a line end.  A
     chunk of plain rows is parsed column-wise: ``np.loadtxt`` reads the
@@ -120,8 +117,6 @@ def load_packet_trace(
     row scan, which alone decides what else is accepted and which line an
     error names.
     """
-    if fmt != "timestamp-csv":
-        raise ValidationError(f"unknown packet trace format {fmt!r}")
     times: list[np.ndarray] = []
     codes: list[np.ndarray] = []
     for chunk_t, chunk_c in _read_chunks(source):
@@ -511,10 +506,3 @@ def write_series_csv(series: TimeSeries, dest: Source) -> None:
     finally:
         if owned:
             stream.close()
-
-
-def series_csv_text(series: TimeSeries) -> str:
-    """Render a series to CSV text (same format as ``write_series_csv``)."""
-    buf = io.StringIO()
-    write_series_csv(series, buf)
-    return buf.getvalue()

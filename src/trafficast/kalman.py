@@ -108,8 +108,10 @@ def predict_series(
     """One-step-ahead filtering pass over a measurement series.
 
     For each sample the prior prediction ``h x-`` is recorded, then the
-    sample is folded in.  Single pass; the carried state is O(1) in the
-    series length.
+    sample is folded in.  One loop runs the recursion until the posterior
+    variance repeats; the gain is fixed from then on, so one first-order
+    scan gives the remaining predictions.  Gains and posterior variances
+    come back with shape (n, 1, 1).
     """
     z = values_of(series)
     if z.ndim != 1 or z.size == 0:
@@ -121,41 +123,36 @@ def predict_series(
     # The gain/covariance recursion never looks at the data, and it reaches
     # its floating-point fixed point after a few dozen steps; once two
     # consecutive posteriors are bit-identical every later value repeats, so
-    # the tail can be filled without iterating further.
+    # the loop stops there and the scan below finishes the series.
     gains = np.empty(n)
     covs = np.empty(n)
+    head: list[float] = []
     p_prev = None
     settled = n
-    for i in range(n):
+    for i, zi in enumerate(memoryview(z)):
+        xp = a * x
         pp = a * p * a + q
         s = h * pp * h + r
         if not s > 0.0:
             raise FilterError("singular innovation covariance")
         k = pp * h / s
+        pred = h * xp
+        x = xp + k * (zi - pred)
         p = (1.0 - k * h) * pp
         gains[i] = k
         covs[i] = p
+        head.append(pred)
         if p == p_prev:
             settled = i + 1
             break
         p_prev = p
-    if settled < n:
-        gains[settled:] = gains[settled - 1]
-        covs[settled:] = covs[settled - 1]
-
-    head: list[float] = []
-    record = head.append
-    for zi, k in zip(z[:settled].tolist(), gains[:settled].tolist()):
-        xp = a * x
-        pred = h * xp
-        x = xp + k * (zi - pred)
-        record(pred)
+    gains[settled:] = k
+    covs[settled:] = p
     tail = np.empty(0)
     if settled < n:
         # With the gain fixed at k the update is x_t = c x_{t-1} + k z_t for
         # c = a(1 - kh), so the predictions h a x_{t-1} obey
         # pred_t = c pred_{t-1} + h a k z_{t-1}, from pred_settled = h a x.
-        k = float(gains[settled - 1])
         drive = (h * a * k) * z[settled - 1 : n - 1]
         drive[0] = h * (a * x)
         tail = linear_recurrence(drive, [-(a * (1.0 - k * h))])

@@ -1,0 +1,46 @@
+"""The program API that ``perfbench`` reads, used the way it uses it.
+
+``perfbench/tracer.py`` wraps module attributes and reads
+``PredictionTrace.gains`` as (n, 1, 1); ``perfbench/sweep.py`` calls the
+per-packet ingest path and ``render_prediction_csv``.  A change that would
+leave the benchmark blind or broken fails here instead.
+"""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from trafficast import cli, evaluate, ingest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_metrics_of_a_repro_run(tmp_path):
+    tracer = load_perfbench("tracer")
+    recorder = tracer.Tracer("test")
+    recorder.install()
+    try:
+        assert cli.main(["repro-paper", "--timing-reps", "1", "--out", str(tmp_path)]) == 0
+    finally:
+        recorder.uninstall()
+    metrics = tracer.layer_metrics(recorder.spans_out())
+    assert metrics["kalman.settle_step"] > 0
+    # 5 datasets x 5 ARMA predictors, one timed run each.
+    assert metrics["arma.fit.calls"] == 25
+
+
+def test_sweep_layer_calls(tmp_path):
+    packets = tmp_path / "packets.csv"
+    packets.write_text("time,protocol\n0.5,TCP\n1.2,UDP\n1.7,ICMP\n2.1,TCP\n")
+    rates = ingest.bin_to_rate(ingest.load_packet_trace(str(packets)))
+    assert rates.values.tolist() == [1.0, 1.0, 1.0]
+    actual = np.array([1.0, 2.0])
+    text = evaluate.render_prediction_csv(actual, actual + 0.5, actual - 0.5)
+    assert text.splitlines()[1:] == ["0,1.0,1.5,0.5", "1,2.0,2.5,1.5"]

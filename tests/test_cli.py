@@ -129,6 +129,15 @@ def test_compare_writes_report(tmp_path):
     assert "| a |" in text and "| b |" in text
 
 
+@pytest.mark.parametrize("spec", ["arma:x,1", "arma:1.5,1", "kf:0.01,x"])
+def test_compare_bad_predictor_fails_with_one_line(tmp_path, capsys, spec):
+    series = tmp_path / "s.csv"
+    write_series_csv(TimeSeries(np.arange(50.0)), series)
+    assert cli.main(["compare", "--datasets", str(series), "--predictors", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trafficast: compare: cannot parse predictor") and err.count("\n") == 1
+
+
 def test_run_with_config_file(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -303,6 +312,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     config.write_text("[run]\nseed = not_an_int\n\n[synth]\ndatasets = A\n")
     assert cli.main(["run", "--config", str(config)]) == 2
     assert "config" in capsys.readouterr().err
+
+
+def test_unknown_report_format_in_config_exits_2_before_any_work(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\ndatasets = A\n\n[eval]\nformat = xml\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "'xml'" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_config_without_sources_rejected(tmp_path, capsys):

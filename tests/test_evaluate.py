@@ -100,9 +100,11 @@ class TestPredictorSpec:
     def test_non_default_kf_label(self):
         assert evaluate.PredictorSpec("kf", (0.02, 0.01)).label == "KF(0.02,0.01)"
 
-    @pytest.mark.parametrize("text", ["arma:2", "svm:1,2", "kf:", "arma:a,b"])
+    @pytest.mark.parametrize(
+        "text", ["arma:2", "svm:1,2", "kf:", "arma:a,b", "arma:1.5,1", "kf:0.01,x"]
+    )
     def test_parse_errors(self, text):
-        with pytest.raises((ValidationError, ValueError)):
+        with pytest.raises(ValidationError, match="^cannot parse predictor"):
             evaluate.parse_predictor(text)
 
 

@@ -67,9 +67,10 @@ class TestLoadPacketTrace:
         with pytest.raises(ParseError, match="line 1"):
             load_packet_trace(io.StringIO("a,b\n1,TCP\n"))
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValidationError):
-            load_packet_trace(packet_csv([]), fmt="pcap")
+    def test_filter_flag_is_keyword_only(self):
+        # A positional second argument would be read as the filter flag.
+        with pytest.raises(TypeError):
+            load_packet_trace(packet_csv([]), False)
 
 
 def assert_matches_row_oracle(text, filter_protocols=True, newline=""):

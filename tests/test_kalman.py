@@ -286,6 +286,11 @@ def assert_matches_loop(a, h, q, r, x0, p0, z):
     model = kalman.StateSpaceModel(a=a, h=h, q=q, r=r)
     trace = kalman.predict_series(model, z, kalman.KalmanState(x=x0, p=p0))
     preds, gains, covs = reference.scalar_kalman_loop(a, h, q, r, x0, p0, z)
+    # Up to the settle step (first repeat + 2, as in settle_length) the
+    # filter runs the loop's own arithmetic, so those predictions are exact.
+    repeats = np.nonzero(covs[1:] == covs[:-1])[0]
+    settled = int(repeats[0]) + 2 if repeats.size else len(z)
+    assert trace.predictions[:settled].tolist() == preds[:settled].tolist()
     scale = max(1.0, float(np.max(np.abs(preds))))
     assert float(np.max(np.abs(trace.predictions - preds))) <= 1e-12 * scale
     assert trace.gain_series.tolist() == gains.tolist()
