@@ -172,6 +172,12 @@ def _solve_ls(
     return coef, resid
 
 
+def check_order(p: int, q: int) -> None:
+    """Reject orders no ARMA model can be fit with."""
+    if p < 0 or q < 0 or p + q < 1:
+        raise ValidationError("need p >= 0, q >= 0 and p + q >= 1")
+
+
 def fit(
     series: TimeSeries | np.ndarray, p: int, q: int
 ) -> tuple[ArmaModel, FitDiagnostics]:
@@ -186,8 +192,7 @@ def fit(
     as a huge MSE.
     """
     x = values_of(series)
-    if p < 0 or q < 0 or p + q < 1:
-        raise ValidationError("need p >= 0, q >= 0 and p + q >= 1")
+    check_order(p, q)
     n = x.size
     if n < 10 * (p + q + 1):
         raise ValidationError(

@@ -26,7 +26,7 @@ from .evaluate import (
     write_prediction_csv,
 )
 from .ingest import load_packet_rates, load_series_csv, write_series_csv
-from .preprocess import PreprocessConfig, pipeline, pipeline_with_stages
+from .preprocess import SCALE_MODES, PreprocessConfig, pipeline_with_stages
 from .rng import derive_seed
 from .series import TimeSeries
 from .synth import SeasonalSpec, gen_seasonal_traffic
@@ -45,7 +45,12 @@ REPRO_DATASETS = (
 
 @dataclass
 class RunConfig:
-    """End-to-end run description assembled from a config file or presets."""
+    """End-to-end run description assembled from a config file or presets.
+
+    Each synthetic dataset is generated with the seed
+    ``derive_seed(seed, "dataset-<label>")``, derived when the run starts;
+    the ``seed`` field of a ``synth_specs`` entry is not used.
+    """
 
     seed: int = 42
     outdir: Path = Path("out")
@@ -53,7 +58,9 @@ class RunConfig:
     ingest_inputs: list[Path] = field(default_factory=list)
     bin_width: float = 1.0
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    predictors: list[PredictorSpec] = field(default_factory=list)
+    predictors: list[PredictorSpec] = field(
+        default_factory=lambda: [parse_predictor(s) for s in DEFAULT_PREDICTOR_GRID]
+    )
     report_format: str = "markdown"
     report_name: str = "report.md"
     timing_repetitions: int = 3
@@ -61,46 +68,41 @@ class RunConfig:
 
 
 def load_run_config(path: Path) -> RunConfig:
+    """Read a run config file; keys absent from a section keep the defaults
+    of ``RunConfig``, ``SeasonalSpec`` and ``PreprocessConfig``."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    cfg = RunConfig()
     try:
-        cfg = RunConfig()
+        read = parser.read(path)
         if parser.has_section("run"):
             run = parser["run"]
             cfg.seed = run.getint("seed", cfg.seed)
-            cfg.outdir = Path(run.get("outdir", str(cfg.outdir)))
+            cfg.outdir = Path(run.get("outdir", cfg.outdir))
         if parser.has_section("synth"):
             sec = parser["synth"]
-            labels = sec.get("datasets", "A").split()
-            base = SeasonalSpec(
-                n=sec.getint("n", 5000),
-                period=sec.getint("period", 60),
-                amplitude=sec.getfloat("amplitude", 20.0),
-                base_rate=sec.getfloat("base_rate", 50.0),
-                noise_std=sec.getfloat("noise_std", 5.0),
-                seed=cfg.seed,
+            spec = SeasonalSpec(
+                n=sec.getint("n", SeasonalSpec.n),
+                period=sec.getint("period", SeasonalSpec.period),
+                amplitude=sec.getfloat("amplitude", SeasonalSpec.amplitude),
+                base_rate=sec.getfloat("base_rate", SeasonalSpec.base_rate),
+                noise_std=sec.getfloat("noise_std", SeasonalSpec.noise_std),
             )
-            cfg.synth_specs = [
-                (label, replace(base, seed=derive_seed(cfg.seed, f"dataset-{label}")))
-                for label in labels
-            ]
+            cfg.synth_specs = [(label, spec) for label in sec.get("datasets", "A").split()]
         if parser.has_section("ingest"):
             sec = parser["ingest"]
             cfg.ingest_inputs = [Path(p) for p in sec.get("inputs", "").split()]
-            cfg.bin_width = sec.getfloat("bin_width", 1.0)
+            cfg.bin_width = sec.getfloat("bin_width", cfg.bin_width)
         if parser.has_section("preprocess"):
             sec = parser["preprocess"]
             cfg.preprocess = PreprocessConfig(
-                window_len=sec.getint("window", 10),
-                overlap_fraction=sec.getfloat("overlap", 0.5),
-                log_enabled=sec.getboolean("log", True),
-                scale_mode=sec.get("scale", "zscore"),
+                window_len=sec.getint("window", PreprocessConfig.window_len),
+                overlap_fraction=sec.getfloat("overlap", PreprocessConfig.overlap_fraction),
+                log_enabled=sec.getboolean("log", PreprocessConfig.log_enabled),
+                scale_mode=sec.get("scale", PreprocessConfig.scale_mode),
             )
-            cfg.emit_stages = sec.getboolean("emit_stages", False)
-        if parser.has_section("predictors"):
-            specs = parser["predictors"].get("specs", "").split()
+            cfg.emit_stages = sec.getboolean("emit_stages", cfg.emit_stages)
+        specs = parser.get("predictors", "specs", fallback="").split()
+        if specs:
             cfg.predictors = [parse_predictor(s) for s in specs]
         if parser.has_section("eval"):
             sec = parser["eval"]
@@ -113,15 +115,13 @@ def load_run_config(path: Path) -> RunConfig:
             cfg.timing_repetitions = sec.getint("timing_reps", cfg.timing_repetitions)
             if cfg.timing_repetitions < 1:
                 raise ValidationError(f"timing_reps must be >= 1, got {cfg.timing_repetitions}")
-        if not cfg.predictors:
-            cfg.predictors = [parse_predictor(s) for s in DEFAULT_PREDICTOR_GRID]
-        if not cfg.synth_specs and not cfg.ingest_inputs:
-            raise ConfigError("config must define a [synth] or [ingest] section")
-        return cfg
-    except (TrafficastError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except (configparser.Error, TrafficastError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
+    if not read:
+        raise ConfigError(f"cannot read config file {path}")
+    if not cfg.synth_specs and not cfg.ingest_inputs:
+        raise ConfigError("config must define a [synth] or [ingest] section")
+    return cfg
 
 
 def run_pipeline(config: RunConfig) -> int:
@@ -131,32 +131,19 @@ def run_pipeline(config: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     raw: list[tuple[str, TimeSeries]] = []
-    if config.synth_specs:
-        try:
-            for label, spec in config.synth_specs:
-                raw.append((label, gen_seasonal_traffic(spec)))
-        except TrafficastError as exc:
-            raise PipelineError("synth", str(exc)) from exc
+    try:
+        for label, spec in config.synth_specs:
+            seed = derive_seed(config.seed, f"dataset-{label}")
+            raw.append((label, gen_seasonal_traffic(replace(spec, seed=seed))))
+    except TrafficastError as exc:
+        raise PipelineError("synth", str(exc)) from exc
     for path in config.ingest_inputs:
         try:
             raw.append((path.stem, load_packet_rates(path, config.bin_width)))
         except (TrafficastError, OSError) as exc:
             raise PipelineError("ingest", str(exc)) from exc
 
-    datasets: list[tuple[str, TimeSeries]] = []
-    for label, series in raw:
-        try:
-            if config.emit_stages:
-                stationary, stages = pipeline_with_stages(series, config.preprocess)
-                for stage_name, stage_series in stages.items():
-                    write_series_csv(
-                        stage_series, outdir / f"stage_{label}_{stage_name}.csv"
-                    )
-            else:
-                stationary = pipeline(series, config.preprocess)
-        except TrafficastError as exc:
-            raise PipelineError("preprocess", f"dataset {label}: {exc}") from exc
-        datasets.append((label, stationary))
+    datasets = [(label, _stationarize(label, series, config)) for label, series in raw]
 
     try:
         report = compare(
@@ -181,12 +168,23 @@ def run_pipeline(config: RunConfig) -> int:
     return 0
 
 
+def _stationarize(label: str, series: TimeSeries, config: RunConfig) -> TimeSeries:
+    """Preprocess one dataset, writing each stage's output when asked."""
+    try:
+        stationary, stages = pipeline_with_stages(series, config.preprocess)
+        if config.emit_stages:
+            for name, stage_series in stages.items():
+                write_series_csv(stage_series, config.outdir / f"stage_{label}_{name}.csv")
+    except TrafficastError as exc:
+        raise PipelineError("preprocess", f"dataset {label}: {exc}") from exc
+    return stationary
+
+
 def _pick(predictors: list[PredictorSpec], kind: str, preferred=None) -> int | None:
     """Column of the first ``kind`` predictor, preferring ``params == preferred``."""
-    for col, spec in enumerate(predictors):
-        if spec.kind == kind and (preferred is None or spec.params == preferred):
-            return col
-    return next((col for col, s in enumerate(predictors) if s.kind == kind), None)
+    ranked = ((spec.params != preferred, col) for col, spec in enumerate(predictors)
+              if spec.kind == kind)
+    return min(ranked, default=(None, None))[1]
 
 
 def _write_prediction_csvs(config, datasets, report, outdir: Path) -> None:
@@ -204,28 +202,6 @@ def _write_prediction_csvs(config, datasets, report, outdir: Path) -> None:
         path = outdir / f"predictions_{label}.csv"
         with open(path, "w", encoding="utf-8", newline="") as stream:
             write_prediction_csv(series.values, arma_pred, kf_pred, stream)
-
-
-def repro_config(seed: int, outdir: Path, timing_repetitions: int = 3) -> RunConfig:
-    """Preset: five seeded seasonal datasets against the standard six-predictor grid."""
-    specs = [
-        (
-            label,
-            SeasonalSpec(
-                base_rate=base,
-                amplitude=amp,
-                seed=derive_seed(seed, f"dataset-{label}"),
-            ),
-        )
-        for label, base, amp in REPRO_DATASETS
-    ]
-    return RunConfig(
-        seed=seed,
-        outdir=outdir,
-        synth_specs=specs,
-        predictors=[parse_predictor(s) for s in DEFAULT_PREDICTOR_GRID],
-        timing_repetitions=timing_repetitions,
-    )
 
 
 # ---------------------------------------------------------------- commands
@@ -250,15 +226,13 @@ def cmd_preprocess(args) -> int:
         scale_mode=args.scale,
     )
     series = load_series_csv(args.input)
+    stationary, stages = pipeline_with_stages(series, cfg)
     if args.emit_stages:
-        stationary, stages = pipeline_with_stages(series, cfg)
         base = Path(args.out)
         for name, stage_series in stages.items():
             stage_path = base.with_name(f"{base.stem}_{name}{base.suffix}")
             write_series_csv(stage_series, stage_path)
             print(f"stage {name} -> {stage_path}")
-    else:
-        stationary = pipeline(series, cfg)
     write_series_csv(stationary, args.out)
     print(f"{len(series)} samples -> {len(stationary)} stationary samples -> {args.out}")
     return 0
@@ -282,11 +256,11 @@ def cmd_predict_kf(args) -> int:
     series = load_series_csv(args.input)
     model, init = kalman.default_local_level(args.q, args.r, x0=float(series.values[0]))
     trace = kalman.predict_series(model, series, init)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("index,actual,predicted,gain\n")
-        columns = (series.values, trace.predictions, trace.gain_series)
-        rows = enumerate(zip(*map(memoryview, columns)))
-        fh.writelines(f"{i},{x!r},{p!r},{g!r}\n" for i, (x, p, g) in rows)
+    with open(args.out, "w", encoding="utf-8", newline="") as stream:
+        write_prediction_csv(
+            series.values, trace.predictions, trace.gain_series, stream,
+            header="index,actual,predicted,gain",
+        )
     print(f"filtered {len(series)} samples -> {args.out}")
     return 0
 
@@ -333,7 +307,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_repro_paper(args) -> int:
-    config = repro_config(args.seed, Path(args.out), timing_repetitions=args.timing_reps)
+    specs = [
+        (label, SeasonalSpec(base_rate=base, amplitude=amp))
+        for label, base, amp in REPRO_DATASETS
+    ]
+    config = RunConfig(
+        seed=args.seed, outdir=Path(args.out), synth_specs=specs,
+        timing_repetitions=args.timing_reps,
+    )
     status = run_pipeline(config)
     print(f"benchmark artifacts -> {config.outdir}")
     return status
@@ -356,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="bin a time,protocol packet CSV into packets/s")
     p.add_argument("--input", required=True)
-    p.add_argument("--bin-width", type=float, default=1.0)
+    p.add_argument("--bin-width", type=float, default=RunConfig.bin_width)
     p.add_argument("--keep-all-protocols", action="store_true",
                    help="do not drop non-TCP/UDP packets")
     p.add_argument("--out", required=True)
@@ -364,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="log + box-center + scale a rate series")
     p.add_argument("--input", required=True)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--log", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--scale", choices=["zscore", "none"], default="zscore")
+    p.add_argument("--window", type=int, default=PreprocessConfig.window_len)
+    p.add_argument("--overlap", type=float, default=PreprocessConfig.overlap_fraction)
+    p.add_argument("--log", action=argparse.BooleanOptionalAction,
+                   default=PreprocessConfig.log_enabled)
+    p.add_argument("--scale", choices=SCALE_MODES, default=PreprocessConfig.scale_mode)
     p.add_argument("--emit-stages", action="store_true",
                    help="also write each stage's output next to --out")
     p.add_argument("--out", required=True)
@@ -390,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate seeded synthetic datasets")
     synth_sub = p.add_subparsers(dest="kind", required=True)
     ps = synth_sub.add_parser("seasonal", help="sinusoidal traffic with Gaussian noise")
-    ps.add_argument("--n", type=int, default=5000)
-    ps.add_argument("--period", type=int, default=60)
-    ps.add_argument("--amplitude", type=float, default=20.0)
-    ps.add_argument("--base-rate", type=float, default=50.0)
-    ps.add_argument("--noise-std", type=float, default=5.0)
-    ps.add_argument("--seed", type=int, default=42)
+    ps.add_argument("--n", type=int, default=SeasonalSpec.n)
+    ps.add_argument("--period", type=int, default=SeasonalSpec.period)
+    ps.add_argument("--amplitude", type=float, default=SeasonalSpec.amplitude)
+    ps.add_argument("--base-rate", type=float, default=SeasonalSpec.base_rate)
+    ps.add_argument("--noise-std", type=float, default=SeasonalSpec.noise_std)
+    ps.add_argument("--seed", type=int, default=SeasonalSpec.seed)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_synth)
 
@@ -403,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", required=True, help="comma-separated series CSV paths")
     p.add_argument("--predictors", nargs="+", default=DEFAULT_PREDICTOR_GRID,
                    help="arma:p,q and kf:q,r descriptors")
-    p.add_argument("--format", choices=["csv", "markdown", "json"], default="markdown")
-    p.add_argument("--timing-reps", type=positive_int, default=3)
+    p.add_argument("--format", choices=REPORT_FORMATS, default=RunConfig.report_format)
+    p.add_argument("--timing-reps", type=positive_int, default=RunConfig.timing_repetitions)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
@@ -419,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="five seeded seasonal datasets x six predictors; writes the "
         "comparison tables and prediction CSVs",
     )
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", default="repro")
-    p.add_argument("--timing-reps", type=positive_int, default=3)
+    p.add_argument("--timing-reps", type=positive_int, default=RunConfig.timing_repetitions)
     p.set_defaults(func=cmd_repro_paper)
 
     return parser

@@ -40,7 +40,8 @@ class PredictorSpec:
     """One column of the comparison grid.
 
     ``kind`` is ``"arma"`` (params = (p, q)) or ``"kf"`` (params =
-    (process variance, measurement variance)).
+    (process variance, measurement variance)).  Parameters no predictor
+    can run with are rejected here, by the checks the predictor applies.
     """
 
     kind: str
@@ -50,9 +51,11 @@ class PredictorSpec:
         if self.kind == "arma":
             p, q = self.params
             object.__setattr__(self, "params", (int(p), int(q)))
+            arma.check_order(*self.params)
         elif self.kind == "kf":
             q, r = self.params
             object.__setattr__(self, "params", (float(q), float(r)))
+            kalman.default_local_level(*self.params)
         else:
             raise ValidationError(f"unknown predictor kind {self.kind!r}")
 
@@ -82,6 +85,8 @@ def parse_predictor(text: str) -> PredictorSpec:
             return PredictorSpec(kind=kind, params=(number(parts[0]), number(parts[1])))
         except ValueError:
             pass
+        except ValidationError as exc:
+            raise ValidationError(f"predictor {text!r}: {exc}") from None
     raise ValidationError(
         f"cannot parse predictor {text!r}; expected arma:p,q or kf:q,r"
     )
@@ -300,15 +305,17 @@ def grid_csv(report: EvalReport, grid: list[list[Cell]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_prediction_csv(actual, arma_pred, kf_pred, dest: IO[str]) -> None:
-    """Write plot-ready columns to a text stream, one row at a time:
-    index, actual, arma_pred, kf_pred."""
+def write_prediction_csv(
+    actual, arma_pred, kf_pred, dest: IO[str], header: str = "index,actual,arma_pred,kf_pred"
+) -> None:
+    """Write ``header`` and then plot-ready rows to a text stream, one row at
+    a time: index and the three columns (by default actual, arma_pred, kf_pred)."""
     a = np.asarray(actual, dtype=float)
     ap = np.asarray(arma_pred, dtype=float)
     kp = np.asarray(kf_pred, dtype=float)
     if not (a.size == ap.size == kp.size):
         raise ValidationError("prediction columns must have equal length")
-    dest.write("index,actual,arma_pred,kf_pred\n")
+    dest.write(header + "\n")
     # A memoryview yields each value as a Python float, whose repr is the
     # value's shortest round-trip digits, without a list per column.
     rows = enumerate(zip(memoryview(a), memoryview(ap), memoryview(kp)))

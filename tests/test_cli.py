@@ -10,7 +10,7 @@ import pytest
 from trafficast import cli, evaluate, ingest, kalman
 from trafficast.evaluate import inverse_transform
 from trafficast.ingest import load_series_csv, write_series_csv
-from trafficast.preprocess import pipeline
+from trafficast.preprocess import PreprocessConfig, pipeline
 from trafficast.rng import normal_stream
 from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
@@ -138,6 +138,36 @@ def test_compare_bad_predictor_fails_with_one_line(tmp_path, capsys, spec):
     assert err.startswith("trafficast: compare: cannot parse predictor") and err.count("\n") == 1
 
 
+BAD_PREDICTORS = ["kf:nan,0.01", "arma:0,0", "arma:-1,2", "kf:0.01,0", "kf:-1,0.01"]
+
+
+def test_compare_rejects_predictors_no_model_can_run(tmp_path, capsys):
+    series = tmp_path / "s.csv"
+    write_series_csv(gen_seasonal_traffic(SeasonalSpec(n=400, seed=3)), series)
+    argv = ["compare", "--datasets", str(series), "--timing-reps", "1", "--predictors"]
+    assert cli.main(argv + BAD_PREDICTORS[:3] + ["kf:0.01,0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "trafficast: compare: predictor 'kf:nan,0.01': q must be finite, got nan\n"
+    )
+    for spec in BAD_PREDICTORS:
+        assert cli.main(argv + [spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"trafficast: compare: predictor '{spec}': ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", BAD_PREDICTORS)
+def test_run_rejects_predictors_no_model_can_run_before_any_work(tmp_path, capsys, spec):
+    outdir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\n\n[predictors]\nspecs = arma:2,1 {spec}\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert f"predictor '{spec}': " in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_run_with_config_file(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -193,6 +223,75 @@ def test_run_mse_grid_is_deterministic(tmp_path):
             + (outdir / "predictions_B.csv").read_bytes()
         )
     assert grids[0] == grids[1]
+
+
+def run_artifacts(tmp_path, name, seed, *flags):
+    """mse_grid.csv and prediction CSVs of a two-dataset synthetic run."""
+    config, outdir = tmp_path / f"{name}.cfg", tmp_path / name
+    config.write_text(
+        f"[run]\nseed = {seed}\noutdir = {outdir}\n\n"
+        "[synth]\ndatasets = A B\nn = 600\nperiod = 30\n\n"
+        "[predictors]\nspecs = arma:2,1 kf:0.01,0.01\n\n"
+        "[eval]\ntiming_reps = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config), *flags]) == 0
+    names = ("mse_grid.csv", "predictions_A.csv", "predictions_B.csv")
+    return [(outdir / f).read_bytes() for f in names]
+
+
+def test_run_seed_flag_overrides_the_config_seed(tmp_path):
+    from_flag = run_artifacts(tmp_path, "flag", 42, "--seed", "7")
+    assert from_flag == run_artifacts(tmp_path, "seven", 7)
+    assert from_flag != run_artifacts(tmp_path, "config", 42)
+
+
+def test_bare_synth_section_matches_synth_defaults(tmp_path):
+    # A [synth] section with no keys describes the series `synth seasonal`
+    # writes with no flags, at the dataset's derived seed.
+    outdir, config = tmp_path / "run", tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\nseed = 9\noutdir = {outdir}\n\n[synth]\n\n"
+        "[preprocess]\nemit_stages = true\n\n"
+        "[predictors]\nspecs = kf:0.01,0.01\n\n[eval]\ntiming_reps = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 0
+    raw, stat = tmp_path / "raw.csv", tmp_path / "stat.csv"
+    seed = str(cli.derive_seed(9, "dataset-A"))
+    assert cli.main(["synth", "seasonal", "--seed", seed, "--out", str(raw)]) == 0
+    assert cli.main(["preprocess", "--input", str(raw), "--emit-stages",
+                     "--out", str(stat)]) == 0
+    for stage in ("log_transform", "box_center"):
+        assert (outdir / f"stage_A_{stage}.csv").read_bytes() == (
+            tmp_path / f"stat_{stage}.csv"
+        ).read_bytes()
+
+
+def test_argparse_defaults_match_the_dataclass_defaults():
+    parse = cli.build_parser().parse_args
+    synth = parse(["synth", "seasonal", "--out", "x"])
+    assert SeasonalSpec(
+        n=synth.n, period=synth.period, amplitude=synth.amplitude,
+        base_rate=synth.base_rate, noise_std=synth.noise_std, seed=synth.seed,
+    ) == SeasonalSpec()
+    pre = parse(["preprocess", "--input", "x", "--out", "y"])
+    assert PreprocessConfig(
+        window_len=pre.window, overlap_fraction=pre.overlap,
+        log_enabled=pre.log, scale_mode=pre.scale,
+    ) == PreprocessConfig()
+    run = cli.RunConfig()
+    assert parse(["ingest", "--input", "x", "--out", "y"]).bin_width == run.bin_width
+    compare = parse(["compare", "--datasets", "x"])
+    assert [evaluate.parse_predictor(s) for s in compare.predictors] == run.predictors
+    assert (compare.format, compare.timing_reps) == (run.report_format, run.timing_repetitions)
+    repro = parse(["repro-paper"])
+    assert (repro.seed, repro.timing_reps) == (run.seed, run.timing_repetitions)
+
+
+def test_config_file_without_a_section_header_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 3\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "no section headers" in capsys.readouterr().err
 
 
 def test_repro_computes_each_cell_once_per_timing_rep(tmp_path, monkeypatch):

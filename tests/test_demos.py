@@ -1,5 +1,5 @@
-"""Each demo script, and the README's library example, runs to completion
-against the package in ``src``."""
+"""Each demo script, and the README's library example and run config, runs
+to completion against the package in ``src``."""
 import os
 import subprocess
 import sys
@@ -35,3 +35,15 @@ def test_readme_library_example_runs(tmp_path):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     done = run_python(["-c", code], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_run_config_runs(tmp_path):
+    from trafficast import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    config = tmp_path / "run.cfg"
+    config.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(outdir)]) == 0
+    assert (outdir / "mse_grid.csv").read_text().count("\n") == 4

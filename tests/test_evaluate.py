@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -105,6 +106,21 @@ class TestPredictorSpec:
     )
     def test_parse_errors(self, text):
         with pytest.raises(ValidationError, match="^cannot parse predictor"):
+            evaluate.parse_predictor(text)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("arma", (0, 0), "p + q >= 1"),
+        ("arma", (-1, 2), "p >= 0"),
+        ("kf", (float("nan"), 0.01), "q must be finite, got nan"),
+        ("kf", (0.01, float("inf")), "r must be finite, got inf"),
+        ("kf", (-1e-9, 0.01), "q must be nonnegative"),
+        ("kf", (0.01, 0.0), "measurement variance must be positive, got 0.0"),
+    ])
+    def test_parameters_no_predictor_can_run_are_rejected(self, kind, params, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            evaluate.PredictorSpec(kind, params)
+        text = f"{kind}:{params[0]},{params[1]}"
+        with pytest.raises(ValidationError, match=re.escape(f"predictor '{text}': ")):
             evaluate.parse_predictor(text)
 
 
