@@ -2,8 +2,8 @@
 """From a raw packet log to a packets-per-second series.
 
 Builds a small capture in memory (mixed TCP/UDP/ICMP rows, deliberately
-out of order), loads it with protocol filtering, and bins it into a
-uniform rate series.
+out of order), loads the TCP/UDP timestamps as one sorted array, and bins
+them into a uniform rate series.
 """
 import io
 
@@ -17,11 +17,12 @@ protocols = ["TCP"] * 600 + ["UDP"] * 300 + ["ICMP"] * 100
 rows = "".join(f"{t},{p}\n" for t, p in zip(times, protocols))
 csv_text = "time,protocol\n" + rows
 
-trace = load_packet_trace(io.StringIO(csv_text))
-print(f"loaded {len(trace)} packets (ICMP rows dropped, timestamps sorted)")
-assert len(trace) == 900
+timestamps = load_packet_trace(io.StringIO(csv_text))
+print(f"loaded {timestamps.size} packets (ICMP rows dropped, timestamps sorted)")
+print(f"first at {timestamps[0]:.3f} s, last at {timestamps[-1]:.3f} s")
+assert timestamps.size == 900 and (timestamps[1:] >= timestamps[:-1]).all()
 
-series = bin_to_rate(trace, bin_width=1.0)
+series = bin_to_rate(timestamps, bin_width=1.0)
 print(f"binned into {len(series)} one-second buckets")
 print("first ten rates:", series.values[:10].astype(int).tolist())
 print("total packets:  ", int(series.values.sum()))
@@ -30,6 +31,6 @@ print("total packets:  ", int(series.values.sum()))
 assert load_packet_rates(io.StringIO(csv_text)).values.tolist() == series.values.tolist()
 
 # Coarser bins tell the same story at lower resolution.
-coarse = bin_to_rate(trace, bin_width=5.0)
+coarse = bin_to_rate(timestamps, bin_width=5.0)
 print("5-second bins:  ", coarse.values.astype(int).tolist())
 assert series.values.sum() == coarse.values.sum() == 900

@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
-    PacketTrace,
     bin_to_rate,
     load_packet_rates,
     load_packet_trace,
@@ -38,7 +37,6 @@ __all__ = [
     "rng",
     "synth",
     "TimeSeries",
-    "PacketTrace",
     "PreprocessConfig",
     "SeasonalSpec",
     "load_packet_trace",

@@ -121,6 +121,14 @@ def load_run_config(path: Path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}")
     if not cfg.synth_specs and not cfg.ingest_inputs:
         raise ConfigError("config must define a [synth] or [ingest] section")
+    # Labels name the output files; run_pipeline labels an input by its stem.
+    labels = [label for label, _ in cfg.synth_specs] + [p.stem for p in cfg.ingest_inputs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(
+                f"invalid config {path}: dataset label {label!r} is used twice;"
+                " each dataset's label names its output files"
+            )
     return cfg
 
 

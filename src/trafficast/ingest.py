@@ -1,13 +1,13 @@
-"""Packet-trace loading and conversion to packet-rate series.
+"""Packet-capture loading and conversion to packet-rate series.
 
 CSV formats
 -----------
-Packet trace: header ``time,protocol``, one row per packet, time in float
-seconds since capture start.  ``load_packet_trace`` returns every packet
-as a :class:`PacketTrace`, and ``bin_to_rate`` counts it into a rate
-series.  ``load_packet_rates`` gives that same series in one pass: it
-counts each chunk of rows into the bins as the chunk is read, so its
-memory is one chunk plus the bin counts, whatever the capture's length.
+Packet capture: header ``time,protocol``, one row per packet, time in
+float seconds since capture start.  ``load_packet_rates`` counts the
+TCP/UDP packets per bin as it reads, so its memory is one chunk of rows
+plus the bin counts, whatever the capture's length.  ``load_packet_trace``
+returns the kept timestamps as one sorted array, and ``bin_to_rate``
+counts any such array into the same series.
 
 Value series: optional ``# key=value`` comment lines (``dt``, ``origin``,
 ``scale_mean``, ``scale_std`` and ``log1p`` are honoured, absent keys take
@@ -23,7 +23,6 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -35,11 +34,6 @@ from .series import TimeSeries
 Source = Union[str, Path, IO[str]]
 
 _KNOWN_PROTOCOLS = ("TCP", "UDP")
-
-# Protocol tags by int8 code.  The loader builds ``PacketTrace.protocols``
-# from these three objects, so the tuple costs one pointer per packet.
-_TAG_OBJECTS = np.array([*_KNOWN_PROTOCOLS, "other"], dtype=object)
-_TAG_CODES = {tag: code for code, tag in enumerate(_TAG_OBJECTS)}
 
 # Characters read per body chunk, before reading on to the end of the
 # line; a chunk is parsed or scanned as a whole.  256 KiB keeps the
@@ -61,74 +55,28 @@ _METADATA = {
 }
 
 
-@dataclass(frozen=True)
-class PacketTrace:
-    """Per-packet capture timestamps with a coarse protocol tag.
-
-    Timestamps are finite seconds since capture start, sorted
-    nondecreasing; tags are ``TCP``, ``UDP`` or ``other``.
-    """
-
-    timestamps: np.ndarray
-    protocols: tuple[str, ...]
-
-    def __post_init__(self):
-        ts = np.array(self.timestamps, dtype=float)
-        if ts.ndim != 1:
-            raise ValidationError("timestamps must be one-dimensional")
-        if ts.size != len(self.protocols):
-            raise ValidationError("timestamps and protocols must align")
-        if not np.all(np.isfinite(ts)):
-            raise ValidationError("timestamps must be finite")
-        if ts.size and ts[0] < 0:
-            raise ValidationError("timestamps must be nonnegative")
-        if np.any(np.diff(ts) < 0):
-            raise ValidationError("timestamps must be sorted nondecreasing")
-        ts.flags.writeable = False
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "protocols", tuple(self.protocols))
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
-
-
 def _open_text(source: Source) -> tuple[IO[str], bool]:
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline=""), True
     return source, False
 
 
-def _canonical_protocol(raw: str) -> str:
-    tag = raw.strip().upper()
-    return tag if tag in _KNOWN_PROTOCOLS else "other"
+def _known_protocol(raw: str) -> bool:
+    return raw.strip().upper() in _KNOWN_PROTOCOLS
 
 
-def load_packet_trace(source: Source, *, filter_protocols: bool = True) -> PacketTrace:
-    """Load a packet trace from a ``time,protocol`` CSV.
+def load_packet_trace(source: Source, *, filter_protocols: bool = True) -> np.ndarray:
+    """The packet timestamps of a ``time,protocol`` CSV, sorted.
 
     Rows with protocols other than TCP/UDP are dropped unless the
-    keyword-only ``filter_protocols`` is False.  Timestamps are sorted on
-    load.
-
-    The body is read in chunks of about 256 KB that end at a line end.  A
-    chunk of plain rows is parsed column-wise: ``np.loadtxt`` reads the
-    times and byte compares read the protocol tags.  Any other chunk
-    (quotes, blank or ragged rows, a bad value) goes through the ``csv``
-    row scan, which alone decides what else is accepted and which line an
-    error names.
+    keyword-only ``filter_protocols`` is False.  The sort is stable and
+    the array is read-only.
     """
-    times: list[np.ndarray] = []
-    codes: list[np.ndarray] = []
-    for chunk_t, chunk_c in _read_chunks(source):
-        times.append(chunk_t)
-        codes.append(chunk_c)
-    ts = np.concatenate(times) if times else np.empty(0)
-    tags = np.concatenate(codes) if codes else np.empty(0, dtype=np.int8)
-    if filter_protocols:
-        keep = tags != _TAG_CODES["other"]
-        ts, tags = ts[keep], tags[keep]
-    order = np.argsort(ts, kind="stable")
-    return PacketTrace(timestamps=ts[order], protocols=tuple(_TAG_OBJECTS[tags[order]]))
+    chunks = list(_read_chunks(source, filter_protocols))
+    ts = np.concatenate(chunks) if chunks else np.empty(0)
+    ts.sort(kind="stable")
+    ts.flags.writeable = False
+    return ts
 
 
 def load_packet_rates(
@@ -143,19 +91,23 @@ def load_packet_rates(
     large to bin is reported when its chunk is counted, before a malformed
     row further on, where ``load_packet_trace`` parses the whole file first.
     """
-    other = _TAG_CODES["other"]
-    chunks = _read_chunks(source)
+    chunks = _read_chunks(source, filter_protocols)
     with contextlib.closing(chunks):
-        kept = (t[c != other] if filter_protocols else t for t, c in chunks)
-        return _count_bins(kept, bin_width)
+        return _count_bins(chunks, bin_width)
 
 
-def _read_chunks(source: Source) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The times and protocol codes of a packet CSV's body, per chunk.
+def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]:
+    """The kept times of a packet CSV's body, one array per chunk.
 
-    Checks the header, then reads the body in chunks that end at a line
-    end, or at the end of the input.  Rows keep file order and are not
-    filtered.
+    Checks the header, then reads the body in chunks of about 256 KB that
+    end at a line end, or at the end of the input.  Times keep file order;
+    rows that are neither TCP nor UDP are dropped if ``filter_protocols``.
+
+    A chunk of plain rows is parsed column-wise: ``np.loadtxt`` reads the
+    times and byte compares read the protocol tags.  Any other chunk
+    (quotes, blank or ragged rows, a bad value) goes through the ``csv``
+    row scan, which alone decides what else is accepted and which line an
+    error names.
     """
     stream, owned = _open_text(source)
     try:
@@ -182,13 +134,13 @@ def _read_chunks(source: Source) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             parsed = _parse_plain_chunk(text, len(header), ti, pi)
             if parsed is None:
                 lines = _split_lines(text, stream)
-                chunk_t, chunk_c, n_read = _scan_rows(
+                times, known, n_read = _scan_rows(
                     itertools.chain(lines, stream), ti, pi,
                     first_line=line, min_lines=len(lines),
                 )
             else:
-                (chunk_t, chunk_c), n_read = parsed, parsed[0].size
-            yield chunk_t, chunk_c
+                (times, known), n_read = parsed, parsed[0].size
+            yield times[known] if filter_protocols else times
             line += n_read
     except UnicodeDecodeError as exc:
         raise _utf8_error(source, exc) from None
@@ -212,8 +164,8 @@ def _split_lines(text: str, stream: IO[str]) -> list[str]:
 def _parse_plain_chunk(
     text: str, ncols: int, ti: int, pi: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Time (column ``ti``) and protocol-code (column ``pi``) arrays of a
-    chunk of plain rows, or None.
+    """The times (column ``ti``) of a chunk of plain rows and whether each
+    row's protocol (column ``pi``) is TCP or UDP, or None.
 
     Plain means what a split at commas and newlines reads exactly as
     ``csv`` does: LF or CRLF line ends, no quote character, and exactly one
@@ -262,18 +214,17 @@ def _parse_plain_chunk(
     ends = np.append(seps, raw.size).reshape(nrows, ncols)
     stop = ends[:, pi]
     start = (ends[:, pi - 1] if pi else np.append(-1, ends[:-1, -1])) + 1
-    return ts, _protocol_codes(data, raw, start, stop)
+    return ts, _known_protocols(data, raw, start, stop)
 
 
-def _protocol_codes(
+def _known_protocols(
     data: bytes, raw: np.ndarray, start: np.ndarray, stop: np.ndarray
 ) -> np.ndarray:
-    """Tag codes of the cells ``data[start:stop]``.
+    """Whether each cell ``data[start:stop]`` is a TCP or UDP tag.
 
     A 3-byte cell that is ``TCP`` or ``UDP`` in any ASCII case is matched
-    on its bytes; every other cell goes through ``_canonical_protocol``.
+    on its bytes; every other cell goes through ``_known_protocol``.
     """
-    codes = np.full(start.size, -1, dtype=np.int8)
     short = np.flatnonzero(stop - start == 3)
     # The bytes of each 3-byte cell as one integer, with 0x20 OR-ed into
     # each: b | 0x20 is a lower-case ASCII letter exactly when b is that
@@ -282,16 +233,16 @@ def _protocol_codes(
     key = (
         raw[at].astype(np.int32) << 16 | raw[at + 1].astype(np.int32) << 8 | raw[at + 2]
     ) | 0x202020
-    for tag in _KNOWN_PROTOCOLS:
-        codes[short[key == int.from_bytes(tag.lower().encode(), "big")]] = _TAG_CODES[tag]
-    rest = np.flatnonzero(codes < 0)
+    tcp, udp = (int.from_bytes(tag.lower().encode(), "big") for tag in _KNOWN_PROTOCOLS)
+    known = np.zeros(start.size, dtype=bool)
+    known[short] = (key == tcp) | (key == udp)
+    rest = np.flatnonzero(~known)
     cells = [data[a:b] for a, b in zip(start[rest].tolist(), stop[rest].tolist())]
-    code_of = {
-        c: _TAG_CODES[_canonical_protocol(c.decode("utf-8", "surrogatepass"))]
-        for c in set(cells)
+    known_cell = {
+        c: _known_protocol(c.decode("utf-8", "surrogatepass")) for c in set(cells)
     }
-    codes[rest] = [code_of[c] for c in cells]
-    return codes
+    known[rest] = [known_cell[c] for c in cells]
+    return known
 
 
 def _scan_rows(
@@ -304,16 +255,16 @@ def _scan_rows(
     """Read ``lines`` with ``csv`` until at least ``min_lines`` are used.
 
     ``first_line`` is the file line number of the first line; ``ti`` and
-    ``pi`` are the time and protocol columns.  Returns the times, the
-    protocol codes and the number of lines read, which exceeds
-    ``min_lines`` when a quoted field runs past the chunk.  Blank rows are
-    skipped; a row that ``csv`` cannot read (an unterminated quote runs
-    into the field size limit) is a :class:`ParseError` naming the line
-    the row starts on.
+    ``pi`` are the time and protocol columns.  Returns the times, whether
+    each row's protocol is TCP or UDP, and the number of lines read, which
+    exceeds ``min_lines`` when a quoted field runs past the chunk.  Blank
+    rows are skipped; a row that ``csv`` cannot read (an unterminated quote
+    runs into the field size limit) is a :class:`ParseError` naming the
+    line the row starts on.
     """
     reader = csv.reader(lines)
     times: list[float] = []
-    codes: list[int] = []
+    known: list[bool] = []
     while reader.line_num < min_lines:
         start = first_line + reader.line_num
         try:
@@ -337,12 +288,8 @@ def _scan_rows(
         if t < 0:
             raise ValidationError(f"negative timestamp {t} at line {line}")
         times.append(t)
-        codes.append(_TAG_CODES[_canonical_protocol(cells[pi])])
-    return (
-        np.array(times, dtype=float),
-        np.array(codes, dtype=np.int8),
-        reader.line_num,
-    )
+        known.append(_known_protocol(cells[pi]))
+    return np.array(times, dtype=float), np.array(known, dtype=bool), reader.line_num
 
 
 def _utf8_error(source: Source, exc: UnicodeDecodeError) -> ParseError:
@@ -376,15 +323,25 @@ def _utf8_error(source: Source, exc: UnicodeDecodeError) -> ParseError:
             newlines += chunk.count(b"\n")
 
 
-def bin_to_rate(trace: PacketTrace, bin_width: float = 1.0) -> TimeSeries:
+def bin_to_rate(timestamps: np.ndarray, bin_width: float = 1.0) -> TimeSeries:
     """Count packets per ``bin_width``-second bin, keeping the last partial bin.
 
-    Bin ``i`` covers ``[i*w, (i+1)*w)``; the output length is the number of
-    bins needed to cover the last timestamp, so the bin counts always sum
-    to the packet count.  A last timestamp that needs more bins than an
-    index holds, or than memory holds, is a :class:`ValidationError`.
+    ``timestamps`` is a 1-D array of finite, nonnegative seconds in any
+    order.  Bin ``i`` covers ``[i*w, (i+1)*w)``; the output length is the
+    number of bins needed to cover the last timestamp, so the bin counts
+    always sum to the packet count.  A last timestamp that needs more bins
+    than an index holds, or than memory holds, is a
+    :class:`ValidationError`.
     """
-    return _count_bins([trace.timestamps], bin_width)
+    ts = np.asarray(timestamps, dtype=float)
+    if ts.ndim != 1:
+        raise ValidationError("timestamps must be one-dimensional")
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError("timestamps must be finite")
+    # np.add.at would count a negative time into a bin from the end.
+    if np.any(ts < 0):
+        raise ValidationError("timestamps must be nonnegative")
+    return _count_bins([ts], bin_width)
 
 
 def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
@@ -469,12 +426,14 @@ def load_series_csv(source: Source) -> TimeSeries:
                 continue
             if value_idx >= len(cells):
                 raise ParseError("row has fewer columns than the header", line=line)
+            raw_v = cells[value_idx]
             try:
-                values.append(float(cells[value_idx]))
+                v = float(raw_v)
             except ValueError:
-                raise ParseError(
-                    f"invalid value {cells[value_idx]!r}", line=line
-                ) from None
+                raise ParseError(f"invalid value {raw_v!r}", line=line) from None
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite value {raw_v!r}", line=line)
+            values.append(v)
     except UnicodeDecodeError as exc:
         raise _utf8_error(source, exc) from None
     finally:

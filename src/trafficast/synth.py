@@ -31,8 +31,11 @@ class SeasonalSpec:
     def __post_init__(self):
         if self.period < 2:
             raise ValidationError(f"period must be >= 2, got {self.period}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+        if self.n < self.period:
+            raise ValidationError(
+                f"need at least one full cycle (n >= period), got n={self.n},"
+                f" period={self.period}"
+            )
         if self.base_rate < 0:
             raise ValidationError("base_rate must be nonnegative")
         if self.noise_std < 0:
@@ -41,8 +44,6 @@ class SeasonalSpec:
 
 def gen_seasonal_traffic(spec: SeasonalSpec) -> TimeSeries:
     """values[i] = max(0, base + amplitude * sin(2*pi*i/period) + noise_i)."""
-    if spec.n < spec.period:
-        raise ValidationError("need at least one full cycle (n >= period)")
     i = np.arange(spec.n)
     noise = spec.noise_std * normal_stream(spec.seed, spec.n)
     values = spec.base_rate + spec.amplitude * np.sin(2.0 * np.pi * i / spec.period) + noise

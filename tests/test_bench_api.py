@@ -39,7 +39,9 @@ def test_tracer_metrics_of_a_repro_run(tmp_path):
 def test_sweep_layer_calls(tmp_path):
     packets = tmp_path / "packets.csv"
     packets.write_text("time,protocol\n0.5,TCP\n1.2,UDP\n1.7,ICMP\n2.1,TCP\n")
-    rates = ingest.bin_to_rate(ingest.load_packet_trace(str(packets)))
+    trace = ingest.load_packet_trace(str(packets))
+    assert len(trace) == 3  # the tracer's "kept" count
+    rates = ingest.bin_to_rate(trace)
     assert rates.values.tolist() == [1.0, 1.0, 1.0]
     actual = np.array([1.0, 2.0])
     text = evaluate.render_prediction_csv(actual, actual + 0.5, actual - 0.5)

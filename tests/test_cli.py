@@ -424,6 +424,38 @@ def test_unknown_report_format_in_config_exits_2_before_any_work(tmp_path, capsy
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("sections, label", [
+    ("[synth]\ndatasets = A A\n", "A"),
+    ("[ingest]\ninputs = {mon}/trace.csv {tue}/trace.csv\n", "trace"),
+    ("[synth]\ndatasets = A trace\n\n[ingest]\ninputs = {mon}/trace.csv\n", "trace"),
+], ids=["synth-twice", "same-file-stem", "synth-equals-stem"])
+def test_duplicate_dataset_labels_exit_2_before_any_work(tmp_path, capsys, sections, label):
+    # Each label names its predictions_<label>.csv and stage CSVs.
+    mon, tue = tmp_path / "mon", tmp_path / "tue"
+    for day in (mon, tue):
+        day.mkdir()
+        write_packet_csv(day / "trace.csv")
+    outdir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n" + sections.format(mon=mon, tue=tue))
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert f"dataset label {label!r} is used twice" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_synth_shorter_than_a_period_is_a_config_error(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n[synth]\ndatasets = A\nn = 30\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trafficast: config error: ") and "(n >= period)" in err
+    assert not outdir.exists()
+    argv = ["synth", "seasonal", "--n", "10", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("trafficast: synth: need at least one full cycle")
+
+
 def test_config_without_sources_rejected(tmp_path, capsys):
     config = tmp_path / "empty.cfg"
     config.write_text("[run]\nseed = 1\n")

@@ -1,5 +1,5 @@
 """Each demo script, and the README's library example and run config, runs
-to completion against the package in ``src``."""
+to completion against the package in ``src``; every exported name exists."""
 import os
 import subprocess
 import sys
@@ -17,6 +17,13 @@ def run_python(args, cwd):
         [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_every_exported_name_resolves():
+    import trafficast
+
+    missing = [name for name in trafficast.__all__ if not hasattr(trafficast, name)]
+    assert not missing
 
 
 def test_demos_are_found():

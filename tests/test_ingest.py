@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from trafficast import ingest
 from trafficast.errors import ParseError, TrafficastError, ValidationError
 from trafficast.ingest import (
-    PacketTrace,
     bin_to_rate,
     load_packet_rates,
     load_packet_trace,
@@ -35,25 +34,25 @@ def packet_csv(rows, header="time,protocol"):
 class TestLoadPacketTrace:
     def test_filters_non_tcp_udp(self):
         trace = load_packet_trace(packet_csv([(0.0, "TCP"), (0.5, "UDP"), (0.7, "ICMP")]))
-        assert len(trace) == 2
-        assert trace.protocols == ("TCP", "UDP")
+        assert trace.tolist() == [0.0, 0.5]
 
     def test_empty_body_gives_empty_trace(self):
         assert len(load_packet_trace(packet_csv([]))) == 0
 
     def test_unsorted_timestamps_are_sorted(self):
         trace = load_packet_trace(packet_csv([(1.0, "TCP"), (0.2, "TCP")]))
-        assert trace.timestamps.tolist() == [0.2, 1.0]
+        assert trace.tolist() == [0.2, 1.0]
+        assert not trace.flags.writeable
 
     def test_filter_can_be_disabled(self):
         trace = load_packet_trace(
             packet_csv([(0.0, "TCP"), (0.7, "ICMP")]), filter_protocols=False
         )
-        assert trace.protocols == ("TCP", "other")
+        assert trace.tolist() == [0.0, 0.7]
 
     def test_case_insensitive_protocols(self):
-        trace = load_packet_trace(packet_csv([(0.0, "tcp"), (0.1, "udp")]))
-        assert trace.protocols == ("TCP", "UDP")
+        trace = load_packet_trace(packet_csv([(0.0, "tcp"), (0.1, "udp"), (0.2, "icmp")]))
+        assert trace.tolist() == [0.0, 0.1]
 
     def test_malformed_time_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -75,22 +74,20 @@ class TestLoadPacketTrace:
 
 def assert_matches_row_oracle(text, filter_protocols=True, newline=""):
     """Load ``text`` and compare with the whole-text row oracle: the same
-    trace, or the same error class and line."""
+    kept timestamps, or the same error class and line."""
     def load():
         stream = io.StringIO(text, newline=newline)
         return load_packet_trace(stream, filter_protocols=filter_protocols)
 
     try:
-        times, tags = reference.load_packet_rows(text, filter_protocols, newline)
+        times, _ = reference.load_packet_rows(text, filter_protocols, newline)
     except reference.RowError as want:
         with pytest.raises(TrafficastError) as raised:
             load()
         assert type(raised.value).__name__ == want.kind
         assert want.first_line <= reference.error_line(raised.value) <= want.line
     else:
-        trace = load()
-        assert trace.timestamps.tobytes() == np.array(times, dtype=float).tobytes()
-        assert trace.protocols == tuple(tags)
+        assert load().tobytes() == np.array(times, dtype=float).tobytes()
 
 
 _VALID_TIMES = st.one_of(
@@ -217,7 +214,7 @@ class TestChunkedLoader:
         # there, unlike in an LF-only stream.
         path = tmp_path / "packets.csv"
         path.write_bytes(b"time,protocol\n1.0,TCP\r2.0,UDP\n3.0,tcp\n")
-        assert load_packet_trace(path).timestamps.tolist() == [1.0, 2.0, 3.0]
+        assert load_packet_trace(path).tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(ParseError, match="^line 2: malformed CSV row"):
             load_packet_trace(io.StringIO("time,protocol\n1.0,TCP\r2.0,UDP\n"))
 
@@ -236,15 +233,15 @@ class TestChunkedLoader:
     @pytest.mark.parametrize("filter_protocols", [True, False])
     def test_plain_chunks_skip_the_row_scan(self, text, filter_protocols, monkeypatch):
         # A chunk that fell back would still load correctly, only slower;
-        # so would a TCP or UDP tag sent to the per-cell protocol mapping.
+        # so would a TCP or UDP tag sent to the per-cell protocol predicate.
         def no_scan(*args, **kwargs):
             raise AssertionError("plain chunk sent to the csv row scan")
 
         mapped = []
-        canonical = ingest._canonical_protocol
+        known = ingest._known_protocol
         monkeypatch.setattr(ingest, "_scan_rows", no_scan)
         monkeypatch.setattr(
-            ingest, "_canonical_protocol", lambda raw: mapped.append(raw) or canonical(raw)
+            ingest, "_known_protocol", lambda raw: mapped.append(raw) or known(raw)
         )
         assert_matches_row_oracle(text, filter_protocols)
         assert not {raw.upper() for raw in mapped} & {"TCP", "UDP"}
@@ -277,9 +274,7 @@ class TestChunkedLoader:
         head = "time,protocol,note\n" + "0.5,TCP,plain\n" * 3
         quoted = '1.5,UDP,"first\nsecond\nthird"\n'  # lines 5-7
         good = head + quoted + "2.5,tcp,x\n"
-        trace = load_packet_trace(io.StringIO(good))
-        assert trace.timestamps.tolist() == [0.5, 0.5, 0.5, 1.5, 2.5]
-        assert trace.protocols == ("TCP", "TCP", "TCP", "UDP", "TCP")
+        assert load_packet_trace(io.StringIO(good)).tolist() == [0.5, 0.5, 0.5, 1.5, 2.5]
         with pytest.raises(ParseError, match="line 9"):
             load_packet_trace(io.StringIO(good + "oops,TCP,x\n"))
 
@@ -289,14 +284,8 @@ class TestChunkedLoader:
             writer = csv.writer(fh)
             writer.writerow(["protocol", "time", "note"])
             writer.writerows([["UDP", 2.0, "a,b"], ["ICMP", 0.5, ""], ["tcp", 1.0, "c"]])
-        trace = load_packet_trace(path, filter_protocols=False)
-        assert trace.timestamps.tolist() == [0.5, 1.0, 2.0]
-        assert trace.protocols == ("other", "TCP", "UDP")
-
-    def test_protocol_tags_are_shared_objects(self):
-        rows = [(i * 0.1, ["tcp", "UDP ", "ICMP"][i % 3]) for i in range(30)]
-        trace = load_packet_trace(packet_csv(rows), filter_protocols=False)
-        assert len({id(tag) for tag in trace.protocols}) == 3
+        assert load_packet_trace(path).tolist() == [1.0, 2.0]
+        assert load_packet_trace(path, filter_protocols=False).tolist() == [0.5, 1.0, 2.0]
 
 
 class TestUnreadableInput:
@@ -318,8 +307,7 @@ class TestUnreadableInput:
     def test_unterminated_quote_at_the_end_is_one_field(self):
         # As before: csv ends the field at the end of input.
         text = 'time,protocol\n0.5,UDP\n1.0,"TCP\n2.0,UDP\n'
-        trace = load_packet_trace(io.StringIO(text))
-        assert trace.timestamps.tolist() == [0.5]
+        assert load_packet_trace(io.StringIO(text)).tolist() == [0.5]
 
     def test_packet_file_with_a_latin1_byte(self, tmp_path):
         path = tmp_path / "packets.csv"
@@ -409,7 +397,7 @@ class TestLoadPacketRates:
                 bin_width *= 1e3
             else:
                 # The same for the series itself: at most 1e5 bins.
-                while len(trace) and trace.timestamps[-1] / bin_width > 1e5:
+                while len(trace) and trace[-1] / bin_width > 1e5:
                     bin_width *= 10
             assert_rates_match_trace_path(make_source, bin_width, filter_protocols)
 
@@ -504,7 +492,7 @@ class TestLoadPacketRates:
         assert peaks[1] < 1.2 * peaks[0]
 
 
-class TestPacketTrace:
+class TestBinToRate:
     @pytest.mark.parametrize(
         "timestamps",
         [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]],
@@ -512,34 +500,37 @@ class TestPacketTrace:
     )
     def test_non_finite_timestamp_rejected(self, timestamps):
         with pytest.raises(ValidationError, match="^timestamps must be finite$"):
-            PacketTrace(timestamps=timestamps, protocols=("TCP",) * 3)
+            bin_to_rate(np.array(timestamps))
 
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ValidationError, match="^timestamps must be nonnegative$"):
+            bin_to_rate(np.array([0.5, -0.25, 2.0]))
 
-class TestBinToRate:
+    def test_two_dimensional_timestamps_rejected(self):
+        with pytest.raises(ValidationError, match="^timestamps must be one-dimensional$"):
+            bin_to_rate(np.array([[0.5, 1.5], [2.5, 3.5]]))
+
     def test_basic_counting(self):
-        trace = PacketTrace(np.array([0.1, 0.2, 1.5]), ("TCP",) * 3)
-        assert bin_to_rate(trace, 1.0).values.tolist() == [2.0, 1.0]
+        assert bin_to_rate(np.array([0.1, 0.2, 1.5]), 1.0).values.tolist() == [2.0, 1.0]
 
     def test_single_packet(self):
-        trace = PacketTrace(np.array([0.0]), ("TCP",))
-        series = bin_to_rate(trace, 1.0)
+        series = bin_to_rate(np.array([0.0]), 1.0)
         assert series.values.tolist() == [1.0]
         assert series.dt == 1.0
 
     def test_uniform_timestamps_match_brute_force(self):
-        ts = np.sort(10.0 * uniform_stream(seed=31, n=1000))
-        trace = PacketTrace(ts, ("UDP",) * 1000)
-        series = bin_to_rate(trace, 1.0)
+        ts = 10.0 * uniform_stream(seed=31, n=1000)  # unsorted
+        series = bin_to_rate(ts, 1.0)
         assert series.values.tolist() == reference.count_per_bin(ts, 1.0)
         assert series.values.sum() == 1000
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
-            bin_to_rate(PacketTrace(np.empty(0), ()), 1.0)
+            bin_to_rate(np.empty(0), 1.0)
 
     @pytest.mark.parametrize("last", [1e300, 1e20])
     def test_timestamp_beyond_index_range_rejected(self, last):
-        trace = PacketTrace(np.array([0.5, last]), ("TCP", "TCP"))
+        trace = np.array([0.5, last])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=re.escape(f"timestamp {last!r} needs")):
@@ -547,28 +538,24 @@ class TestBinToRate:
 
     def test_unallocatable_bin_count_rejected(self):
         # 1e18 one-second bins need 8e18 bytes, more than any address space.
-        trace = PacketTrace(np.array([0.5, 1e18]), ("TCP", "TCP"))
         with pytest.raises(ValidationError, match="1000000000000000001 bins.*memory"):
-            bin_to_rate(trace, 1.0)
+            bin_to_rate(np.array([0.5, 1e18]), 1.0)
 
     def test_nonpositive_width_rejected(self):
-        trace = PacketTrace(np.array([0.0]), ("TCP",))
         with pytest.raises(ValidationError):
-            bin_to_rate(trace, 0.0)
+            bin_to_rate(np.array([0.0]), 0.0)
 
     @pytest.mark.parametrize("bin_width", [math.inf, math.nan])
     def test_non_finite_width_rejected(self, bin_width):
-        trace = PacketTrace(np.array([0.0, 5.0]), ("TCP", "UDP"))
         with pytest.raises(
             ValidationError, match=f"^bin_width must be positive and finite, got {bin_width}$"
         ):
-            bin_to_rate(trace, bin_width)
+            bin_to_rate(np.array([0.0, 5.0]), bin_width)
 
     def test_timestamp_beyond_addressable_bytes_rejected(self):
         # 5e18 eight-byte counts pass the index check but overflow a byte size.
-        trace = PacketTrace(np.array([0.5, 5e18]), ("TCP", "TCP"))
         with pytest.raises(ValidationError, match="5000000000000000001 bins.*memory"):
-            bin_to_rate(trace, 1.0)
+            bin_to_rate(np.array([0.5, 5e18]), 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -580,8 +567,7 @@ class TestBinToRate:
         width=st.floats(min_value=0.05, max_value=20.0, allow_nan=False),
     )
     def test_counts_sum_to_packet_count(self, times, width):
-        trace = PacketTrace(np.sort(times), ("TCP",) * len(times))
-        assert bin_to_rate(trace, width).values.sum() == len(times)
+        assert bin_to_rate(np.array(times), width).values.sum() == len(times)
 
     def test_permutation_invariance(self):
         rows = [(3.0, "TCP"), (0.5, "UDP"), (2.2, "TCP"), (0.6, "UDP")]
@@ -605,6 +591,11 @@ class TestSeriesCsv:
     def test_bad_value_reports_line(self):
         with pytest.raises(ParseError, match="line 4"):
             load_series_csv(io.StringIO("value\n1.0\n2.0\nabc\n"))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, raw):
+        with pytest.raises(ParseError, match=f"^line 4: non-finite value '{raw}'$"):
+            load_series_csv(io.StringIO(f"value\n1\n2\n{raw}\n4\n"))
 
     def test_dt_metadata_honoured(self):
         series = load_series_csv(io.StringIO("# dt=0.5\nvalue\n1\n2\n"))
