@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .rng import normal_stream
-from .series import TimeSeries, linear_recurrence, values_of
+from .series import TimeSeries, linear_recurrence, real, values_of
 
 SIMULATION_BURN_IN = 500
 
@@ -63,13 +63,11 @@ class ArmaModel:
             raise ValidationError(f"expected {self.p} AR coefficients, got {theta.size}")
         if phi.size != self.q:
             raise ValidationError(f"expected {self.q} MA coefficients, got {phi.size}")
-        if not self.sigma2 >= 0:
-            raise ValidationError(f"sigma2 must be nonnegative, got {self.sigma2}")
         theta.flags.writeable = False
         phi.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", real("sigma2", self.sigma2, nonnegative=True))
 
     def ar_roots(self) -> np.ndarray:
         """Roots of 1 - theta_1 z - ... - theta_p z^p."""

@@ -28,7 +28,7 @@ from .evaluate import (
 from .ingest import load_packet_rates, load_series_csv, write_series_csv
 from .preprocess import SCALE_MODES, PreprocessConfig, pipeline_with_stages
 from .rng import derive_seed
-from .series import TimeSeries
+from .series import TimeSeries, real
 from .synth import SeasonalSpec, gen_seasonal_traffic
 
 DEFAULT_PREDICTOR_GRID = ["arma:2,0", "arma:2,1", "arma:2,2", "arma:3,0", "arma:3,1", "kf:0.01,0.01"]
@@ -91,7 +91,8 @@ def load_run_config(path: Path) -> RunConfig:
         if parser.has_section("ingest"):
             sec = parser["ingest"]
             cfg.ingest_inputs = [Path(p) for p in sec.get("inputs", "").split()]
-            cfg.bin_width = sec.getfloat("bin_width", cfg.bin_width)
+            bin_width = sec.getfloat("bin_width", cfg.bin_width)
+            cfg.bin_width = real("bin_width", bin_width, positive=True)
         if parser.has_section("preprocess"):
             sec = parser["preprocess"]
             cfg.preprocess = PreprocessConfig(
@@ -161,15 +162,13 @@ def run_pipeline(config: RunConfig) -> int:
         raise PipelineError("compare", str(exc)) from exc
 
     try:
-        (outdir / config.report_name).write_text(
-            render_report(report, config.report_format), encoding="utf-8"
-        )
-        (outdir / "mse_grid.csv").write_text(
-            grid_csv(report, report.mse_grid), encoding="utf-8"
-        )
-        (outdir / "time_grid.csv").write_text(
-            grid_csv(report, report.time_grid), encoding="utf-8"
-        )
+        artifacts = {
+            config.report_name: render_report(report, config.report_format),
+            "mse_grid.csv": grid_csv(report, report.mse_grid),
+            "time_grid.csv": grid_csv(report, report.time_grid),
+        }
+        for name, text in artifacts.items():
+            (outdir / name).write_text(text, encoding="utf-8", newline="")
         _write_prediction_csvs(config, datasets, report, outdir)
     except OSError as exc:
         raise PipelineError("report", str(exc)) from exc
@@ -249,7 +248,7 @@ def cmd_preprocess(args) -> int:
 def cmd_fit_arma(args) -> int:
     series = load_series_csv(args.input)
     model, diag = arma.fit(series, args.p, args.q)
-    Path(args.out).write_text(json.dumps(model.to_dict(), indent=2) + "\n", "utf-8")
+    Path(args.out).write_text(json.dumps(model.to_dict(), indent=2) + "\n", "utf-8", newline="")
     flag = "" if diag.ar_stationary else " (nonstationary AR estimate)"
     if not diag.ma_invertible:
         flag += " (non-invertible MA estimate)"
@@ -296,7 +295,7 @@ def cmd_compare(args) -> int:
     report = compare(datasets, predictors, timing_repetitions=args.timing_reps)
     text = render_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
         print(f"report -> {args.out}")
     else:
         print(text, end="")

@@ -29,7 +29,7 @@ from typing import IO, Iterable, Iterator, Union
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .series import TimeSeries
+from .series import TimeSeries, real
 
 Source = Union[str, Path, IO[str]]
 
@@ -353,8 +353,7 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
     many bins its timestamps span: an unsorted capture at fine bins does
     not pay for every bin with every chunk.
     """
-    if not (bin_width > 0 and math.isfinite(bin_width)):
-        raise ValidationError(f"bin_width must be positive and finite, got {bin_width}")
+    bin_width = real("bin_width", bin_width, positive=True)
     counts = np.zeros(0, dtype=np.intp)
     n_bins = 0
     for ts in chunks:
@@ -366,8 +365,10 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
                 f"last timestamp {last!r} needs {last / bin_width + 1:.4g} bins of"
                 f" {bin_width!r} s, more than an array index can address"
             )
-        idx = np.floor(ts / bin_width).astype(np.intp)
-        high = int(idx.max()) + 1
+        # Times here are finite and >= 0, so truncation is floor; correctly
+        # rounded division is monotone, so ``last`` falls in the top bin.
+        idx = (ts / bin_width).astype(np.intp)
+        high = int(last / bin_width) + 1
         if high > counts.size:
             try:
                 grown = np.zeros(max(high, 2 * counts.size), dtype=np.intp)
@@ -382,7 +383,7 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
         n_bins = max(n_bins, high)
     if not n_bins:
         raise ValidationError("cannot bin an empty trace: no capture duration")
-    return TimeSeries(values=counts[:n_bins].astype(float), dt=float(bin_width), origin=0.0)
+    return TimeSeries(values=counts[:n_bins].astype(float), dt=bin_width, origin=0.0)
 
 
 def _iter_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:

@@ -17,26 +17,12 @@ Once the gain settles, the remaining predictions are solved in one scan by
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FilterError, ValidationError
-from .series import TimeSeries, linear_recurrence, values_of
-
-
-def _set_real(obj, name: str, nonnegative: bool) -> None:
-    value = getattr(obj, name)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ValidationError(f"{name} must be finite, got {number!r}")
-    if nonnegative and number < 0.0:
-        raise ValidationError(f"{name} must be nonnegative, got {number!r}")
-    object.__setattr__(obj, name, number)
+from .series import TimeSeries, linear_recurrence, real, values_of
 
 
 @dataclass(frozen=True)
@@ -51,7 +37,8 @@ class StateSpaceModel:
 
     def __post_init__(self):
         for name in ("a", "h", "q", "r"):
-            _set_real(self, name, nonnegative=name in ("q", "r"))
+            value = real(name, getattr(self, name), nonnegative=name in ("q", "r"))
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -62,8 +49,8 @@ class KalmanState:
     p: float
 
     def __post_init__(self):
-        _set_real(self, "x", nonnegative=False)
-        _set_real(self, "p", nonnegative=True)
+        object.__setattr__(self, "x", real("x", self.x))
+        object.__setattr__(self, "p", real("p", self.p, nonnegative=True))
 
 
 @dataclass(frozen=True)

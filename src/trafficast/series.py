@@ -10,6 +10,27 @@ import numpy as np
 from .errors import ValidationError
 
 
+def real(name: str, value, *, nonnegative: bool = False, positive: bool = False) -> float:
+    """``value`` as a finite float, else a :class:`ValidationError` naming
+    ``name``; ``nonnegative`` also rejects values below zero, ``positive``
+    values not above it.  Text is rejected, though ``float`` parses it."""
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if positive and not 0.0 < number < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {number!r}")
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {number!r}")
+    if nonnegative and number < 0.0:
+        raise ValidationError(f"{name} must be nonnegative, got {number!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Real-valued samples on a uniform time grid.
@@ -40,17 +61,11 @@ class TimeSeries:
             raise ValidationError("series must contain at least one sample")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("series values must be finite")
-        if not (isinstance(self.dt, (int, float)) and 0 < self.dt < math.inf):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (math.isfinite(self.scale_mean) and 0 < self.scale_std < math.inf):
-            raise ValidationError(
-                f"scale needs a finite mean and a positive finite std, got "
-                f"{self.scale_mean!r} and {self.scale_std!r}"
-            )
+        for name in ("dt", "origin", "scale_mean", "scale_std"):
+            value = real(name, getattr(self, name), positive=name in ("dt", "scale_std"))
+            object.__setattr__(self, name, value)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        for name in ("dt", "origin", "scale_mean", "scale_std"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "log1p", bool(self.log1p))
 
     def __len__(self) -> int:
@@ -112,7 +127,7 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
         return y
     if not all(map(math.isfinite, coef)):
         raise ValidationError(
-            f"explosive recurrence: its coefficients must be finite, got {coef}"
+            f"explosive recurrence: its coefficients {coef} are not all finite"
         )
     lags = past[::-1] + [0.0] * (q - len(past))  # lags[j] = y[-1-j]
     for t in range(min(q, n)):

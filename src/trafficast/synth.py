@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .kalman import StateSpaceModel
 from .rng import normal_stream
-from .series import TimeSeries, linear_recurrence
+from .series import TimeSeries, linear_recurrence, real
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,9 @@ class SeasonalSpec:
                 f"need at least one full cycle (n >= period), got n={self.n},"
                 f" period={self.period}"
             )
-        if self.base_rate < 0:
-            raise ValidationError("base_rate must be nonnegative")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be nonnegative")
+        for name in ("amplitude", "base_rate", "noise_std"):
+            value = real(name, getattr(self, name), nonnegative=name != "amplitude")
+            object.__setattr__(self, name, value)
 
 
 def gen_seasonal_traffic(spec: SeasonalSpec) -> TimeSeries:

@@ -443,6 +443,60 @@ def test_duplicate_dataset_labels_exit_2_before_any_work(tmp_path, capsys, secti
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("synth", "amplitude", "inf", "amplitude must be finite, got inf"),
+    ("synth", "base_rate", "nan", "base_rate must be finite, got nan"),
+    ("synth", "noise_std", "inf", "noise_std must be finite, got inf"),
+    ("ingest", "bin_width", "nan", "bin_width must be positive and finite, got nan"),
+    ("ingest", "bin_width", "0", "bin_width must be positive and finite, got 0.0"),
+    ("ingest", "bin_width", "inf", "bin_width must be positive and finite, got inf"),
+], ids=["amplitude-inf", "base_rate-nan", "noise_std-inf", "bin_width-nan", "bin_width-0",
+        "bin_width-inf"])
+def test_bad_real_setting_exits_2_before_any_work(tmp_path, capsys, section, key, value,
+                                                  message):
+    # The config is rejected before any input is read.
+    inputs = f"inputs = {tmp_path / 'packets.csv'}\n" if section == "ingest" else ""
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n[{section}]\n{inputs}{key} = {value}\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}: {message}\n"
+    )
+    assert not outdir.exists()
+
+
+def test_synth_amplitude_inf_fails_without_numpy_warnings(tmp_path, capsys, recwarn):
+    out = tmp_path / "s.csv"
+    assert cli.main(["synth", "seasonal", "--amplitude", "inf", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "trafficast: synth: amplitude must be finite, got inf\n"
+    assert not out.exists() and not recwarn.list
+
+
+def test_artifacts_have_lf_line_ends_where_text_mode_translates(tmp_path, monkeypatch):
+    # Emulate a platform whose text mode writes "\n" as "\r\n" unless the
+    # caller passes newline="", as Path.write_text does on Windows.
+    write_text = Path.write_text
+
+    def crlf_write_text(self, data, encoding=None, errors=None, newline=None):
+        if newline is None:
+            data = data.replace("\n", "\r\n")
+        return write_text(self, data, encoding, errors, newline)
+
+    monkeypatch.setattr(Path, "write_text", crlf_write_text)
+    series, repro = tmp_path / "s.csv", tmp_path / "repro"
+    write_series_csv(gen_seasonal_traffic(SeasonalSpec(n=400, seed=3)), series)
+    assert cli.main(["repro-paper", "--out", str(repro), "--timing-reps", "1"]) == 0
+    assert cli.main(["fit-arma", "--input", str(series), "--p", "2", "--q", "1",
+                     "--out", str(tmp_path / "model.json")]) == 0
+    assert cli.main(["compare", "--datasets", str(series), "--timing-reps", "1",
+                     "--predictors", "arma:2,1", "kf:0.01,0.01",
+                     "--out", str(tmp_path / "report.md")]) == 0
+    artifacts = [*repro.iterdir(), tmp_path / "model.json", tmp_path / "report.md"]
+    assert len(artifacts) == 10
+    for path in artifacts:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 def test_synth_shorter_than_a_period_is_a_config_error(tmp_path, capsys):
     outdir = tmp_path / "out"
     config = tmp_path / "run.cfg"

@@ -609,6 +609,10 @@ class TestSeriesCsv:
         with pytest.raises(ValidationError, match="^dt must be positive and finite, got inf$"):
             load_series_csv(io.StringIO("# dt=inf\nvalue\n1\n2\n"))
 
+    def test_non_finite_origin_rejected(self):
+        with pytest.raises(ValidationError, match="^origin must be finite, got nan$"):
+            load_series_csv(io.StringIO("# origin=nan\nvalue\n1\n2\n"))
+
     def test_values_written_as_the_row_loop_writes_them(self):
         values = reference.AWKWARD_FLOATS
         buf = io.StringIO()

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficast import kalman
+from trafficast import arma, kalman
 from trafficast.errors import FilterError, ValidationError
 from trafficast.evaluate import mse
-from trafficast.synth import gen_linear_gaussian
+from trafficast.ingest import bin_to_rate
+from trafficast.series import TimeSeries
+from trafficast.synth import SeasonalSpec, gen_linear_gaussian
 
 import reference
 
@@ -59,9 +61,11 @@ class TestModelValidation:
 
 
 class TestFieldValidation:
-    # Outcome for the variance fields q, r and p: None (accepted),
-    # "finite" or "nonnegative".  The signed fields a, h and x accept
-    # every finite value.
+    # Every real-valued setting goes through ``series.real``.  Outcome for
+    # the nonnegative fields (q, r, p, base_rate, noise_std, sigma2): None
+    # (accepted), "finite" or "nonnegative".  The signed fields accept every
+    # finite value; the positive fields also reject 0.0 and -0.0, all with
+    # the message "positive and finite".
     CASES = [
         (float("nan"), "finite"),
         (float("inf"), "finite"),
@@ -71,34 +75,67 @@ class TestFieldValidation:
         (-1.1e-10, "nonnegative"),
         (-1e-10, "nonnegative"),
         (-1e-11, "nonnegative"),
+        (-5e-324, "nonnegative"),
         (-0.0, None),
         (0.0, None),
         (1.0, None),
         (1e308, None),
     ]
+    FIELDS = [
+        "a", "h", "q", "r", "x", "p",
+        "dt", "origin", "scale_mean", "scale_std",
+        "amplitude", "base_rate", "noise_std", "sigma2", "bin_width",
+    ]
+    SIGNED = {"a", "h", "x", "origin", "scale_mean", "amplitude"}
+    POSITIVE = {"dt", "scale_std", "bin_width"}
 
     @staticmethod
     def build(name, value):
+        """Build what owns field ``name`` with it set to ``value``; return
+        the value it stored."""
         if name in ("x", "p"):
-            fields = dict(x=0.0, p=1.0)
-            cls = kalman.KalmanState
+            owner = kalman.KalmanState(**{"x": 0.0, "p": 1.0, name: value})
+        elif name in ("a", "h", "q", "r"):
+            fields = {"a": 1.0, "h": 1.0, "q": 0.1, "r": 0.1, name: value}
+            owner = kalman.StateSpaceModel(**fields)
+        elif name in ("dt", "origin", "scale_mean", "scale_std"):
+            owner = TimeSeries([1.0, 2.0], **{name: value})
+        elif name in ("amplitude", "base_rate", "noise_std"):
+            owner = SeasonalSpec(**{name: value})
+        elif name == "sigma2":
+            owner = arma.ArmaModel(p=0, q=1, theta=[], phi=[0.3], sigma2=value)
         else:
-            fields = dict(a=1.0, h=1.0, q=0.1, r=0.1)
-            cls = kalman.StateSpaceModel
-        fields[name] = value
-        return cls(**fields)
+            return bin_to_rate(np.array([0.0, 5.0]), value).dt
+        return getattr(owner, name)
 
     @pytest.mark.parametrize("value, outcome", CASES)
-    @pytest.mark.parametrize("name", ["a", "h", "q", "r", "x", "p"])
+    @pytest.mark.parametrize("name", FIELDS)
     def test_field(self, name, value, outcome):
-        if name in ("a", "h", "x") and outcome == "nonnegative":
+        if name in self.SIGNED and outcome == "nonnegative":
             outcome = None
+        if name in self.POSITIVE and (outcome or value == 0.0):
+            outcome = "positive and finite"
         if outcome is None:
-            assert getattr(self.build(name, value), name) == value
+            stored = self.build(name, value)
+            assert type(stored) is float and stored == value
         else:
             message = f"{name} must be {outcome}, got {value!r}"
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 self.build(name, value)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_int_beyond_float_range_is_not_finite(self, name):
+        outcome = "positive and finite" if name in self.POSITIVE else "finite"
+        message = f"{name} must be {outcome}, got inf"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            self.build(name, 10**400)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_text_is_not_a_number(self, name):
+        # float() would parse "1.0"; a setting must be a number already.
+        message = f"{name} must be a real number, got '1.0'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            self.build(name, "1.0")
 
 
 class TestTimeUpdate:
