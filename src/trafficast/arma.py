@@ -7,11 +7,12 @@ The process model is
         + sum_{j=1..q} phi_j * eps_{t-j}
         + eps_t,        eps_t ~ iid N(0, sigma2)
 
-Estimation follows the Hannan-Rissanen two-stage procedure: a long
-autoregression of order ``m = max(20, 2*(p+q))`` is fit by least squares
-to estimate the innovation sequence, then X_t is regressed on its own p
-lags and q lags of the estimated innovations.  The method is
-deterministic, needs no iterative optimizer, and its failure modes
+Estimation follows the Hannan-Rissanen two-stage procedure: X_t is
+regressed by least squares on its own p lags and on q lags of the
+innovations.  The innovations are not observed, so for q > 0 a long
+autoregression of order ``m = max(20, 2*(p+q))`` estimates them first; a
+pure AR order needs no innovations and is the one regression.  The method
+is deterministic, needs no iterative optimizer, and its failure modes
 (singular regression) are explicit.
 
 Predictions are conditional expectations: the one-step forecast replaces
@@ -181,21 +182,24 @@ def fit(
 ) -> tuple[ArmaModel, FitDiagnostics]:
     """Estimate ARMA(p, q) coefficients by two-stage least squares.
 
-    Requires ``p + q >= 1`` and at least ``10 * (p + q + 1)`` samples.  A
-    nonstationary AR estimate is reported through the diagnostics rather
-    than rejected: rolling one-step prediction stays anchored to observed
-    history, so such a model is still usable for comparison runs.  A
-    non-invertible MA estimate is reported there too: rolling prediction
-    with it lets the innovation estimates grow geometrically, which shows
-    as a huge MSE.
+    Requires ``p + q >= 1`` and at least ``max(10 * (p + q + 1), 2 * m)``
+    samples, ``m = max(20, 2 * (p + q))`` being the long-autoregression
+    order.  A nonstationary AR estimate is reported through the
+    diagnostics rather than rejected: rolling one-step prediction stays
+    anchored to observed history, so such a model is still usable for
+    comparison runs.  A non-invertible MA estimate is reported there too:
+    rolling prediction with it lets the innovation estimates grow
+    geometrically, which shows as a huge MSE.
     """
     x = values_of(series)
     check_order(p, q)
     n = x.size
-    if n < 10 * (p + q + 1):
+    m = max(20, 2 * (p + q))
+    need = max(10 * (p + q + 1), 2 * m)
+    if n < need:
         raise ValidationError(
             f"series of length {n} is too short to fit ARMA({p},{q}); "
-            f"need at least {10 * (p + q + 1)} samples"
+            f"need at least {need} samples"
         )
 
     # Fit a copy scaled by a power of two to a peak in [0.5, 1), so that no
@@ -204,22 +208,17 @@ def fit(
     exp = int(np.frexp(np.max(np.abs(x)))[1])
     x = np.ldexp(x, -exp)
 
-    m = max(20, 2 * (p + q))
-    if n - m < m:
-        raise FitError(
-            f"series of length {n} is too short for the long-autoregression "
-            f"stage (order {m})"
-        )
-    eps = np.zeros(n)  # innovations are only identified from index m on
-    eps[m:] = _solve_ls(_lagged_columns(x, m, m), x[m:], "long autoregression")[1]
-
     # The regression sample starts where both the p value-lags and the q
     # innovation-lags exist; the same window is used even for q = 0 so that
     # every order sees an identically aligned sample.
     t0 = max(p, m + q)
-    if n - t0 < p + q + 1:
-        raise FitError(f"only {n - t0} usable rows after burn-in; need {p + q + 1}")
-    cols = _lagged_columns(x, p, t0) + _lagged_columns(eps, q, t0)
+    cols = _lagged_columns(x, p, t0)
+    if q:
+        # The long autoregression's only use: the innovations, identified
+        # from index m on, that the MA lags regress on.
+        eps = np.zeros(n)
+        eps[m:] = _solve_ls(_lagged_columns(x, m, m), x[m:], "long autoregression")[1]
+        cols += _lagged_columns(eps, q, t0)
     coef, resid = _solve_ls(cols, x[t0:], f"ARMA({p},{q}) regression")
 
     try:

@@ -19,6 +19,7 @@ from .errors import ConfigError, PipelineError, TrafficastError, ValidationError
 from .evaluate import (
     REPORT_FORMATS,
     PredictorSpec,
+    check_labels,
     compare,
     grid_csv,
     parse_predictor,
@@ -41,6 +42,17 @@ REPRO_DATASETS = (
     ("D", 65.0, 25.0),
     ("E", 45.0, 18.0),
 )
+
+
+# The keys each run-config section may hold; any other section or key is an error.
+CONFIG_KEYS = {
+    "run": ("seed", "outdir"),
+    "synth": ("datasets", "n", "period", "amplitude", "base_rate", "noise_std"),
+    "ingest": ("inputs", "bin_width"),
+    "preprocess": ("window", "overlap", "log", "scale", "emit_stages"),
+    "predictors": ("specs",),
+    "eval": ("format", "out", "timing_reps"),
+}
 
 
 @dataclass
@@ -69,11 +81,23 @@ class RunConfig:
 
 def load_run_config(path: Path) -> RunConfig:
     """Read a run config file; keys absent from a section keep the defaults
-    of ``RunConfig``, ``SeasonalSpec`` and ``PreprocessConfig``."""
-    parser = configparser.ConfigParser()
+    of ``RunConfig``, ``SeasonalSpec`` and ``PreprocessConfig``, and a
+    section or key not in ``CONFIG_KEYS`` is an error."""
+    # No default section: a [DEFAULT] header names an ordinary, unknown
+    # section instead of keys that would leak into every other section.
+    parser = configparser.ConfigParser(default_section="")
     cfg = RunConfig()
     try:
         read = parser.read(path)
+        for name in parser.sections():
+            if name not in CONFIG_KEYS:
+                raise ValidationError(f"unknown section [{name}]")
+            for key in parser[name]:
+                if key not in CONFIG_KEYS[name]:
+                    raise ValidationError(
+                        f"unknown key {key!r} in section [{name}];"
+                        f" use one of {CONFIG_KEYS[name]}"
+                    )
         if parser.has_section("run"):
             run = parser["run"]
             cfg.seed = run.getint("seed", cfg.seed)
@@ -112,24 +136,22 @@ def load_run_config(path: Path) -> RunConfig:
                 raise ValidationError(
                     f"unknown report format {cfg.report_format!r}; use one of {REPORT_FORMATS}"
                 )
-            cfg.report_name = sec.get("out", cfg.report_name)
+            suffix = "md" if cfg.report_format == "markdown" else cfg.report_format
+            cfg.report_name = sec.get("out", f"report.{suffix}")
             cfg.timing_repetitions = sec.getint("timing_reps", cfg.timing_repetitions)
             if cfg.timing_repetitions < 1:
                 raise ValidationError(f"timing_reps must be >= 1, got {cfg.timing_repetitions}")
+        # run_pipeline labels an input by its stem.
+        check_labels(
+            [label for label, _ in cfg.synth_specs] + [p.stem for p in cfg.ingest_inputs],
+            [spec.label for spec in cfg.predictors],
+        )
     except (configparser.Error, TrafficastError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if not cfg.synth_specs and not cfg.ingest_inputs:
         raise ConfigError("config must define a [synth] or [ingest] section")
-    # Labels name the output files; run_pipeline labels an input by its stem.
-    labels = [label for label, _ in cfg.synth_specs] + [p.stem for p in cfg.ingest_inputs]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ConfigError(
-                f"invalid config {path}: dataset label {label!r} is used twice;"
-                " each dataset's label names its output files"
-            )
     return cfg
 
 
@@ -150,7 +172,7 @@ def run_pipeline(config: RunConfig) -> int:
         try:
             raw.append((path.stem, load_packet_rates(path, config.bin_width)))
         except (TrafficastError, OSError) as exc:
-            raise PipelineError("ingest", str(exc)) from exc
+            raise PipelineError("ingest", f"dataset {path.stem}: {exc}") from exc
 
     datasets = [(label, _stationarize(label, series, config)) for label, series in raw]
 
@@ -288,8 +310,10 @@ def cmd_synth(args) -> int:
 
 def cmd_compare(args) -> int:
     datasets = []
-    for path_text in args.datasets.split(","):
-        path = Path(path_text.strip())
+    for i, item in enumerate(args.datasets.split(","), start=1):
+        if not item.strip():
+            raise ValidationError(f"--datasets item {i} is empty")
+        path = Path(item.strip())
         datasets.append((path.stem, load_series_csv(path)))
     predictors = [parse_predictor(s) for s in args.predictors]
     report = compare(datasets, predictors, timing_repetitions=args.timing_reps)

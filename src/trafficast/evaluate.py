@@ -175,6 +175,15 @@ def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int):
     return last, seconds
 
 
+def check_labels(datasets: Sequence[str], predictors: Sequence[str]) -> None:
+    """Reject a dataset or predictor label used twice: each names one row or
+    column of the grids, and a dataset's label also names its output files."""
+    for what, labels in (("dataset", datasets), ("predictor", predictors)):
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValidationError(f"{what} label {label!r} is used twice")
+
+
 def compare(
     datasets: Sequence[tuple[str, TimeSeries]],
     predictors: Sequence[PredictorSpec],
@@ -185,10 +194,11 @@ def compare(
     Every predictor's MSE skips the same burn-in prefix (the largest one
     in the report) so columns stay comparable; the last timed run's
     predictions give a cell's MSE.  A failing cell is recorded as missing
-    instead of aborting the grid.
+    instead of aborting the grid; a repeated label is rejected first.
     """
     if not datasets or not predictors:
         raise ValidationError("need at least one dataset and one predictor")
+    check_labels([label for label, _ in datasets], [spec.label for spec in predictors])
     if timing_repetitions < 1:
         raise ValidationError(f"timing_repetitions must be >= 1, got {timing_repetitions}")
     skip = max(spec.burn_in for spec in predictors)

@@ -171,6 +171,22 @@ class TestFit:
         with pytest.raises(ValidationError, match="too short"):
             arma.fit(np.zeros(5) + np.arange(5), 2, 1)
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (0, 1), (0, 2), (1, 0), (1, 1), (6, 6)],
+    )
+    def test_one_sample_size_rule(self, p, q):
+        m = max(20, 2 * (p + q))
+        need = max(10 * (p + q + 1), 2 * m)
+        x = normal_stream(8, need)
+        with pytest.raises(ValidationError, match=(
+            rf"^series of length {need - 1} is too short to fit ARMA\({p},{q}\); "
+            rf"need at least {need} samples$"
+        )):
+            arma.fit(x[:-1], p, q)
+        model, diag = arma.fit(x, p, q)
+        assert diag.residuals.size == need - max(p, m + q)
+
     def test_orders_must_be_positive(self):
         with pytest.raises(ValidationError):
             arma.fit(np.arange(100.0), 0, 0)
@@ -189,9 +205,42 @@ class TestFit:
         assert fitted.sigma2 == pytest.approx(2.5, rel=0.05)
 
     def test_collinear_input_raises_fit_error(self):
-        # Lagged copies of a pure ramp are affinely dependent.
-        with pytest.raises(arma.FitError, match="singular"):
-            arma.fit(np.arange(1000.0), 1, 0)
+        # Any three lags of a pure ramp are linearly dependent: each is a
+        # mix of the ramp and a constant.
+        ramp = np.arange(1000.0)
+        with pytest.raises(arma.FitError, match=r"^singular regression matrix in ARMA\(3,0\)"):
+            arma.fit(ramp, 3, 0)
+        with pytest.raises(arma.FitError, match="^singular regression matrix in long autoregression$"):
+            arma.fit(ramp, 2, 1)
+
+    def test_pure_ar_fits_a_sine_exactly(self):
+        # sin((i+1)w) = 2cos(w) sin(iw) - sin((i-1)w): AR(2) with no noise,
+        # which an order-20 long autoregression cannot fit (rank 2).
+        w = 2 * np.pi / 60
+        model, diag = arma.fit(np.sin(w * np.arange(2000)), 2, 0)
+        np.testing.assert_allclose(model.theta, [2 * np.cos(w), -1.0], rtol=0, atol=1e-9)
+        assert model.sigma2 < 1e-20 and diag.residuals.size == 2000 - 20
+
+    def test_pure_ar_fits_two_sines(self):
+        i = np.arange(2000)
+        x = np.sin(2 * np.pi * i / 60) + 0.5 * np.sin(2 * np.pi * i / 17 + 1.0)
+        model, _ = arma.fit(x, 4, 0)
+        predicted = arma.predict_series(model, x).values
+        np.testing.assert_allclose(predicted[4:], x[4:], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("q, calls", [(0, 1), (1, 2), (2, 2)])
+    def test_long_autoregression_runs_only_for_ma_lags(self, monkeypatch, q, calls):
+        seen = []
+        solve = arma._solve_ls
+
+        def counting(cols, y, what):
+            seen.append(what)
+            return solve(cols, y, what)
+
+        monkeypatch.setattr(arma, "_solve_ls", counting)
+        arma.fit(arma.simulate(AR1, 1000, seed=4), 2, q)
+        assert len(seen) == calls
+        assert seen[-1] == f"ARMA(2,{q}) regression"
 
     def test_explosive_estimate_is_flagged_not_rejected(self):
         from trafficast.rng import normal_stream

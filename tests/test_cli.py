@@ -141,6 +141,31 @@ def test_compare_bad_predictor_fails_with_one_line(tmp_path, capsys, spec):
 BAD_PREDICTORS = ["kf:nan,0.01", "arma:0,0", "arma:-1,2", "kf:0.01,0", "kf:-1,0.01"]
 
 
+@pytest.mark.parametrize("datasets, predictors, message", [
+    ("{s},{s}", ["kf:0.01,0.01"], "dataset label 's' is used twice"),
+    ("{s},{d}/s.csv", ["kf:0.01,0.01"], "dataset label 's' is used twice"),
+    ("{s}", ["arma:2,1", "arma:2,1"], "predictor label 'ARMA(2,1)' is used twice"),
+], ids=["same-file", "same-stem", "same-predictor"])
+def test_compare_repeated_label_fails_with_one_line(tmp_path, capsys, datasets, predictors,
+                                                    message):
+    series, other = tmp_path / "s.csv", tmp_path / "other"
+    other.mkdir()
+    for path in (series, other / "s.csv"):
+        write_series_csv(gen_seasonal_traffic(SeasonalSpec(n=400, seed=3)), path)
+    argv = ["compare", "--datasets", datasets.format(s=series, d=other), "--predictors",
+            *predictors]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"trafficast: compare: {message}\n"
+
+
+@pytest.mark.parametrize("datasets, item", [("{s},", 2), (",{s}", 1), ("{s}, ,{s}", 2)])
+def test_compare_empty_datasets_item_fails_with_one_line(tmp_path, capsys, datasets, item):
+    series = tmp_path / "s.csv"
+    write_series_csv(gen_seasonal_traffic(SeasonalSpec(n=400, seed=3)), series)
+    assert cli.main(["compare", "--datasets", datasets.format(s=series)]) == 1
+    assert capsys.readouterr().err == f"trafficast: compare: --datasets item {item} is empty\n"
+
+
 def test_compare_rejects_predictors_no_model_can_run(tmp_path, capsys):
     series = tmp_path / "s.csv"
     write_series_csv(gen_seasonal_traffic(SeasonalSpec(n=400, seed=3)), series)
@@ -390,7 +415,7 @@ def test_unreadable_capture_fails_with_one_line(tmp_path, capsys, body, message)
     config.write_text(f"[run]\noutdir = {tmp_path / 'out'}\n\n[ingest]\ninputs = {packets}\n")
     assert cli.main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"trafficast: stage failed: ingest: {message}")
+    assert err.startswith(f"trafficast: stage failed: ingest: dataset packets: {message}")
     assert err.count("\n") == 1
 
 
@@ -441,6 +466,78 @@ def test_duplicate_dataset_labels_exit_2_before_any_work(tmp_path, capsys, secti
     assert cli.main(["run", "--config", str(config)]) == 2
     assert f"dataset label {label!r} is used twice" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_repeated_predictor_exits_2_before_any_work(tmp_path, capsys):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\n\n[predictors]\nspecs = arma:2,1 kf:0.01,0.01 arma:2,1\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}:"
+        " predictor label 'ARMA(2,1)' is used twice\n"
+    )
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("sections, message", [
+    ("[synth]\namplitud = 5\n", "unknown key 'amplitud' in section [synth]"),
+    ("[synth]\n\n[eval]\ntimming = 3\n", "unknown key 'timming' in section [eval]"),
+    ("[synth]\n\n[bogus]\n", "unknown section [bogus]"),
+    ("[synth]\n\n[bogus]\nseed = 3\n", "unknown section [bogus]"),
+    ("[DEFAULT]\nseed = 3\n\n[synth]\n", "unknown section [DEFAULT]"),
+    ("[DEFAULT]\n\n[synth]\n", "unknown section [DEFAULT]"),
+    ("[synth]\n\n[predictors]\ndatasets = A\n", "unknown key 'datasets' in section [predictors]"),
+], ids=["synth-key", "eval-key", "empty-section", "section", "default-key", "default-empty",
+        "key-of-another-section"])
+def test_unknown_config_section_or_key_exits_2_before_any_work(tmp_path, capsys, sections,
+                                                               message):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n{sections}")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trafficast: config error: invalid config {config}: {message}")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("fmt, out, name", [
+    ("json", None, "report.json"),
+    ("csv", None, "report.csv"),
+    ("markdown", None, "report.md"),
+    ("json", "grid.txt", "grid.txt"),
+])
+def test_report_is_named_by_its_format_unless_out_names_it(tmp_path, fmt, out, name):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    out_line = f"out = {out}\n" if out else ""
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\nn = 400\n\n[predictors]\n"
+        f"specs = kf:0.01,0.01\n\n[eval]\nformat = {fmt}\n{out_line}timing_reps = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        [name, "mse_grid.csv", "time_grid.csv"]
+    )
+    text = (outdir / name).read_text()
+    if fmt == "json":
+        assert json.loads(text)["predictors"] == ["KF"]
+    elif fmt == "csv":
+        assert text.startswith("dataset,predictor,mse,time_seconds\nA,KF,")
+    else:
+        assert text.startswith("# Predictor comparison\n")
+
+
+def test_ingest_stage_failure_names_its_dataset(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_packet_csv(good)
+    bad.write_text("time,protocol\n0.5,TCP\n1x,UDP\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {tmp_path / 'out'}\n\n[ingest]\ninputs = {good} {bad}\n")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "trafficast: stage failed: ingest: dataset bad: line 3: invalid time value '1x'\n"
+    )
 
 
 @pytest.mark.parametrize("section, key, value, message", [

@@ -168,6 +168,24 @@ class TestCompare:
         with pytest.raises(ValidationError):
             evaluate.compare([], [evaluate.parse_predictor("kf:0.01,0.01")])
 
+    @pytest.mark.parametrize("labels, specs, message", [
+        ("AA", ("kf:0.01,0.01",), "dataset label 'A' is used twice"),
+        ("AB", ("arma:2,1", "kf:0.01,0.01", "arma:2,1"), "predictor label 'ARMA(2,1)' is used twice"),
+        ("A", ("kf:0.01,0.01", "kf:1e-2,0.01"), "predictor label 'KF' is used twice"),
+    ])
+    def test_repeated_label_rejected_before_any_cell(self, monkeypatch, labels, specs, message):
+        def no_cell(*args):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(evaluate, "run_predictor", no_cell)
+        series = small_dataset()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate.compare(
+                [(label, series) for label in labels],
+                [evaluate.parse_predictor(s) for s in specs],
+                timing_repetitions=1,
+            )
+
     def test_requires_a_timing_repetition(self):
         with pytest.raises(ValidationError, match="timing_repetitions"):
             evaluate.compare(
