@@ -58,8 +58,8 @@ class ArmaModel:
     def __post_init__(self):
         if self.p < 0 or self.q < 0:
             raise ValidationError("model orders must be nonnegative")
-        theta = np.array(self.theta, dtype=float).reshape(-1)
-        phi = np.array(self.phi, dtype=float).reshape(-1)
+        theta = np.array(values_of(self.theta, "theta"))
+        phi = np.array(values_of(self.phi, "phi"))
         if theta.size != self.p:
             raise ValidationError(f"expected {self.p} AR coefficients, got {theta.size}")
         if phi.size != self.q:
@@ -113,9 +113,9 @@ class ArmaModel:
         return cls(
             p=int(data["p"]),
             q=int(data["q"]),
-            theta=np.asarray(data["theta"], dtype=float),
-            phi=np.asarray(data["phi"], dtype=float),
-            sigma2=float(data["sigma2"]),
+            theta=data["theta"],
+            phi=data["phi"],
+            sigma2=data["sigma2"],
         )
 
 
@@ -237,8 +237,8 @@ def fit(
 def predict_one_step(model: ArmaModel, history, innovations=()) -> float:
     """Conditional expectation of the next sample given lagged values and
     lagged innovations (most recent last)."""
-    hist = np.asarray(history, dtype=float)
-    innov = np.asarray(innovations, dtype=float)
+    hist = values_of(history, "history")
+    innov = values_of(innovations, "innovations")
     if hist.size < model.p:
         raise ValidationError(f"need {model.p} history values, got {hist.size}")
     if innov.size < model.q:

@@ -85,7 +85,7 @@ def load_run_config(path: Path) -> RunConfig:
     section or key not in ``CONFIG_KEYS`` is an error."""
     # No default section: a [DEFAULT] header names an ordinary, unknown
     # section instead of keys that would leak into every other section.
-    parser = configparser.ConfigParser(default_section="")
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     cfg = RunConfig()
     try:
         read = parser.read(path)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import arma, kalman
 from .errors import TrafficastError, ValidationError
-from .series import TimeSeries
+from .series import TimeSeries, values_of
 
 Cell = Union[float, int, Decimal, None]
 
@@ -104,8 +104,8 @@ def run_predictor(spec: PredictorSpec, series: TimeSeries) -> np.ndarray:
 
 def mse(predicted, actual, skip: int = 0) -> float:
     """Mean squared prediction error over indices >= ``skip``."""
-    p = np.asarray(predicted, dtype=float)
-    a = np.asarray(actual, dtype=float)
+    p = values_of(predicted, "predicted")
+    a = values_of(actual, "actual")
     if p.shape != a.shape:
         raise ValidationError(f"length mismatch: {p.shape} vs {a.shape}")
     if not 0 <= skip < p.size:
@@ -346,7 +346,7 @@ def inverse_transform(values, series: TimeSeries) -> np.ndarray:
     ln(1+x) transform.  Box centering removed local means and cannot be
     undone, so this is a scale restoration, not a full inverse.
     """
-    x = np.asarray(values, dtype=float) * series.scale_std + series.scale_mean
+    x = values_of(values, "values") * series.scale_std + series.scale_mean
     if series.log1p:
         x = np.expm1(x)
     return x

@@ -17,7 +17,6 @@ per row.  ``write_series_csv`` emits every key and the values with
 """
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import io
@@ -29,7 +28,7 @@ from typing import IO, Iterable, Iterator, Union
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .series import TimeSeries, real
+from .series import TimeSeries, real, values_of
 
 Source = Union[str, Path, IO[str]]
 
@@ -301,26 +300,22 @@ def _utf8_error(source: Source, exc: UnicodeDecodeError) -> ParseError:
     """
     if not isinstance(source, (str, Path)):
         return ParseError(f"input is not valid UTF-8: {exc.reason}")
-    decoder = codecs.getincrementaldecoder("utf-8")()
     offset = newlines = 0
     with open(source, "rb") as raw:
-        while True:
-            chunk = raw.read(_CHUNK_BYTES)
-            pending = decoder.getstate()[0]
+        # A chunk ends at a line end, and no UTF-8 sequence holds byte 0x0a,
+        # so no character is cut in two.
+        while chunk := raw.read(_CHUNK_BYTES) + raw.readline():
             try:
-                decoder.decode(chunk, final=not chunk)
+                chunk.decode("utf-8")
             except UnicodeDecodeError as bad:
-                data = bad.object
                 return ParseError(
-                    f"byte {data[bad.start]:#04x} at offset "
-                    f"{offset - len(pending) + bad.start} is not valid UTF-8 "
-                    f"({bad.reason})",
-                    line=1 + newlines + data[: bad.start].count(b"\n"),
+                    f"byte {chunk[bad.start]:#04x} at offset {offset + bad.start}"
+                    f" is not valid UTF-8 ({bad.reason})",
+                    line=1 + newlines + chunk.count(b"\n", 0, bad.start),
                 )
-            if not chunk:
-                return ParseError(f"input is not valid UTF-8: {exc.reason}")
             offset += len(chunk)
             newlines += chunk.count(b"\n")
+    return ParseError(f"input is not valid UTF-8: {exc.reason}")
 
 
 def bin_to_rate(timestamps: np.ndarray, bin_width: float = 1.0) -> TimeSeries:
@@ -333,11 +328,7 @@ def bin_to_rate(timestamps: np.ndarray, bin_width: float = 1.0) -> TimeSeries:
     than an index holds, or than memory holds, is a
     :class:`ValidationError`.
     """
-    ts = np.asarray(timestamps, dtype=float)
-    if ts.ndim != 1:
-        raise ValidationError("timestamps must be one-dimensional")
-    if not np.all(np.isfinite(ts)):
-        raise ValidationError("timestamps must be finite")
+    ts = values_of(timestamps, "timestamps")
     # np.add.at would count a negative time into a bin from the end.
     if np.any(ts < 0):
         raise ValidationError("timestamps must be nonnegative")

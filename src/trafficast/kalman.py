@@ -101,8 +101,8 @@ def predict_series(
     come back with shape (n, 1, 1).
     """
     z = values_of(series)
-    if z.ndim != 1 or z.size == 0:
-        raise ValidationError("measurement series must be a nonempty 1-d array")
+    if z.size == 0:
+        raise ValidationError("measurement series must be nonempty")
     a, h, q, r = model.a, model.h, model.q, model.r
     x, p = init.x, init.p
     n = z.size

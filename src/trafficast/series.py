@@ -52,15 +52,9 @@ class TimeSeries:
     log1p: bool = False
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise ValidationError(
-                f"series values must be one-dimensional, got shape {arr.shape}"
-            )
+        arr = np.array(values_of(self.values))
         if arr.size < 1:
             raise ValidationError("series must contain at least one sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("series values must be finite")
         for name in ("dt", "origin", "scale_mean", "scale_std"):
             value = real(name, getattr(self, name), positive=name in ("dt", "scale_std"))
             object.__setattr__(self, name, value)
@@ -72,14 +66,21 @@ class TimeSeries:
         return int(self.values.size)
 
 
-def values_of(series: TimeSeries | np.ndarray) -> np.ndarray:
-    """The samples of a :class:`TimeSeries`, or an array-like as float64;
-    either way they are finite."""
+def values_of(series: TimeSeries | np.ndarray, name: str = "series values") -> np.ndarray:
+    """The samples of a :class:`TimeSeries`, or an array-like as float64,
+    else a :class:`ValidationError` naming ``name``.  The array must be
+    one-dimensional and finite, of bool, integer or float dtype: text,
+    complex and object arrays are rejected.  It may be empty."""
     if isinstance(series, TimeSeries):
         return series.values
-    arr = np.asarray(series, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("series values must be finite")
+    arr = np.asarray(series)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be real numbers, got an array of {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
     return arr
 
 

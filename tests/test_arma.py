@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -25,6 +26,26 @@ class TestArmaModel:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValidationError):
             arma.ArmaModel(p=0, q=1, theta=[], phi=[0.3], sigma2=-1.0)
+
+    @pytest.mark.parametrize(
+        "theta, phi, message",
+        [
+            ([float("nan")], [], "^theta must be finite$"),
+            ([float("inf")], [], "^theta must be finite$"),
+            ([0.5], [float("nan")], "^phi must be finite$"),
+            ([0.5], [float("-inf")], "^phi must be finite$"),
+            ([[0.5]], [], r"^theta must be one-dimensional, got shape \(1, 1\)$"),
+        ],
+        ids=["theta-nan", "theta-inf", "phi-nan", "phi-inf", "theta-2d"],
+    )
+    def test_bad_coefficients_rejected_when_built(self, theta, phi, message):
+        with pytest.raises(ValidationError, match=message):
+            arma.ArmaModel(p=1, q=len(phi), theta=theta, phi=phi, sigma2=1.0)
+
+    def test_dict_with_a_nan_coefficient_rejected(self):
+        data = json.loads('{"p": 1, "q": 0, "theta": [NaN], "phi": [], "sigma2": 1.0}')
+        with pytest.raises(ValidationError, match="^theta must be finite$"):
+            arma.ArmaModel.from_dict(data)
 
     def test_stationarity_flag(self):
         assert AR1.is_stationary
@@ -59,6 +80,20 @@ class TestPredictOneStep:
         model = arma.ArmaModel(p=2, q=0, theta=[0.5, 0.1], phi=[], sigma2=1.0)
         with pytest.raises(ValidationError):
             arma.predict_one_step(model, [1.0])
+
+    @pytest.mark.parametrize(
+        "history, innovations, message",
+        [
+            ([1.0, float("nan")], [0.5], "^history must be finite$"),
+            ([1.0, 3.0], [float("inf")], "^innovations must be finite$"),
+            ([[1.0, 3.0]], [0.5], r"^history must be one-dimensional, got shape \(1, 2\)$"),
+        ],
+        ids=["nan-history", "inf-innovation", "2d-history"],
+    )
+    def test_bad_history_or_innovations_rejected(self, history, innovations, message):
+        model = arma.ArmaModel(p=2, q=1, theta=[0.5, -0.2], phi=[0.4], sigma2=1.0)
+        with pytest.raises(ValidationError, match=message):
+            arma.predict_one_step(model, history, innovations)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -103,6 +138,12 @@ class TestPredictSeries:
         with pytest.raises(ValidationError):
             arma.predict_series(AR1, np.array([1.0]))
 
+    def test_column_vector_rejected(self):
+        with pytest.raises(
+            ValidationError, match=r"^series values must be one-dimensional, got shape \(10, 1\)$"
+        ):
+            arma.predict_series(AR1, np.ones((10, 1)))
+
 
 class TestSimulate:
     def test_zero_variance_gives_zeros(self):
@@ -143,6 +184,13 @@ class TestFit:
         x = np.random.default_rng(0).normal(size=500)
         x[100] = bad
         with pytest.raises(ValidationError, match="^series values must be finite$"):
+            arma.fit(x, 2, 1)
+
+    def test_column_vector_rejected(self):
+        x = np.random.default_rng(0).normal(size=(300, 1))
+        with pytest.raises(
+            ValidationError, match=r"^series values must be one-dimensional, got shape \(300, 1\)$"
+        ):
             arma.fit(x, 2, 1)
 
     def test_white_noise_has_no_ar_structure(self):

@@ -540,6 +540,19 @@ def test_ingest_stage_failure_names_its_dataset(tmp_path, capsys):
     )
 
 
+def test_config_values_are_read_literally(tmp_path):
+    # A '%' in a path is a character, not the start of an interpolation.
+    capture, outdir = tmp_path / "cap%1.csv", tmp_path / "out%x"
+    write_packet_csv(capture)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[ingest]\ninputs = {capture}\n\n"
+        "[predictors]\nspecs = arma:2,1 kf:0.01,0.01\n\n[eval]\ntiming_reps = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert (outdir / "predictions_cap%1.csv").exists()
+
+
 @pytest.mark.parametrize("section, key, value, message", [
     ("synth", "amplitude", "inf", "amplitude must be finite, got inf"),
     ("synth", "base_rate", "nan", "base_rate must be finite, got nan"),

@@ -39,6 +39,18 @@ class TestMse:
         with pytest.raises(ValidationError):
             evaluate.mse([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "predicted, actual, message",
+        [
+            ([np.nan, 1.0], [0.0, 0.0], "^predicted must be finite$"),
+            ([0.0, 1.0], [0.0, np.inf], "^actual must be finite$"),
+        ],
+        ids=["nan-prediction", "inf-actual"],
+    )
+    def test_non_finite_input_rejected(self, predicted, actual, message):
+        with pytest.raises(ValidationError, match=message):
+            evaluate.mse(predicted, actual)
+
     def test_skip_bounds(self):
         with pytest.raises(ValidationError):
             evaluate.mse([1.0], [1.0], skip=1)
@@ -317,3 +329,7 @@ class TestInverseTransform:
         )
         back = evaluate.inverse_transform(stationary.values, stationary)
         np.testing.assert_allclose(back, [3.0, 7.0])
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValidationError, match="^values must be finite$"):
+            evaluate.inverse_transform(np.array([0.5, np.nan]), TimeSeries(np.zeros(2)))

@@ -26,6 +26,13 @@ from trafficast.series import TimeSeries
 
 import reference
 
+# Arrays that are not real numbers, each with the dtype the error names.
+NOT_REAL = pytest.mark.parametrize(
+    "values, dtype",
+    [(["0.5", "1.5"], "<U3"), ([0.5 + 2j, 1.5], "complex128"), ([0.5, None], "object")],
+    ids=["text", "complex", "object"],
+)
+
 
 def packet_csv(rows, header="time,protocol"):
     return io.StringIO(header + "\n" + "\n".join(f"{t},{p}" for t, p in rows) + ("\n" if rows else ""))
@@ -322,8 +329,8 @@ class TestUnreadableInput:
         )
 
     def test_bad_byte_deep_in_a_large_file(self, tmp_path, monkeypatch):
-        # A small chunk size makes a valid two-byte character straddle the
-        # scan's chunk boundaries, so the offset has to carry pending bytes.
+        # A small chunk size makes the scan read thousands of chunks, so the
+        # offset and the line count are carried across chunk ends.
         monkeypatch.setattr(ingest, "_CHUNK_BYTES", 7)
         body = "".join(f"{i * 0.01:.2f},TCP\n" for i in range(5000)).encode()
         data = b"time,protocol\n" + body + "0.1,é\n".encode() + b"0.2,\xff\n" + body
@@ -502,12 +509,21 @@ class TestBinToRate:
         with pytest.raises(ValidationError, match="^timestamps must be finite$"):
             bin_to_rate(np.array(timestamps))
 
+    @NOT_REAL
+    def test_timestamps_that_are_not_real_numbers_rejected(self, values, dtype):
+        with pytest.raises(
+            ValidationError, match=f"^timestamps must be real numbers, got an array of {dtype}$"
+        ):
+            bin_to_rate(values)
+
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValidationError, match="^timestamps must be nonnegative$"):
             bin_to_rate(np.array([0.5, -0.25, 2.0]))
 
     def test_two_dimensional_timestamps_rejected(self):
-        with pytest.raises(ValidationError, match="^timestamps must be one-dimensional$"):
+        with pytest.raises(
+            ValidationError, match=r"^timestamps must be one-dimensional, got shape \(2, 2\)$"
+        ):
             bin_to_rate(np.array([[0.5, 1.5], [2.5, 3.5]]))
 
     def test_basic_counting(self):
@@ -647,6 +663,13 @@ class TestTimeSeriesInvariants:
     def test_rejects_inf(self):
         with pytest.raises(ValidationError):
             TimeSeries(np.array([np.inf]))
+
+    @NOT_REAL
+    def test_rejects_values_that_are_not_real_numbers(self, values, dtype):
+        with pytest.raises(
+            ValidationError, match=f"^series values must be real numbers, got an array of {dtype}$"
+        ):
+            TimeSeries(values)
 
     def test_rejects_zero_scale_std(self):
         with pytest.raises(ValidationError):

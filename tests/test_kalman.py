@@ -206,7 +206,7 @@ class TestMeasurementUpdate:
         # One scalar measurement per step.
         _, init = kalman.default_local_level(0.01, 0.01)
         for z in ([[1.0, 2.0]], [[1.0], [2.0]]):
-            with pytest.raises(ValidationError, match="1-d"):
+            with pytest.raises(ValidationError, match="one-dimensional"):
                 kalman.predict_series(LOCAL_LEVEL, np.array(z), init)
 
     @settings(max_examples=30, deadline=None)
@@ -273,7 +273,7 @@ class TestPredictSeries:
 
     def test_empty_series_rejected(self):
         model, init = kalman.default_local_level(0.01, 0.01)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^measurement series must be nonempty$"):
             kalman.predict_series(model, np.empty(0), init)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
