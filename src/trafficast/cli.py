@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -138,6 +139,14 @@ def load_run_config(path: Path) -> RunConfig:
                 )
             suffix = "md" if cfg.report_format == "markdown" else cfg.report_format
             cfg.report_name = sec.get("out", f"report.{suffix}")
+            # run_pipeline writes these next to the report.
+            name = os.path.normpath(cfg.report_name)
+            if name in ("mse_grid.csv", "time_grid.csv") or name.startswith(
+                ("predictions_", "stage_")
+            ):
+                raise ValidationError(
+                    f"[eval] out {cfg.report_name!r} names a file the run also writes"
+                )
             cfg.timing_repetitions = sec.getint("timing_reps", cfg.timing_repetitions)
             if cfg.timing_repetitions < 1:
                 raise ValidationError(f"timing_reps must be >= 1, got {cfg.timing_repetitions}")
@@ -204,7 +213,7 @@ def _stationarize(label: str, series: TimeSeries, config: RunConfig) -> TimeSeri
         if config.emit_stages:
             for name, stage_series in stages.items():
                 write_series_csv(stage_series, config.outdir / f"stage_{label}_{name}.csv")
-    except TrafficastError as exc:
+    except (TrafficastError, OSError) as exc:
         raise PipelineError("preprocess", f"dataset {label}: {exc}") from exc
     return stationary
 
@@ -270,7 +279,9 @@ def cmd_preprocess(args) -> int:
 def cmd_fit_arma(args) -> int:
     series = load_series_csv(args.input)
     model, diag = arma.fit(series, args.p, args.q)
-    Path(args.out).write_text(json.dumps(model.to_dict(), indent=2) + "\n", "utf-8", newline="")
+    Path(args.out).write_text(
+        json.dumps(model.to_dict(), indent=2) + "\n", encoding="utf-8", newline=""
+    )
     flag = "" if diag.ar_stationary else " (nonstationary AR estimate)"
     if not diag.ma_invertible:
         flag += " (non-invertible MA estimate)"

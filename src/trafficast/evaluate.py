@@ -319,10 +319,11 @@ def write_prediction_csv(
     actual, arma_pred, kf_pred, dest: IO[str], header: str = "index,actual,arma_pred,kf_pred"
 ) -> None:
     """Write ``header`` and then plot-ready rows to a text stream, one row at
-    a time: index and the three columns (by default actual, arma_pred, kf_pred)."""
-    a = np.asarray(actual, dtype=float)
-    ap = np.asarray(arma_pred, dtype=float)
-    kp = np.asarray(kf_pred, dtype=float)
+    a time: index and the three columns (by default actual, arma_pred, kf_pred).
+    Each column is checked by ``values_of`` under its argument name."""
+    a = values_of(actual, "actual")
+    ap = values_of(arma_pred, "arma_pred")
+    kp = values_of(kf_pred, "kf_pred")
     if not (a.size == ap.size == kp.size):
         raise ValidationError("prediction columns must have equal length")
     dest.write(header + "\n")

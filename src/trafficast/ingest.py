@@ -14,6 +14,11 @@ Value series: optional ``# key=value`` comment lines (``dt``, ``origin``,
 the :class:`TimeSeries` defaults), then a ``value`` header and one float
 per row.  ``write_series_csv`` emits every key and the values with
 ``repr`` so a written series reloads bit-exactly.
+
+Every reader and writer here opens a path as UTF-8 with no newline
+translation and closes it when done, uses a caller's stream as it is and
+leaves it open, and reports input that is not UTF-8 as a
+:class:`ParseError` that names the first bad byte.
 """
 from __future__ import annotations
 
@@ -54,10 +59,29 @@ _METADATA = {
 }
 
 
-def _open_text(source: Source) -> tuple[IO[str], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+@contextlib.contextmanager
+def _text_file(source: Source, mode: str = "r") -> Iterator[IO[str]]:
+    """``source`` as a text stream, by the rule of the module docstring."""
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, mode, encoding="utf-8", newline="") as stream:
+                yield stream
+        else:
+            yield source
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(source, exc) from None
+
+
+def _float_cell(raw: str, what: str, line: int) -> float:
+    """The cell ``raw`` as a finite float, else a :class:`ParseError` that
+    names ``what`` and ``line``."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ParseError(f"invalid {what} {raw!r}", line=line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what} {raw!r}", line=line)
+    return value
 
 
 def _known_protocol(raw: str) -> bool:
@@ -108,8 +132,7 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     row scan, which alone decides what else is accepted and which line an
     error names.
     """
-    stream, owned = _open_text(source)
-    try:
+    with _text_file(source) as stream:
         header_reader = csv.reader(stream)
         try:
             header = next(header_reader, None)
@@ -141,11 +164,6 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
                 (times, known), n_read = parsed, parsed[0].size
             yield times[known] if filter_protocols else times
             line += n_read
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(source, exc) from None
-    finally:
-        if owned:
-            stream.close()
 
 
 def _split_lines(text: str, stream: IO[str]) -> list[str]:
@@ -277,13 +295,7 @@ def _scan_rows(
         line = first_line - 1 + reader.line_num
         if max(ti, pi) >= len(cells):
             raise ParseError("row has fewer columns than the header", line=line)
-        raw_t = cells[ti]
-        try:
-            t = float(raw_t)
-        except ValueError:
-            raise ParseError(f"invalid time value {raw_t!r}", line=line) from None
-        if not math.isfinite(t):
-            raise ParseError(f"non-finite time value {raw_t!r}", line=line)
+        t = _float_cell(cells[ti], "time value", line)
         if t < 0:
             raise ValidationError(f"negative timestamp {t} at line {line}")
         times.append(t)
@@ -377,34 +389,26 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
     return TimeSeries(values=counts[:n_bins].astype(float), dt=bin_width, origin=0.0)
 
 
-def _iter_lines(stream: IO[str]) -> Iterator[tuple[int, str]]:
-    for i, raw in enumerate(stream, start=1):
-        yield i, raw.rstrip("\n").rstrip("\r")
-
-
 def load_series_csv(source: Source) -> TimeSeries:
     """Load a value series CSV; ``# key=value`` comments set the metadata."""
-    stream, owned = _open_text(source)
     metadata: dict[str, float | bool] = {}
     values: list[float] = []
     header_seen = False
     value_idx = 0
-    try:
-        for line, text in _iter_lines(stream):
-            if not text.strip():
+    with _text_file(source) as stream:
+        for line, text in enumerate(stream, start=1):
+            # Every cell is stripped, so the line end goes with the rest.
+            text = text.strip()
+            if not text:
                 continue
-            if text.lstrip().startswith("#"):
-                body = text.lstrip()[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    key, val = key.strip().lower(), val.strip()
-                    if key in _METADATA:
-                        try:
-                            metadata[key] = _METADATA[key](val)
-                        except (KeyError, ValueError):
-                            raise ParseError(
-                                f"invalid {key} metadata {val!r}", line=line
-                            ) from None
+            if text.startswith("#"):
+                key, eq, val = text[1:].partition("=")
+                key, val = key.strip().lower(), val.strip()
+                if eq and key in _METADATA:
+                    try:
+                        metadata[key] = _METADATA[key](val)
+                    except (KeyError, ValueError):
+                        raise ParseError(f"invalid {key} metadata {val!r}", line=line) from None
                 continue
             cells = [c.strip() for c in text.split(",")]
             if not header_seen:
@@ -418,19 +422,7 @@ def load_series_csv(source: Source) -> TimeSeries:
                 continue
             if value_idx >= len(cells):
                 raise ParseError("row has fewer columns than the header", line=line)
-            raw_v = cells[value_idx]
-            try:
-                v = float(raw_v)
-            except ValueError:
-                raise ParseError(f"invalid value {raw_v!r}", line=line) from None
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite value {raw_v!r}", line=line)
-            values.append(v)
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(source, exc) from None
-    finally:
-        if owned:
-            stream.close()
+            values.append(_float_cell(cells[value_idx], "value", line))
     if not header_seen:
         raise ParseError("missing header row", line=1)
     if not values:
@@ -440,20 +432,8 @@ def load_series_csv(source: Source) -> TimeSeries:
 
 def write_series_csv(series: TimeSeries, dest: Source) -> None:
     """Write a series CSV that ``load_series_csv`` reloads bit-exactly."""
-    stream, owned = (
-        (open(dest, "w", encoding="utf-8", newline=""), True)
-        if isinstance(dest, (str, Path))
-        else (dest, False)
-    )
-    try:
-        stream.write(f"# dt={series.dt!r}\n")
-        stream.write(f"# origin={series.origin!r}\n")
-        stream.write(f"# scale_mean={series.scale_mean!r}\n")
-        stream.write(f"# scale_std={series.scale_std!r}\n")
-        stream.write(f"# log1p={series.log1p}\n")
+    with _text_file(dest, "w") as stream:
+        stream.writelines(f"# {key}={getattr(series, key)!r}\n" for key in _METADATA)
         stream.write("value\n")
         # A memoryview yields Python floats one at a time, building no list.
         stream.writelines(f"{v!r}\n" for v in memoryview(series.values))
-    finally:
-        if owned:
-            stream.close()

@@ -79,7 +79,9 @@ def values_of(series: TimeSeries | np.ndarray, name: str = "series values") -> n
     arr = arr.astype(float, copy=False)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # min and max carry a NaN or an infinity through, with no temporary
+    # the size of the array.
+    if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValidationError(f"{name} must be finite")
     return arr
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -540,6 +541,36 @@ def test_ingest_stage_failure_names_its_dataset(tmp_path, capsys):
     )
 
 
+def test_stage_csv_write_failure_names_its_stage(tmp_path, capsys):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    (outdir / "stage_A_box_center.csv").mkdir(parents=True)
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\nn = 400\n\n[preprocess]\nemit_stages = true\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trafficast: stage failed: preprocess: dataset A: [Errno ")
+    assert str(outdir / "stage_A_box_center.csv") in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "out", ["mse_grid.csv", "time_grid.csv", "predictions_A.csv", "stage_A_log.csv",
+            "./mse_grid.csv"],
+)
+def test_report_named_as_another_artifact_exits_2_before_any_work(tmp_path, capsys, out):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\n\n[eval]\nformat = json\nout = {out}\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}:"
+        f" [eval] out {out!r} names a file the run also writes\n"
+    )
+    assert not outdir.exists()
+
+
 def test_config_values_are_read_literally(tmp_path):
     # A '%' in a path is a character, not the start of an interpolation.
     capture, outdir = tmp_path / "cap%1.csv", tmp_path / "out%x"
@@ -605,6 +636,30 @@ def test_artifacts_have_lf_line_ends_where_text_mode_translates(tmp_path, monkey
     assert len(artifacts) == 10
     for path in artifacts:
         assert b"\r" not in path.read_bytes(), path.name
+
+
+def test_every_text_file_is_opened_as_utf8_without_newline_translation():
+    # The static side of the test above: a text-mode open() or a
+    # write_text() must pass encoding="utf-8" and newline="" as keywords.
+    checked, faults = 0, []
+    for module in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+                if modes and isinstance(modes[0], ast.Constant) and "b" in modes[0].value:
+                    continue
+            elif not (isinstance(node.func, ast.Attribute) and node.func.attr == "write_text"):
+                continue
+            checked += 1
+            keywords = {
+                k.arg: k.value.value for k in node.keywords if isinstance(k.value, ast.Constant)
+            }
+            if keywords.get("encoding") != "utf-8" or keywords.get("newline") != "":
+                faults.append(f"{module.name}:{node.lineno}")
+    assert checked >= 6
+    assert faults == []
 
 
 def test_synth_shorter_than_a_period_is_a_config_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import tracemalloc
@@ -299,6 +300,28 @@ class TestRendering:
                 finally:
                     tracemalloc.stop()
         assert peaks[1] < 1.2 * peaks[0]
+
+    @pytest.mark.parametrize("column", range(3), ids=["actual", "arma_pred", "kf_pred"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.0, np.nan, 3.0], "must be finite"),
+            ([1.0, 2.0, -np.inf], "must be finite"),
+            (["1.5", "2", "3"], "must be real numbers, got an array of <U3"),
+            ([[1.0], [2.0], [3.0]], r"must be one-dimensional, got shape \(3, 1\)"),
+        ],
+        ids=["nan", "inf", "text", "column-vector"],
+    )
+    def test_prediction_csv_rejects_a_bad_column(self, column, bad, message):
+        name = ("actual", "arma_pred", "kf_pred")[column]
+        columns = [[1.0, 2.0, 3.0]] * 3
+        columns[column] = bad
+        stream = io.StringIO()
+        with pytest.raises(ValidationError, match=f"^{name} {message}$"):
+            evaluate.write_prediction_csv(*columns, stream)
+        assert stream.getvalue() == ""
+        with pytest.raises(ValidationError, match=f"^{name} {message}$"):
+            evaluate.render_prediction_csv(*columns)
 
     def test_negative_cells_rejected(self):
         with pytest.raises(ValidationError):

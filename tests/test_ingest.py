@@ -22,7 +22,7 @@ from trafficast.ingest import (
     write_series_csv,
 )
 from trafficast.rng import uniform_stream
-from trafficast.series import TimeSeries
+from trafficast.series import TimeSeries, values_of
 
 import reference
 
@@ -468,17 +468,17 @@ class TestLoadPacketRates:
 
     def test_closes_the_file_on_a_binning_error(self, tmp_path, monkeypatch):
         opened = []
-        open_text = ingest._open_text
         monkeypatch.setattr(
-            ingest, "_open_text", lambda source: opened.append(open_text(source)) or opened[-1]
+            ingest, "open", lambda *args, **kw: opened.append(open(*args, **kw)) or opened[-1],
+            raising=False,
         )
         path = tmp_path / "packets.csv"
         path.write_text("time,protocol\n1e300,TCP\n0.5,UDP\n")
         # The raised error's traceback keeps the reading frame alive.
         with pytest.raises(ValidationError) as raised:
             load_packet_rates(path)
-        [(stream, owned)] = opened
-        assert owned and stream.closed
+        [stream] = opened
+        assert stream.closed
 
     def test_peak_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
         # Chunks of 16 KiB: a few hundred rows each.  Ten times the rows
@@ -670,6 +670,17 @@ class TestTimeSeriesInvariants:
             ValidationError, match=f"^series values must be real numbers, got an array of {dtype}$"
         ):
             TimeSeries(values)
+
+    def test_values_of_accepts_an_empty_array(self):
+        assert values_of(np.empty(0)).size == 0
+
+    @pytest.mark.parametrize(
+        "values", [[-np.inf, 1.0, 2.0], [1.0, 2.0, np.inf], [np.nan, np.nan]],
+        ids=["-inf-first", "inf-last", "all-nan"],
+    )
+    def test_values_of_rejects_a_non_finite_value(self, values):
+        with pytest.raises(ValidationError, match="^samples must be finite$"):
+            values_of(np.array(values), "samples")
 
     def test_rejects_zero_scale_std(self):
         with pytest.raises(ValidationError):
