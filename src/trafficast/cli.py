@@ -139,6 +139,10 @@ def load_run_config(path: Path) -> RunConfig:
                 )
             suffix = "md" if cfg.report_format == "markdown" else cfg.report_format
             cfg.report_name = sec.get("out", f"report.{suffix}")
+            if os.path.basename(cfg.report_name) in ("", ".", ".."):
+                raise ValidationError(
+                    f"[eval] out {cfg.report_name!r} names a directory, not a file"
+                )
             # run_pipeline writes these next to the report.
             name = os.path.normpath(cfg.report_name)
             if name in ("mse_grid.csv", "time_grid.csv") or name.startswith(
@@ -199,7 +203,9 @@ def run_pipeline(config: RunConfig) -> int:
             "time_grid.csv": grid_csv(report, report.time_grid),
         }
         for name, text in artifacts.items():
-            (outdir / name).write_text(text, encoding="utf-8", newline="")
+            path = outdir / name
+            path.parent.mkdir(parents=True, exist_ok=True)  # [eval] out may name a subdirectory
+            path.write_text(text, encoding="utf-8", newline="")
         _write_prediction_csvs(config, datasets, report, outdir)
     except OSError as exc:
         raise PipelineError("report", str(exc)) from exc

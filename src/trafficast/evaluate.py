@@ -318,19 +318,19 @@ def grid_csv(report: EvalReport, grid: list[list[Cell]]) -> str:
 def write_prediction_csv(
     actual, arma_pred, kf_pred, dest: IO[str], header: str = "index,actual,arma_pred,kf_pred"
 ) -> None:
-    """Write ``header`` and then plot-ready rows to a text stream, one row at
-    a time: index and the three columns (by default actual, arma_pred, kf_pred).
-    Each column is checked by ``values_of`` under its argument name."""
+    """Write ``header`` and then plot-ready rows to a text stream, a chunk
+    of rows at a time: index and the three columns (by default actual,
+    arma_pred, kf_pred), each value as its ``repr`` text.  Each column is
+    checked by ``values_of`` under its argument name."""
     a = values_of(actual, "actual")
     ap = values_of(arma_pred, "arma_pred")
     kp = values_of(kf_pred, "kf_pred")
     if not (a.size == ap.size == kp.size):
         raise ValidationError("prediction columns must have equal length")
     dest.write(header + "\n")
-    # A memoryview yields each value as a Python float, whose repr is the
-    # value's shortest round-trip digits, without a list per column.
-    rows = enumerate(zip(memoryview(a), memoryview(ap), memoryview(kp)))
-    dest.writelines(f"{i},{x!r},{y!r},{z!r}\n" for i, (x, y, z) in rows)
+    from ._floattext import write_csv_rows  # compiled on first use, not at start-up
+
+    write_csv_rows(dest, (a, ap, kp), index=True)
 
 
 def render_prediction_csv(actual, arma_pred, kf_pred) -> str:

@@ -12,8 +12,8 @@ counts any such array into the same series.
 Value series: optional ``# key=value`` comment lines (``dt``, ``origin``,
 ``scale_mean``, ``scale_std`` and ``log1p`` are honoured, absent keys take
 the :class:`TimeSeries` defaults), then a ``value`` header and one float
-per row.  ``write_series_csv`` emits every key and the values with
-``repr`` so a written series reloads bit-exactly.
+per row.  ``write_series_csv`` emits every key and value as its ``repr``
+text, so a written series reloads bit-exactly.
 
 Every reader and writer here opens a path as UTF-8 with no newline
 translation and closes it when done, uses a caller's stream as it is and
@@ -435,5 +435,6 @@ def write_series_csv(series: TimeSeries, dest: Source) -> None:
     with _text_file(dest, "w") as stream:
         stream.writelines(f"# {key}={getattr(series, key)!r}\n" for key in _METADATA)
         stream.write("value\n")
-        # A memoryview yields Python floats one at a time, building no list.
-        stream.writelines(f"{v!r}\n" for v in memoryview(series.values))
+        from ._floattext import write_csv_rows  # compiled on first use, not at start-up
+
+        write_csv_rows(stream, (series.values,), index=False)

@@ -571,6 +571,32 @@ def test_report_named_as_another_artifact_exits_2_before_any_work(tmp_path, caps
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("out", ["", ".", "..", "sub/", "sub/.", "sub/.."],
+                         ids=["empty", "dot", "dotdot", "slash", "sub-dot", "sub-dotdot"])
+def test_report_named_as_a_directory_exits_2_before_any_work(tmp_path, capsys, out):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n[synth]\n\n[eval]\nout = {out}\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}:"
+        f" [eval] out {out!r} names a directory, not a file\n"
+    )
+    assert not outdir.exists()
+
+
+def test_report_in_a_subdirectory_of_outdir(tmp_path):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\nn = 400\n\n"
+        "[predictors]\nspecs = kf:0.01,0.01\n\n"
+        "[eval]\nformat = json\nout = sub/deeper/report.json\ntiming_reps = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 0
+    report = json.loads((outdir / "sub" / "deeper" / "report.json").read_text())
+    assert report["datasets"] == ["A"]
+    assert (outdir / "mse_grid.csv").exists()
+
+
 def test_config_values_are_read_literally(tmp_path):
     # A '%' in a path is a character, not the start of an interpolation.
     capture, outdir = tmp_path / "cap%1.csv", tmp_path / "out%x"

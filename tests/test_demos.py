@@ -1,5 +1,7 @@
 """Each demo script, and the README's library example and run config, runs
-to completion against the package in ``src``; every exported name exists."""
+to completion against the package in ``src``; every exported name exists,
+and the package imports nothing but the standard library and numpy."""
+import ast
 import os
 import subprocess
 import sys
@@ -24,6 +26,23 @@ def test_every_exported_name_resolves():
 
     missing = [name for name in trafficast.__all__ if not hasattr(trafficast, name)]
     assert not missing
+
+
+def test_runtime_imports_are_the_standard_library_or_numpy():
+    # pyproject.toml declares numpy as the only runtime dependency.  scipy
+    # and hypothesis are often installed next to it, so a test run alone
+    # would not notice an import of either.
+    imported = []
+    for module in sorted((ROOT / "src" / "trafficast").rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(module.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((module.name, node.module))
+    assert len(imported) > 30
+    foreign = [(name, target) for name, target in imported
+               if target.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []
 
 
 def test_demos_are_found():

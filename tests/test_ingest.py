@@ -638,6 +638,20 @@ class TestSeriesCsv:
             np.array(values).tobytes()
         )
 
+    def test_written_to_a_file_with_memory_bounded_by_a_chunk(self, tmp_path):
+        peaks = []
+        for n in (5_000, 50_000):
+            series = TimeSeries(np.random.default_rng(n).normal(size=n))
+            path = tmp_path / f"series-{n}.csv"
+            tracemalloc.start()
+            try:
+                write_series_csv(series, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert path.read_text(encoding="utf-8").count("\n") == n + 6
+        assert peaks[1] < 1.2 * peaks[0]
+
     def test_round_trip_is_exact(self):
         values = np.array([1 / 3, np.pi, 1e-17, 12345.678901234567, 0.1])
         original = TimeSeries(
