@@ -13,7 +13,10 @@ innovations.  The innovations are not observed, so for q > 0 a long
 autoregression of order ``m = max(20, 2*(p+q))`` estimates them first; a
 pure AR order needs no innovations and is the one regression.  The method
 is deterministic, needs no iterative optimizer, and its failure modes
-(singular regression) are explicit.
+(singular regression) are explicit.  Each regression is solved from its
+normal equations, built from whole-series lag products of the regressors
+(the covariance method of linear prediction): no design matrix is formed,
+and no BLAS call touches series-length data.
 
 Predictions are conditional expectations: the one-step forecast replaces
 the unknown eps_t with its zero mean.  Rolling prediction updates the
@@ -139,33 +142,104 @@ def _lagged_columns(x: np.ndarray, lags: int, start: int) -> list[np.ndarray]:
     return [x[start - j : x.size - j] for j in range(1, lags + 1)]
 
 
-def _solve_ls(
-    cols: list[np.ndarray], y: np.ndarray, what: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of ``y`` on the columns through their normal equations.
+def _lag_block(a: np.ndarray, la: int, b: np.ndarray, lb: int, t0: int) -> np.ndarray:
+    """``G[i, j] = sum_{t=t0}^{n-1} a[t-i] * b[t-j]`` for lags ``i <= la``,
+    ``j <= lb``; needs ``max(la, lb) <= t0 <= n - max(la, lb)``.
 
-    Each Gram entry is one elementwise product summed by numpy, so no
-    (n, k) matrix is built and no BLAS call touches the data.  The Gram
-    matrix is scaled to unit diagonal; it counts as singular when a column
-    is all zero or when its smallest eigenvalue is within ``k * n`` units
-    of rounding of its largest, about the rounding error of the sums.  The
-    one small eigendecomposition gives both that test and the solution.
+    Every entry with the same ``d = j - i`` sums the lag products
+    ``a[u] * b[u-d]`` over a window that differs from the others only in
+    at most ``max(la, lb)`` terms at each end.  So one elementwise product
+    summed by numpy per ``d`` gives the part all those windows share, and
+    short cumulative sums of the products just before and after it add
+    each entry's own head and tail.  For ``a is b`` and ``la == lb`` the
+    block is symmetric, so only ``d >= 0`` is summed.
     """
-    k, rows = len(cols), y.size
-    gram = np.empty((k, k))
-    rhs = np.empty(k)
-    for i, ci in enumerate(cols):
-        for j in range(i, k):
-            gram[i, j] = gram[j, i] = np.sum(ci * cols[j])
-        rhs[i] = np.sum(ci * y)
+    n, sym = a.size, a is b and la == lb
+    d = np.arange(0 if sym else -la, lb + 1)
+    lo = np.maximum(-d, 0)  # the smallest and largest i with this d
+    hi = np.minimum(lb - d, la)
+    core = np.array(
+        [
+            (a[t0 - i0 : n - i1] * b[t0 - i0 - k : n - i1 - k]).sum()
+            for k, i0, i1 in zip(d.tolist(), lo.tolist(), hi.tolist())
+        ]
+    )
+    # edges[0, row, c] (edges[1, row, c]) sums the c products just before
+    # (after) the shared window.  Indices past a row's last used column
+    # are clipped, since no entry reads those sums.
+    steps = np.arange(1, max(la, lb) + 1)
+    u = np.array([(t0 - lo)[:, None] - steps, (n - 1 - hi)[:, None] + steps])
+    edges = np.zeros((2, d.size, steps.size + 1))
+    prod = a.take(u, mode="clip") * b.take(u - d[:, None], mode="clip")
+    np.cumsum(prod, axis=2, out=edges[:, :, 1:])
+    i, j = np.indices((la + 1, lb + 1))
+    if sym:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    r = j - i - d[0]
+    return core[r] + edges[0, r, i - lo[r]] + edges[1, r, hi[r] - i]
+
+
+def _lag_gram(
+    x: np.ndarray, p: int, t0: int, eps: np.ndarray | None = None, q: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normal equations of ``x[t0:]`` regressed on its lags 1..p and on
+    lags 1..q of ``eps``: the Gram matrix and the right-hand side.
+
+    The target is lag 0 of ``x``, so both come from lag-product blocks
+    (:func:`_lag_block`) of ``x`` with itself, ``x`` with ``eps`` and
+    ``eps`` with itself.
+    """
+    xx = _lag_block(x, p, x, p, t0)
+    if not q:
+        return xx[1:, 1:], xx[0, 1:]
+    # Lag j of eps at t is lag j - 1 of eps[:-1] at t - 1, and lag i of x
+    # at t is lag i of x[1:] at t - 1: so the eps blocks start at lag 1
+    # and sum no lag product that no entry uses.
+    e = eps[:-1]
+    xe = _lag_block(x[1:], p, e, q - 1, t0 - 1)
+    gram = np.empty((p + q, p + q))
+    gram[:p, :p] = xx[1:, 1:]
+    gram[:p, p:] = xe[1:]
+    gram[p:, :p] = xe[1:].T
+    gram[p:, p:] = _lag_block(e, q - 1, e, q - 1, t0 - 1)
+    return gram, np.concatenate([xx[0, 1:], xe[0]])
+
+
+def _solve_ls(gram: np.ndarray, rhs: np.ndarray, rows: int, what: str) -> np.ndarray:
+    """Least-squares coefficients from the normal equations of a
+    regression on ``rows`` samples.
+
+    The Gram matrix is scaled to unit diagonal; it counts as singular when
+    a column is all zero or when its smallest eigenvalue is within
+    ``k * rows`` units of rounding of its largest, about the rounding
+    error of the sums.  The one small eigendecomposition gives both that
+    test and the solution.
+    """
+    k = rhs.size
     norms = np.sqrt(np.diag(gram))
     if not np.all(norms > 0):
         raise FitError(f"singular regression matrix in {what}")
     lam, vec = np.linalg.eigh(gram / np.outer(norms, norms))
     if lam[0] <= k * rows * np.finfo(float).eps * lam[-1]:
         raise FitError(f"singular regression matrix in {what}")
-    coef = vec @ ((vec.T @ (rhs / norms)) / lam) / norms
-    resid = y - coef[0] * cols[0]
+    return vec @ ((vec.T @ (rhs / norms)) / lam) / norms
+
+
+def _regress(
+    x: np.ndarray, p: int, t0: int, what: str, eps: np.ndarray | None = None, q: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and residuals of ``x[t0:]`` regressed on its lags 1..p
+    and on lags 1..q of ``eps``.
+
+    The normal equations come from lag products (:func:`_lag_gram`), so no
+    (n, k) matrix is built and no BLAS call touches series-length data.
+    """
+    gram, rhs = _lag_gram(x, p, t0, eps, q)
+    coef = _solve_ls(gram, rhs, x.size - t0, what)
+    cols = _lagged_columns(x, p, t0)
+    if q:
+        cols += _lagged_columns(eps, q, t0)
+    resid = x[t0:] - coef[0] * cols[0]
     for c, col in zip(coef[1:], cols[1:]):
         resid -= c * col
     return coef, resid
@@ -212,14 +286,13 @@ def fit(
     # innovation-lags exist; the same window is used even for q = 0 so that
     # every order sees an identically aligned sample.
     t0 = max(p, m + q)
-    cols = _lagged_columns(x, p, t0)
+    eps = None
     if q:
         # The long autoregression's only use: the innovations, identified
         # from index m on, that the MA lags regress on.
         eps = np.zeros(n)
-        eps[m:] = _solve_ls(_lagged_columns(x, m, m), x[m:], "long autoregression")[1]
-        cols += _lagged_columns(eps, q, t0)
-    coef, resid = _solve_ls(cols, x[t0:], f"ARMA({p},{q}) regression")
+        eps[m:] = _regress(x, m, m, "long autoregression")[1]
+    coef, resid = _regress(x, p, t0, f"ARMA({p},{q}) regression", eps, q)
 
     try:
         sigma2 = math.ldexp(float(np.mean(resid**2)), 2 * exp)

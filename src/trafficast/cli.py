@@ -143,8 +143,12 @@ def load_run_config(path: Path) -> RunConfig:
                 raise ValidationError(
                     f"[eval] out {cfg.report_name!r} names a directory, not a file"
                 )
-            # run_pipeline writes these next to the report.
             name = os.path.normpath(cfg.report_name)
+            if os.path.isabs(name) or name.split(os.sep)[0] == os.pardir:
+                raise ValidationError(
+                    f"[eval] out {cfg.report_name!r} is not inside the output directory"
+                )
+            # run_pipeline writes these next to the report.
             if name in ("mse_grid.csv", "time_grid.csv") or name.startswith(
                 ("predictions_", "stage_")
             ):

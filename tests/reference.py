@@ -369,3 +369,17 @@ def arma_fit_lstsq(x, p, q):
     blocks = ([lags(x, p, t0)] if p else []) + ([lags(eps, q, t0)] if q else [])
     coef, resid, lam = solve(np.hstack(blocks), x[t0:])
     return coef[:p], coef[p:], float(np.mean(resid**2)), resid, min(lam_long, lam)
+
+
+def gram_loop(cols, y):
+    """Normal equations of ``y`` on the columns, one elementwise product
+    summed per Gram entry: the per-pair loop ``arma.fit`` used before it
+    built its Gram matrices from lag products.  Returns (gram, rhs)."""
+    k = len(cols)
+    gram = np.empty((k, k))
+    rhs = np.empty(k)
+    for i, ci in enumerate(cols):
+        for j in range(i, k):
+            gram[i, j] = gram[j, i] = np.sum(ci * cols[j])
+        rhs[i] = np.sum(ci * y)
+    return gram, rhs

@@ -144,8 +144,10 @@ def test_c5_kf_at_least_10x_faster_than_arma21():
         )
         kalman.predict_series(model, stationary, init)
 
-    t_arma = evaluate.time_predictor(arma_task, repetitions=3)
-    t_kf = evaluate.time_predictor(kf_task, repetitions=3)
+    # Medians of 25 runs each: the KF task takes about 0.1 ms, so over a
+    # few runs one or two scheduler stalls would decide the gate.
+    t_arma = evaluate.time_predictor(arma_task, repetitions=25)
+    t_kf = evaluate.time_predictor(kf_task, repetitions=25)
     elapsed = time.perf_counter() - start
     _report(
         "C5 KF fit+predict at least 10x faster than ARMA(2,1) on n=5000",

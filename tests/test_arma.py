@@ -281,9 +281,9 @@ class TestFit:
         seen = []
         solve = arma._solve_ls
 
-        def counting(cols, y, what):
+        def counting(gram, rhs, rows, what):
             seen.append(what)
-            return solve(cols, y, what)
+            return solve(gram, rhs, rows, what)
 
         monkeypatch.setattr(arma, "_solve_ls", counting)
         arma.fit(arma.simulate(AR1, 1000, seed=4), 2, q)
@@ -332,6 +332,48 @@ class TestFitAgainstLstsq:
         assert np.max(np.abs(diag.residuals - want_resid)) <= tol * np.max(np.abs(x))
 
 
+class TestLagGram:
+    """The lag-product Gram builder against the per-pair sum loop
+    (``tests/reference.py``) on the regressions ``fit`` runs."""
+
+    @staticmethod
+    def check(x, p, t0, eps=None, q=0):
+        gram, rhs = arma._lag_gram(x, p, t0, eps, q)
+        cols = arma._lagged_columns(x, p, t0)
+        if q:
+            cols += arma._lagged_columns(eps, q, t0)
+        want_gram, want_rhs = reference.gram_loop(cols, x[t0:])
+        bound = 1e-12 * np.max(np.abs(want_gram))
+        assert gram.shape == want_gram.shape and rhs.shape == want_rhs.shape
+        assert np.max(np.abs(gram - want_gram)) <= bound
+        assert np.max(np.abs(rhs - want_rhs)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lags=st.integers(1, 24),
+        ar_share=st.floats(0.0, 1.0),
+        extra=st.integers(0, 20000),
+        kind=st.sampled_from(["normal", "zero", "constant"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_sum_loop(self, lags, ar_share, extra, kind, seed):
+        # p + q = lags regressors, so the long autoregression has m >= 20
+        # lags; n runs from fit's minimum up to 20,000.
+        p = round(ar_share * lags)
+        q = lags - p
+        m = max(20, 2 * lags)
+        n = min(max(10 * (lags + 1), 2 * m) + extra, 20000)
+        draws = normal_stream(seed, 2 * n)
+        x = {"normal": draws[:n], "zero": np.zeros(n), "constant": np.full(n, 0.7)}[kind]
+        t0 = max(p, m + q)
+        self.check(x, m, m)
+        self.check(x, lags, m)
+        if q:
+            eps = np.zeros(n)
+            eps[m:] = draws[n + m :]
+            self.check(x, p, t0, eps, q)
+
+
 class TestRankRule:
     def test_all_zero_series_is_singular_without_warnings(self):
         with warnings.catch_warnings():
@@ -354,13 +396,13 @@ class TestRankRule:
         threshold = k * rows * np.finfo(float).eps
         delta = 2.0 * np.sqrt(factor * threshold)
         y = a + rng.normal(size=rows)
-        cols = [a, a + delta * b]
+        gram, rhs = reference.gram_loop([a, a + delta * b], y)
         if singular:
             with pytest.raises(arma.FitError, match="^singular regression matrix in test$"):
-                arma._solve_ls(cols, y, "test")
+                arma._solve_ls(gram, rhs, rows, "test")
         else:
-            coef, resid = arma._solve_ls(cols, y, "test")
-            assert np.all(np.isfinite(coef)) and resid.shape == y.shape
+            coef = arma._solve_ls(gram, rhs, rows, "test")
+            assert np.all(np.isfinite(coef)) and coef.shape == (k,)
 
     @pytest.mark.parametrize("exp", [-600, 510])
     def test_power_of_two_scale_gives_the_same_fit(self, exp):

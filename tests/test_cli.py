@@ -584,6 +584,22 @@ def test_report_named_as_a_directory_exits_2_before_any_work(tmp_path, capsys, o
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("out", ["../escaped.md", "sub/../../escaped.md", "ABSOLUTE"],
+                         ids=["parent", "sub-parent", "absolute"])
+def test_report_outside_outdir_exits_2_before_any_work(tmp_path, capsys, out):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    if out == "ABSOLUTE":
+        out = str(tmp_path / "escaped.md")
+    config.write_text(f"[run]\noutdir = {outdir}\n\n[synth]\n\n[eval]\nout = {out}\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}:"
+        f" [eval] out {out!r} is not inside the output directory\n"
+    )
+    assert not outdir.exists()
+    assert not (tmp_path / "escaped.md").exists()
+
+
 def test_report_in_a_subdirectory_of_outdir(tmp_path):
     outdir, config = tmp_path / "out", tmp_path / "run.cfg"
     config.write_text(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficast import kalman
@@ -87,15 +87,17 @@ class TestLinearGaussian:
         n=st.integers(1, 5000),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(a=0.875, q=0.0, x0=2.2250738585e-313, n=5, seed=0)
     def test_states_match_loop(self, a, q, x0, n, seed):
         # a = 1 is a random walk whose size grows with n, so the tolerance
-        # is relative to the largest state.
+        # is relative to the largest state.  Two different doubles differ by
+        # at least np.spacing(0.0), more than that for a subnormal x0.
         model = kalman.StateSpaceModel(a=a, h=0.5, q=q, r=0.1)
         states, measurements = gen_linear_gaussian(model, x0, n, seed=seed)
         draws = normal_stream(seed, 2 * n)
         want = reference.linear_gaussian_states_loop(a, np.sqrt(q) * draws[:n], x0)
         scale = float(np.max(np.abs(want)))
-        assert np.max(np.abs(states.values - want)) <= 1e-12 * scale
+        assert np.max(np.abs(states.values - want)) <= 1e-12 * scale + np.spacing(0.0)
         np.testing.assert_array_equal(
             measurements.values, 0.5 * states.values + np.sqrt(0.1) * draws[n:]
         )
