@@ -25,9 +25,8 @@ from .evaluate import (
     grid_csv,
     parse_predictor,
     render_report,
-    write_prediction_csv,
 )
-from .ingest import load_packet_rates, load_series_csv, write_series_csv
+from .ingest import load_packet_rates, load_series_csv, write_prediction_csv, write_series_csv
 from .preprocess import SCALE_MODES, PreprocessConfig, pipeline_with_stages
 from .rng import derive_seed
 from .series import TimeSeries, real
@@ -99,6 +98,10 @@ def load_run_config(path: Path) -> RunConfig:
                         f"unknown key {key!r} in section [{name}];"
                         f" use one of {CONFIG_KEYS[name]}"
                     )
+        # A list key that is given must list something.
+        for section, key in (("synth", "datasets"), ("ingest", "inputs"), ("predictors", "specs")):
+            if parser.has_option(section, key) and not parser[section][key].split():
+                raise ValidationError(f"[{section}] {key} is empty")
         if parser.has_section("run"):
             run = parser["run"]
             cfg.seed = run.getint("seed", cfg.seed)
@@ -158,6 +161,9 @@ def load_run_config(path: Path) -> RunConfig:
             cfg.timing_repetitions = sec.getint("timing_reps", cfg.timing_repetitions)
             if cfg.timing_repetitions < 1:
                 raise ValidationError(f"timing_reps must be >= 1, got {cfg.timing_repetitions}")
+        for label, _ in cfg.synth_specs:  # a label names files under outdir
+            if "/" in label or os.sep in label:
+                raise ValidationError(f"[synth] label {label!r} holds a path separator")
         # run_pipeline labels an input by its stem.
         check_labels(
             [label for label, _ in cfg.synth_specs] + [p.stem for p in cfg.ingest_inputs],
@@ -248,8 +254,7 @@ def _write_prediction_csvs(config, datasets, report, outdir: Path) -> None:
         if arma_pred is None or kf_pred is None:
             continue
         path = outdir / f"predictions_{label}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            write_prediction_csv(series.values, arma_pred, kf_pred, stream)
+        write_prediction_csv(path, actual=series.values, arma_pred=arma_pred, kf_pred=kf_pred)
 
 
 # ---------------------------------------------------------------- commands
@@ -306,11 +311,9 @@ def cmd_predict_kf(args) -> int:
     series = load_series_csv(args.input)
     model, init = kalman.default_local_level(args.q, args.r, x0=float(series.values[0]))
     trace = kalman.predict_series(model, series, init)
-    with open(args.out, "w", encoding="utf-8", newline="") as stream:
-        write_prediction_csv(
-            series.values, trace.predictions, trace.gain_series, stream,
-            header="index,actual,predicted,gain",
-        )
+    write_prediction_csv(
+        args.out, actual=series.values, predicted=trace.predictions, gain=trace.gain_series
+    )
     print(f"filtered {len(series)} samples -> {args.out}")
     return 0
 

@@ -163,16 +163,20 @@ class EvalReport:
                         raise ValidationError(f"{name} cells must be nonnegative")
 
 
-def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int):
-    """The predictions of the last of ``repetitions`` timed runs, and their median time."""
+def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: int):
+    """The MSE from index ``skip`` on of the last of ``repetitions`` timed
+    runs, their median time and those predictions; all None if one fails."""
     last = None
 
     def task():
         nonlocal last
         last = run_predictor(spec, series)
 
-    seconds = time_predictor(task, repetitions)
-    return last, seconds
+    try:
+        seconds = time_predictor(task, repetitions)
+        return mse(last, series.values, skip=skip), seconds, last
+    except TrafficastError:
+        return None, None, None
 
 
 def check_labels(datasets: Sequence[str], predictors: Sequence[str]) -> None:
@@ -202,32 +206,17 @@ def compare(
     if timing_repetitions < 1:
         raise ValidationError(f"timing_repetitions must be >= 1, got {timing_repetitions}")
     skip = max(spec.burn_in for spec in predictors)
-    mse_grid: list[list[Cell]] = []
-    time_grid: list[list[Cell]] = []
-    predictions_grid: list[list[np.ndarray | None]] = []
-    for _, series in datasets:
-        mse_row: list[Cell] = []
-        time_row: list[Cell] = []
-        predictions_row: list[np.ndarray | None] = []
-        for spec in predictors:
-            try:
-                predictions, cell_time = _run_cell(spec, series, timing_repetitions)
-                cell_mse = mse(predictions, series.values, skip=skip)
-            except TrafficastError:
-                predictions = cell_mse = cell_time = None
-            mse_row.append(cell_mse)
-            time_row.append(cell_time)
-            predictions_row.append(predictions)
-        mse_grid.append(mse_row)
-        time_grid.append(time_row)
-        predictions_grid.append(predictions_row)
+    cells = [
+        [_run_cell(spec, series, timing_repetitions, skip) for spec in predictors]
+        for _, series in datasets
+    ]
     return EvalReport(
         datasets=[label for label, _ in datasets],
         predictors=[spec.label for spec in predictors],
-        mse_grid=mse_grid,
-        time_grid=time_grid,
+        mse_grid=[[cell_mse for cell_mse, _, _ in row] for row in cells],
+        time_grid=[[seconds for _, seconds, _ in row] for row in cells],
         environment=describe_environment(),
-        predictions=predictions_grid,
+        predictions=[[predictions for _, _, predictions in row] for row in cells],
     )
 
 
@@ -315,28 +304,12 @@ def grid_csv(report: EvalReport, grid: list[list[Cell]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_prediction_csv(
-    actual, arma_pred, kf_pred, dest: IO[str], header: str = "index,actual,arma_pred,kf_pred"
-) -> None:
-    """Write ``header`` and then plot-ready rows to a text stream, a chunk
-    of rows at a time: index and the three columns (by default actual,
-    arma_pred, kf_pred), each value as its ``repr`` text.  Each column is
-    checked by ``values_of`` under its argument name."""
-    a = values_of(actual, "actual")
-    ap = values_of(arma_pred, "arma_pred")
-    kp = values_of(kf_pred, "kf_pred")
-    if not (a.size == ap.size == kp.size):
-        raise ValidationError("prediction columns must have equal length")
-    dest.write(header + "\n")
-    from ._floattext import write_csv_rows  # compiled on first use, not at start-up
-
-    write_csv_rows(dest, (a, ap, kp), index=True)
-
-
 def render_prediction_csv(actual, arma_pred, kf_pred) -> str:
-    """Render the prediction columns to text (same format as ``write_prediction_csv``)."""
+    """The ``ingest.write_prediction_csv`` text of these three columns."""
+    from . import ingest
+
     buf = io.StringIO()
-    write_prediction_csv(actual, arma_pred, kf_pred, buf)
+    ingest.write_prediction_csv(buf, actual=actual, arma_pred=arma_pred, kf_pred=kf_pred)
     return buf.getvalue()
 
 

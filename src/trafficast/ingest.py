@@ -15,6 +15,10 @@ the :class:`TimeSeries` defaults), then a ``value`` header and one float
 per row.  ``write_series_csv`` emits every key and value as its ``repr``
 text, so a written series reloads bit-exactly.
 
+Prediction: header ``index`` and one name per column, such as
+``index,actual,arma_pred,kf_pred``, then the row number and each value's
+``repr`` text per row.  ``write_prediction_csv`` names each column by its keyword.
+
 Every reader and writer here opens a path as UTF-8 with no newline
 translation and closes it when done, uses a caller's stream as it is and
 leaves it open, and reports input that is not UTF-8 as a
@@ -432,9 +436,27 @@ def load_series_csv(source: Source) -> TimeSeries:
 
 def write_series_csv(series: TimeSeries, dest: Source) -> None:
     """Write a series CSV that ``load_series_csv`` reloads bit-exactly."""
+    comments = "".join(f"# {key}={getattr(series, key)!r}\n" for key in _METADATA)
+    _write_rows(dest, comments + "value", [series.values], index=False)
+
+
+def write_prediction_csv(dest: Source, /, **columns) -> None:
+    """Write a prediction CSV: an ``index`` column, then one column per
+    keyword in order, headed by its name.  Every column is checked under
+    its name, and the lengths compared, before ``dest`` is opened."""
+    if not columns:
+        raise ValidationError("a prediction CSV needs at least one column")
+    arrays = [values_of(values, name) for name, values in columns.items()]
+    if len({a.size for a in arrays}) > 1:
+        sizes = ", ".join(f"{name} {a.size}" for name, a in zip(columns, arrays))
+        raise ValidationError(f"prediction columns must have equal length, got {sizes}")
+    _write_rows(dest, ",".join(["index", *columns]), arrays, index=True)
+
+
+def _write_rows(dest: Source, head: str, columns: list[np.ndarray], index: bool) -> None:
+    """Write the ``head`` line, then the rows of ``columns`` a chunk at a time."""
     with _text_file(dest, "w") as stream:
-        stream.writelines(f"# {key}={getattr(series, key)!r}\n" for key in _METADATA)
-        stream.write("value\n")
+        stream.write(head + "\n")
         from ._floattext import write_csv_rows  # compiled on first use, not at start-up
 
-        write_csv_rows(stream, (series.values,), index=False)
+        write_csv_rows(stream, columns, index=index)

