@@ -27,11 +27,29 @@ of the decimal point relative to the first digit, it is positional for
 exponent digits; a positional integral value ends in ``.0``; ``-0.0`` keeps
 its sign.
 
-Rows are written about ``CHUNK_VALUES`` values at a time.  A chunk is one
-``uint8`` matrix, a row per CSV row and a fixed field per value, that a
-boolean mask compresses to the rows' text.  A value's mask row depends
-only on its sign, its digit count and its ``decpt`` class, so it comes
-from a small table.  The tables are built on first use, not at import.
+Rows are written a chunk at a time.  A chunk is one ``uint8`` matrix, a
+row per CSV row and a fixed field per value, that a boolean mask
+compresses to the rows' text.  A value's mask row depends only on its
+sign, its digit count and its ``decpt`` class, so it comes from a small
+table.  The tables are built on first use, not at import.
+
+The chunk is sized from the write (``chunk_rows``): of N values, it
+takes N // 32 at a time, but at least ``CHUNK_VALUES`` and at most
+``MAX_CHUNK_VALUES``.  Each numpy call has a fixed cost: on 2 shared
+x86-64 vCPUs with numpy 2.4, a uint64 multiply, add, shift or divide by a
+scalar costs 1.1-2.1 ns per value over 1536 values, against 0.5-0.8 ns
+over 12288.  So 200000 rows of 3 values are written in 0.21 s, against
+0.30 s in chunks of 1536 values; chunks of 24576 values are no faster.
+A CSV of a few thousand rows keeps the smallest chunk, and so its small
+peak memory.
+
+Each write allocates one workspace, which every chunk reuses: the text,
+its mask, the values, and ``_WORK_ROWS`` uint64 and ``_FLAG_ROWS`` bool
+rows that the arithmetic writes into with ``out=``.  Its peak is about
+240 bytes per chunk value (``tracemalloc``, 200000 rows of 3 normal
+values); a new array per operation would take about 340.  Below 256
+bytes, a chunk of N // 32 values keeps the workspace under the N * 8
+bytes of the float64 columns being written.
 """
 from __future__ import annotations
 
@@ -43,16 +61,17 @@ import numpy as np
 _U = np.uint64
 # The uint64 scalars each chunk uses are made once: making one costs a
 # third as much as an operation on a whole chunk.
-_ONE, _TWO, _THREE, _FOUR, _SIX, _TEN = (_U(v) for v in (1, 2, 3, 4, 6, 10))
+_ZERO, _ONE, _TWO, _THREE, _FOUR, _SIX, _TEN = (_U(v) for v in (0, 1, 2, 3, 4, 6, 10))
 
-# A chunk holds CHUNK_VALUES // (number of columns) rows: 512 rows of a
-# prediction CSV, 1536 of a series CSV.  Every per-value array is then
-# 12 KB and the chunk's text and mask about 75 KB each.  Chunks twice as
-# large write about a fifth faster but raise a run's peak memory by about
-# 0.5 MB more.
+# The chunk rule of the module docstring: values per chunk, and the share
+# of a write's values that one chunk takes.
 CHUNK_VALUES = 1536
+MAX_CHUNK_VALUES = 8 * CHUNK_VALUES
+_CHUNK_SHARE = 32
+# A workspace's uint64 and bool rows, each a chunk's values long.
+_WORK_ROWS = 10
+_FLAG_ROWS = 6
 
-_SIGN = _U(63)
 _MANTISSA_BITS = _U(52)
 _MANTISSA_MASK = _U((1 << 52) - 1)
 _EXPONENT_MASK = _U(0x7FF)
@@ -62,6 +81,7 @@ _SHIFT = 5 * 28  # each multiplier is scaled so that every product shifts by 140
 
 _E4, _E8, _E16 = _U(10**4), _U(10**8), _U(10**16)
 _SWAR_STEPS = (
+    (_U(3518437209), _U(45), _U(0xFFFFFFFF), _E4, _U(32)),  # // 10**4, exact below 10**8
     (_U(10486), _U(20), _U(0x0000007F0000007F), _U(100), _U(16)),  # // 100 per 32-bit lane
     (_U(103), _U(10), _U(0x000F000F000F000F), _TEN, _U(8)),  # // 10 per 16-bit lane
 )
@@ -149,59 +169,97 @@ def _ryu_tables():
     return _read_only(multipliers, e10, np.stack([inv, lim]))
 
 
-def _scaled(mv, mm_shift, m):
-    """``(vm, vr, vp)``: floor(x * M / 2**140) for x = mv - 1 - mm_shift,
-    mv and mv + 2, with M's limbs and high words ``m`` per element.
+def _scaled(mv, mm_shift, biased, work):
+    """floor(x * M / 2**140) for x = mv - 1 - mm_shift, mv and mv + 2, with
+    M the multiplier of each element's biased exponent: ``(vm, vr, vp)``,
+    written to rows 0-2 of ``work``, whose rows 3-8 are scratch.
 
     Each x is ``low + high * 2**28`` around ``mv - 4``, so the three share
     ``high`` and its products; a ``low`` may pass 2**28 by a few units,
     which the 28-bit column sums absorb.  Below bit 140 the columns only
     carry; above it the sum is exact mod 2**64, as each result is below
-    2**64."""
-    low = mv - _FOUR
-    high = low >> _LIMB
+    2**64.  M is gathered one limb at a time, into the row that held the
+    limb before last, and ``mv`` holds ``high`` until it is restored at
+    the end."""
+    multipliers = _ryu_tables()[0]
+    sums, lows = work[0:3], work[3:6]
+    limb, next_limb, term = work[6:9]
+    low = lows[1]
+    np.subtract(mv, _FOUR, out=low)
+    high = np.right_shift(low, _LIMB, out=mv)
     low &= _LIMB_MASK
-    lows = (low + _THREE - mm_shift, low + _FOUR, low + _SIX)
-    sums = [x * m[0] for x in lows]
-    term = np.empty_like(mv)
-    for k, k_high in zip(range(1, 6), (0, 1, 2, 3, 6)):
-        shared = high * m[k_high]
+    np.add(low, _THREE, out=lows[0])
+    lows[0] -= mm_shift
+    np.add(low, _SIX, out=lows[2])
+    low += _FOUR
+    multipliers[0].take(biased, out=limb, mode="clip")
+    np.multiply(lows, limb, out=sums)
+    for k in range(1, 6):
+        # Column k adds high times limb k-1, shared by the three sums, and
+        # each low times limb k; at the top, high takes t1 and a low t0.
+        if k == 5:
+            multipliers[6].take(biased, out=limb, mode="clip")
+        limb *= high
+        multipliers[k].take(biased, out=next_limb, mode="clip")
+        sums >>= _LIMB
+        sums += limb
         for x, total in zip(lows, sums):
-            total >>= _LIMB
-            total += shared
-            total += np.multiply(x, m[k], out=term)
+            total += np.multiply(x, next_limb, out=term)
+        limb, next_limb = next_limb, limb
+    mv <<= _LIMB
+    mv += lows[1]
     return sums
 
 
-def _shortest(bits):
+def _shortest(bits, work, flags):
     """Ryū's shortest digits of finite doubles given as their bits: the
     digit integer, the decimal exponent of its last digit and its digit
-    count (a zero is the digit 0, exponent 0, one digit)."""
-    multipliers, e10_table, test_table = _ryu_tables()
-    biased = ((bits >> _MANTISSA_BITS) & _EXPONENT_MASK).astype(np.intp)
-    mv = bits & _MANTISSA_MASK
-    mm_shift = (mv != 0) | (biased <= 1)  # 0 at a power of two, whose lower gap is half
-    mv |= (biased != 0).astype(np.uint64) << _MANTISSA_BITS
-    zero = mv == 0
+    count (a zero is the digit 0, exponent 0, one digit), as rows 8, 7
+    and 9 of ``work``.  ``work`` holds ``_WORK_ROWS`` uint64 rows and
+    ``flags`` ``_FLAG_ROWS`` bool rows of the size of ``bits``, which is
+    overwritten."""
+    _, e10_table, test_table = _ryu_tables()
+    mm_shift, zero, accept, vr_exact, vm_exact, flag = flags
+    biased = work[9].view(np.intp)
+    np.right_shift(bits, _MANTISSA_BITS, out=work[9])
+    work[9] &= _EXPONENT_MASK
+    mv = bits
+    mv &= _MANTISSA_MASK
+    np.not_equal(mv, _ZERO, out=mm_shift)
+    mm_shift |= np.less_equal(biased, 1, out=flag)  # 0 at a power of two, whose lower gap is half
+    implicit = np.minimum(work[9], _ONE, out=work[0])  # 1 unless subnormal
+    implicit <<= _MANTISSA_BITS
+    mv |= implicit
+    np.equal(mv, _ZERO, out=zero)
     mv |= zero  # computed as the smallest subnormal, then set apart at the end
     mv <<= _TWO
-    accept = (mv & _FOUR) == 0  # an even mantissa owns both interval bounds
-    m = multipliers.take(biased, axis=1)
-    vm, vr, vp = _scaled(mv, mm_shift, m)
-    del m  # freed early: a chunk's peak memory is what is alive at once
-    inv, lim = test_table.take(biased, axis=1)
-    vr_exact = mv * inv <= lim
-    vm_exact = accept & ((mv - _ONE - mm_shift) * inv <= lim)
+    # An even mantissa owns both interval bounds.
+    np.equal(np.bitwise_and(mv, _FOUR, out=work[0]), _ZERO, out=accept)
+    vm, vr, vp = _scaled(mv, mm_shift, biased, work)
+
+    inv, lim, product = work[3:6]
+    for row, out in zip(test_table, (inv, lim)):
+        row.take(biased, out=out, mode="clip")
+    np.less_equal(np.multiply(mv, inv, out=product), lim, out=vr_exact)
+    np.subtract(mv, _ONE, out=product)
+    product -= mm_shift
+    product *= inv
+    np.less_equal(product, lim, out=vm_exact)
+    vm_exact &= accept
     # An exact upper bound the interval excludes is not an output.
-    vp -= ~accept & ((mv + _TWO) * inv <= lim)
-    del mv, inv, lim
+    np.add(mv, _TWO, out=product)
+    product *= inv
+    np.less_equal(product, lim, out=flag)
+    vp -= np.greater(flag, accept, out=flag)
 
     # Digits to drop: the k for which some multiple of 10**k lies in
     # (vm, vp].  Those k form a prefix 1..removed.
-    removed = np.zeros(bits.size, dtype=np.intp)
-    hi = vp // _TEN
-    lo = vm // _TEN
-    more = hi > lo
+    removed = work[7].view(np.intp)
+    removed.fill(0)
+    hi, lo = work[5:7]
+    np.floor_divide(vp, _TEN, out=hi)
+    np.floor_divide(vm, _TEN, out=lo)
+    more = np.greater(hi, lo, out=flag)
     while more.any():
         removed += more
         hi //= _TEN
@@ -210,26 +268,32 @@ def _shortest(bits):
     # A lower bound the interval owns whose dropped digits are all zero is
     # itself a candidate: drop its further trailing zeros too.  vm_kept is
     # positive wherever vm_exact holds, so the loop ends.
-    scale = _POW10.take(removed)
-    vm_kept = vm // scale
+    scale, vm_kept = work[3:5]
+    _POW10.take(removed, out=scale, mode="clip")
+    np.floor_divide(vm, scale, out=vm_kept)
     if vm_exact.any():
-        vm_exact &= vm_kept * scale == vm
+        vm_exact &= np.equal(np.multiply(vm_kept, scale, out=lo), vm, out=flag)
         while True:
             strip = vm_exact & (vm_kept % _TEN == 0)
             if not strip.any():
                 break
             vm_kept[strip] //= _TEN
             removed += strip
-        scale = _POW10.take(removed)
+        _POW10.take(removed, out=scale, mode="clip")
     # Round vr to the kept digits: half up, but an exact tie to even.  A
-    # result at the lower bound steps up unless the interval owns it.
-    out = vr // scale
-    twice = (vr - out * scale) << _ONE
-    tie_down = vr_exact & (twice == scale) & (out & _ONE == 0)
-    at_lower = (out == vm_kept) & (~accept | ~vm_exact)
+    # result at the lower bound steps up unless the interval owns it
+    # (vm_exact holds only where accept does).
+    out, rest = work[8], work[5]
+    np.floor_divide(vr, scale, out=out)
+    twice = np.subtract(vr, np.multiply(out, scale, out=rest), out=vr)
+    twice <<= _ONE
+    tie_down = vr_exact & (twice == scale) & (np.bitwise_and(out, _ONE, out=rest) == _ZERO)
+    at_lower = (out == vm_kept) & ~vm_exact
     out += at_lower | ((twice >= scale) & ~tie_down)
-    olen = np.searchsorted(_POW10, out, side="right")
-    exp10 = e10_table.take(biased) + removed
+    exp10 = removed
+    exp10 += e10_table.take(biased, out=work[6].view(np.intp), mode="clip")
+    olen = work[9].view(np.intp)  # biased is no longer needed
+    olen[:] = np.searchsorted(_POW10, out, side="right")
     if zero.any():
         out[zero] = 0
         exp10[zero] = 0
@@ -237,26 +301,36 @@ def _shortest(bits):
     return out, exp10, olen
 
 
-def _swar_digits(x):
-    """The eight decimal digits of each ``x < 10**8`` as ASCII bytes,
-    most significant first, packed in one little-endian uint64: split by
-    10**4 into two 32-bit lanes, then by 100 and by 10 within the lanes,
-    each by a multiply and a shift."""
-    high = x // _E4
-    v = high | ((x - high * _E4) << _U(32))
+def _swar_digits(v, high, spare):
+    """Replace each ``v < 10**8`` by its eight decimal digits as ASCII
+    bytes, most significant first, packed in one little-endian uint64:
+    split by 10**4 into two 32-bit lanes, then by 100 and by 10 within the
+    lanes, each by a multiply and a shift.  ``high`` and ``spare`` are
+    scratch of v's shape."""
     for multiplier, shift, lanes, base, width in _SWAR_STEPS:
-        high = ((v * multiplier) >> shift) & lanes
-        v = high | ((v - high * base) << width)
-    return (v + _ASCII_ZEROS).astype("<u8", copy=False)
+        np.multiply(v, multiplier, out=high)
+        high >>= shift
+        high &= lanes
+        # v = high | ((v - high * base) << width)
+        v -= np.multiply(high, base, out=spare)
+        v <<= width
+        v |= high
+    v += _ASCII_ZEROS
 
 
-def _digit_bytes(x, count: int):
+def _digit_bytes(x, count: int, work):
     """The last ``count`` (at most 16) decimal digits of each ``x < 10**16``
-    as a (len(x), count) ASCII array."""
-    if count > 8:
-        high = x // _E8
-        x = np.stack([high, x - high * _E8], axis=1)
-    return _swar_digits(x).view(np.uint8).reshape(len(x), -1)[:, -count:]
+    as a (len(x), count) ASCII view into ``work``, uint64 rows holding at
+    least six values per element of x."""
+    lanes = 2 if count > 8 else 1
+    v, high, spare = work.reshape(-1)[: 3 * lanes * len(x)].reshape(3, len(x), lanes)
+    if lanes == 2:
+        np.floor_divide(x, _E8, out=v[:, 0])
+        np.subtract(x, np.multiply(v[:, 0], _E8, out=v[:, 1]), out=v[:, 1])
+    else:
+        v[:, 0] = x
+    _swar_digits(v, high, spare)
+    return v.astype("<u8", copy=False).view(np.uint8).reshape(len(x), -1)[:, -count:]
 
 
 @functools.cache
@@ -293,6 +367,12 @@ def _layout_tables():
     return _read_only(masks, classes, text.view(np.uint8).reshape(-1, 4))
 
 
+def chunk_rows(n: int, ncols: int) -> int:
+    """Rows per chunk of a write of ``n`` rows of ``ncols`` values."""
+    values = min(max(n * ncols // _CHUNK_SHARE, CHUNK_VALUES), MAX_CHUNK_VALUES)
+    return min(n, max(values // ncols, 1))
+
+
 def write_csv_rows(dest: IO[str], columns: Sequence[np.ndarray], index: bool) -> None:
     """Write one line per row of the equal-length finite float64
     ``columns``: the row number and a comma when ``index``, then each
@@ -304,47 +384,65 @@ def write_csv_rows(dest: IO[str], columns: Sequence[np.ndarray], index: bool) ->
     masks, classes, exponent_text = _layout_tables()
     index_width = len(str(n - 1)) if index else 0
     width = index_width + ncols * len(_FIELD) + 1
-    chunk = max(CHUNK_VALUES // ncols, 1)
-    rows = min(n, chunk)
-    # One workspace for every chunk: row text, its keep mask and the values.
+    rows = chunk_rows(n, ncols)
+    size = rows * ncols
+    # One workspace for every chunk: row text, its keep mask, the values
+    # and the rows of the arithmetic.
     text = np.empty((rows, width), dtype=np.uint8)
     keep = np.empty((rows, width), dtype=bool)
     values = np.empty((rows, ncols), dtype=np.float64)
+    work = np.empty((_WORK_ROWS, size), dtype=np.uint64)
+    flags = np.empty((_FLAG_ROWS, size), dtype=bool)
+    negative = np.empty(size, dtype=bool)
     text[:, index_width:-1] = np.frombuffer(_FIELD * ncols, dtype=np.uint8)
     text[:, -1] = ord("\n")
     keep[:, -1] = True
+    fields = text[:, index_width:-1].reshape(rows, ncols, len(_FIELD))
+    field_keep = keep[:, index_width:-1].reshape(rows, ncols, len(_FIELD))
     # Index digit p shows once the row number reaches 10**(index_width-1-p).
     index_floor = _POW10[:index_width][::-1].copy()
     index_floor[-1:] = 0
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
+    block_rows = max(CHUNK_VALUES // ncols, 1)
+    for start in range(0, n, rows):
+        first = min(start, n - rows)  # the last chunk ends at row n, overlapping the one before
         for c, column in enumerate(columns):
-            values[:m, c] = column[start : start + m]
-        bits = values[:m].reshape(-1).view(np.uint64)
-        digits, exp10, olen = _shortest(bits)
-        digits *= _POW10.take(17 - olen)  # now exactly 17 digits
-        lead = digits // _E16
-        tail = _digit_bytes(digits - lead * _E16, 16).reshape(m, ncols, 16)
-        lead = (lead.astype(np.uint8) + ord("0")).reshape(m, ncols)
-        decpt_row = exp10 + olen + _DECPT_OFFSET
-        cls = classes.take(decpt_row)
-        key = ((bits >> _SIGN).astype(np.intp) * _N_CLASSES + cls) * 18 + olen
-
-        fields = text[:m, index_width:-1].reshape(m, ncols, len(_FIELD))
-        fields[:, :, _INT_DIGITS] = lead
+            values[:, c] = column[first : first + rows]
+        np.signbit(values.reshape(-1), out=negative)
+        digits, exp10, olen = _shortest(values.reshape(-1).view(np.uint64), work, flags)
+        scratch = work[:7]
+        padding = np.subtract(17, olen, out=scratch[0].view(np.intp))
+        digits *= _POW10.take(padding, out=scratch[1], mode="clip")  # now exactly 17 digits
+        lead = np.floor_divide(digits, _E16, out=scratch[6])
+        digits -= np.multiply(lead, _E16, out=scratch[0])
+        lead += _U(ord("0"))
+        fields[:, :, _INT_DIGITS] = fields[:, :, _FRAC_DIGITS] = lead.reshape(rows, ncols)
+        tail = _digit_bytes(digits, 16, scratch[:6]).reshape(rows, ncols, 16)
         fields[:, :, _INT_DIGITS + 1 : _INT_DIGITS + 17] = tail
-        fields[:, :, _FRAC_DIGITS] = lead
         fields[:, :, _FRAC_DIGITS + 1 : _FRAC_DIGITS + 17] = tail
+        decpt_row = exp10
+        decpt_row += olen
+        decpt_row += _DECPT_OFFSET
+        cls = classes.take(decpt_row, out=scratch[6].view(np.intp), mode="clip")
         if cls.max() >= _EXPONENT_FORM:
             exponents = exponent_text.take(decpt_row, axis=0)
-            fields[:, :, _EXPONENT_TEXT:] = exponents.reshape(m, ncols, 4)
-        # Keys are in range by construction; "clip" writes straight to out.
-        np.take(masks, key.reshape(m, ncols), axis=0, mode="clip",
-                out=keep[:m, index_width:-1].reshape(m, ncols, len(_FIELD)))
+            fields[:, :, _EXPONENT_TEXT:] = exponents.reshape(rows, ncols, 4)
+        key = np.multiply(negative, _N_CLASSES, out=scratch[5].view(np.intp))
+        key += cls
+        key *= 18
+        key += olen
+        # Keys are in range by construction.  np.take copies a strided out
+        # through a temporary, so it takes the mask rows of CHUNK_VALUES
+        # values at a time.
+        key = key.reshape(rows, ncols)
+        for block in range(0, rows, block_rows):
+            np.take(masks, key[block : block + block_rows], axis=0, mode="clip",
+                    out=field_keep[block : block + block_rows])
         if index:
-            numbers = np.arange(start, start + m, dtype=np.uint64)
-            text[:m, :index_width] = _digit_bytes(numbers, index_width)
-            np.greater_equal(numbers[:, None], index_floor, out=keep[:m, :index_width])
+            numbers = scratch[0, :rows]
+            numbers[:] = np.arange(first, first + rows)
+            text[:, :index_width] = _digit_bytes(numbers, index_width, scratch[1:7])
+            np.greater_equal(numbers[:, None], index_floor, out=keep[:, :index_width])
         else:
-            keep[:m, 0] = False  # no comma before the first value
-        dest.write(text[:m][keep[:m]].tobytes().decode("ascii"))
+            keep[:, 0] = False  # no comma before the first value
+        skip = start - first
+        dest.write(str(text[skip:][keep[skip:]], "ascii"))

@@ -174,7 +174,7 @@ def load_run_config(path: Path) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if not cfg.synth_specs and not cfg.ingest_inputs:
-        raise ConfigError("config must define a [synth] or [ingest] section")
+        raise ConfigError("config must define a [synth] section or [ingest] inputs")
     return cfg
 
 

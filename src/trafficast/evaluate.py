@@ -129,10 +129,16 @@ def time_predictor(task: Callable[[], object], repetitions: int = 3) -> float:
 
 
 def describe_environment() -> str:
-    return (
-        f"{platform.platform()} / Python {platform.python_version()} "
-        f"/ numpy {np.__version__}"
-    )
+    """The platform, Python and numpy a report was made with.
+
+    The platform part is built as ``platform.platform()`` builds it on
+    Linux, from ``uname`` fields and the C library's name and version.
+    Calling ``platform.platform()`` itself would run ``uname -p`` in a
+    child process, for a processor name it then drops."""
+    uname = platform.uname()
+    libc = "".join(platform.libc_ver())
+    system = "-".join(filter(None, (uname.system, uname.release, uname.machine, "with", libc)))
+    return f"{system} / Python {platform.python_version()} / numpy {np.__version__}"
 
 
 @dataclass

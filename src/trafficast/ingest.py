@@ -442,10 +442,19 @@ def write_series_csv(series: TimeSeries, dest: Source) -> None:
 
 def write_prediction_csv(dest: Source, /, **columns) -> None:
     """Write a prediction CSV: an ``index`` column, then one column per
-    keyword in order, headed by its name.  Every column is checked under
-    its name, and the lengths compared, before ``dest`` is opened."""
+    keyword in order, headed by its name.  A name may not be ``index`` or
+    hold a comma, a double quote, CR or LF, so each header cell is the
+    name as given.  Every name and column is checked, and the lengths
+    compared, before ``dest`` is opened."""
     if not columns:
         raise ValidationError("a prediction CSV needs at least one column")
+    for name in columns:
+        if name == "index":
+            raise ValidationError("prediction column name 'index' is the row number's")
+        if any(c in name for c in ',"\r\n'):
+            raise ValidationError(
+                f"prediction column name {name!r} holds a comma, a double quote or a line break"
+            )
     arrays = [values_of(values, name) for name, values in columns.items()]
     if len({a.size for a in arrays}) > 1:
         sizes = ", ".join(f"{name} {a.size}" for name, a in zip(columns, arrays))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trafficast import cli, evaluate, ingest, kalman
+from trafficast import __version__, cli, evaluate, ingest, kalman
 from trafficast.evaluate import inverse_transform
 from trafficast.ingest import load_series_csv, write_series_csv
 from trafficast.preprocess import PreprocessConfig, pipeline
@@ -519,6 +519,18 @@ def test_empty_list_key_exits_2_before_any_work(tmp_path, capsys, sections, key)
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("sections", ["", "[ingest]\nbin_width = 2.0\n"],
+                         ids=["neither", "ingest-without-inputs"])
+def test_config_without_a_dataset_names_the_rule(tmp_path, capsys, sections):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {outdir}\n\n{sections}")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "trafficast: config error: config must define a [synth] section or [ingest] inputs\n"
+    )
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("label", ["a/b", "../up"])
 def test_synth_label_with_a_path_separator_exits_2_before_any_work(tmp_path, capsys, label):
     outdir, config = tmp_path / "out", tmp_path / "run.cfg"
@@ -845,6 +857,16 @@ def test_predict_kf_names_a_non_finite_prediction_and_writes_nothing(tmp_path, c
     assert cli.main(["predict-kf", "--input", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "trafficast: predict-kf: predicted must be finite\n"
     assert not out.exists()
+
+
+def test_python_dash_m_runs_the_command():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "trafficast", "--version"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"trafficast {__version__}\n"
 
 
 def test_repro_paper_does_not_import_numpy_ma(tmp_path):

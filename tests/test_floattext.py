@@ -1,11 +1,13 @@
 """Both CSV writers write each float exactly as ``repr`` does, byte for
 byte: against the row loop in ``reference``, over hypothesis floats, a
 seeded run of random bit patterns, pinned edge values and the row counts
-around chunk and index-width boundaries."""
+around chunk and index-width boundaries, on both sides of the chunk rule."""
 import io
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,6 @@ import reference
 
 HEADER = "index,actual,arma_pred,kf_pred"
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-PREDICTION_CHUNK = _floattext.CHUNK_VALUES // 3
-SERIES_CHUNK = _floattext.CHUNK_VALUES
 
 
 def series_rows(values):
@@ -139,18 +139,47 @@ def test_no_rows_write_nothing():
     assert stream.getvalue() == ""
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1, PREDICTION_CHUNK + 1])
-def test_prediction_csv_around_a_chunk_boundary(offset):
-    n = PREDICTION_CHUNK + offset
+def rows_at(boundary, offset, ncols):
+    """A row count ``offset`` rows from a boundary of the chunk rule for
+    rows of ``ncols`` values: ``floor``, one smallest chunk; ``grows``,
+    the first count whose chunk is larger; ``cap``, 33 largest chunks."""
+    floor = _floattext.CHUNK_VALUES // ncols
+    cap = _floattext.MAX_CHUNK_VALUES // ncols
+    if boundary == "floor":
+        return floor + offset
+    if boundary == "grows":
+        grows = next(n for n in itertools.count(floor) if _floattext.chunk_rows(n, ncols) > floor)
+        assert _floattext.chunk_rows(grows - 1, ncols) == floor
+        return grows + offset
+    n = 33 * cap + offset
+    assert _floattext.chunk_rows(n, ncols) == cap and n % cap == offset % cap
+    return n
+
+
+GROWN = [("grows", -1), ("grows", 0), ("grows", 1), ("cap", -1), ("cap", 0), ("cap", 1)]
+# The last floor offset of each list is one row past two smallest chunks.
+PREDICTION_BOUNDARIES = [("floor", -1), ("floor", 0), ("floor", 1), ("floor", 513), *GROWN]
+SERIES_BOUNDARIES = [("floor", -1), ("floor", 0), ("floor", 1), ("floor", 1537), *GROWN]
+
+
+def boundary_ids(boundaries):
+    return [str(o) if b == "floor" else f"{b}{o:+d}" for b, o in boundaries]
+
+
+@pytest.mark.parametrize("boundary, offset", PREDICTION_BOUNDARIES,
+                         ids=boundary_ids(PREDICTION_BOUNDARIES))
+def test_prediction_csv_around_a_chunk_boundary(boundary, offset):
+    n = rows_at(boundary, offset, ncols=3)
     columns = spread_over_every_exponent(3 * n, seed=n).reshape(3, n)
     assert evaluate.render_prediction_csv(*columns) == reference.indexed_csv_loop(
         HEADER, *columns
     )
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1, SERIES_CHUNK + 1])
-def test_series_csv_around_a_chunk_boundary(offset):
-    n = SERIES_CHUNK + offset
+@pytest.mark.parametrize("boundary, offset", SERIES_BOUNDARIES,
+                         ids=boundary_ids(SERIES_BOUNDARIES))
+def test_series_csv_around_a_chunk_boundary(boundary, offset):
+    n = rows_at(boundary, offset, ncols=1)
     values = spread_over_every_exponent(n, seed=n)
     assert series_rows(values) == reference.series_values_loop(values)
 
@@ -161,6 +190,34 @@ def test_index_column_around_a_change_of_width(n):
     assert evaluate.render_prediction_csv(*columns) == reference.indexed_csv_loop(
         HEADER, *columns
     )
+
+
+def test_index_width_changes_inside_a_grown_chunk():
+    n = 19_200
+    rows = _floattext.chunk_rows(n, 3)
+    assert rows > _floattext.CHUNK_VALUES // 3 and 9_999 // rows == 10_000 // rows
+    columns = np.random.default_rng(n).normal(size=(3, n))
+    assert evaluate.render_prediction_csv(*columns) == reference.indexed_csv_loop(
+        HEADER, *columns
+    )
+
+
+class DiscardingSink:
+    def write(self, text):
+        pass
+
+
+def test_workspace_of_a_long_write_stays_below_its_columns_bytes():
+    columns = np.random.default_rng(4).normal(size=(3, 200_000))
+    assert _floattext.chunk_rows(200_000, 3) * 3 == _floattext.MAX_CHUNK_VALUES
+    _floattext.write_csv_rows(DiscardingSink(), columns[:, :10], index=True)  # tables built first
+    tracemalloc.start()
+    try:
+        _floattext.write_csv_rows(DiscardingSink(), columns, index=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < columns.nbytes
 
 
 def test_strided_and_byte_swapped_columns_are_written_by_value():

@@ -691,6 +691,20 @@ class TestPredictionCsv:
         write_prediction_csv(buf, dest=[7.0])
         assert buf.getvalue() == "index,dest\n0,7.0\n"
 
+    @pytest.mark.parametrize("name", ["index", "a,b", 'say "hi"', "a\rb", "a\nb"],
+                             ids=["index", "comma", "quote", "cr", "lf"])
+    def test_a_name_that_is_not_one_header_cell_creates_no_file(self, tmp_path, name):
+        if name == "index":
+            message = "prediction column name 'index' is the row number's"
+        else:
+            message = f"prediction column name {name!r} holds a comma, a double quote or a line break"
+        path, stream = tmp_path / "predictions.csv", io.StringIO()
+        for dest in (path, stream):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                write_prediction_csv(dest, actual=[1.0, 2.0], **{name: [3.0, 4.0]})
+        assert not path.exists()
+        assert stream.getvalue() == ""
+
 
 class TestTimeSeriesInvariants:
     def test_rejects_nan(self):
