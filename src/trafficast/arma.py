@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .rng import normal_stream
-from .series import TimeSeries, linear_recurrence, real, values_of
+from .series import TimeSeries, linear_recurrence, pow2_scaled, quiet_overflow, real, values_of
 
 SIMULATION_BURN_IN = 500
 
@@ -279,8 +279,7 @@ def fit(
     # Fit a copy scaled by a power of two to a peak in [0.5, 1), so that no
     # Gram sum overflows or underflows.  The scaling is exact: the
     # coefficients are those of the raw series.
-    exp = int(np.frexp(np.max(np.abs(x)))[1])
-    x = np.ldexp(x, -exp)
+    x, exp = pow2_scaled(x)
 
     # The regression sample starts where both the p value-lags and the q
     # innovation-lags exist; the same window is used even for q = 0 so that
@@ -324,6 +323,7 @@ def predict_one_step(model: ArmaModel, history, innovations=()) -> float:
     return value
 
 
+@quiet_overflow
 def predict_series(
     model: ArmaModel, series: TimeSeries | np.ndarray
 ) -> TimeSeries:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, arma, kalman
-from .errors import ConfigError, PipelineError, TrafficastError, ValidationError
+from .errors import ConfigError, PipelineError, TrafficastError, ValidationError, stage
 from .evaluate import (
     REPORT_FORMATS,
     PredictorSpec,
@@ -185,28 +185,22 @@ def run_pipeline(config: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     raw: list[tuple[str, TimeSeries]] = []
-    try:
+    with stage("synth"):
         for label, spec in config.synth_specs:
             seed = derive_seed(config.seed, f"dataset-{label}")
             raw.append((label, gen_seasonal_traffic(replace(spec, seed=seed))))
-    except TrafficastError as exc:
-        raise PipelineError("synth", str(exc)) from exc
     for path in config.ingest_inputs:
-        try:
+        with stage("ingest", path.stem):
             raw.append((path.stem, load_packet_rates(path, config.bin_width)))
-        except (TrafficastError, OSError) as exc:
-            raise PipelineError("ingest", f"dataset {path.stem}: {exc}") from exc
 
     datasets = [(label, _stationarize(label, series, config)) for label, series in raw]
 
-    try:
+    with stage("compare"):
         report = compare(
             datasets, config.predictors, timing_repetitions=config.timing_repetitions
         )
-    except TrafficastError as exc:
-        raise PipelineError("compare", str(exc)) from exc
 
-    try:
+    with stage("report"):
         artifacts = {
             config.report_name: render_report(report, config.report_format),
             "mse_grid.csv": grid_csv(report, report.mse_grid),
@@ -217,20 +211,16 @@ def run_pipeline(config: RunConfig) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)  # [eval] out may name a subdirectory
             path.write_text(text, encoding="utf-8", newline="")
         _write_prediction_csvs(config, datasets, report, outdir)
-    except OSError as exc:
-        raise PipelineError("report", str(exc)) from exc
     return 0
 
 
 def _stationarize(label: str, series: TimeSeries, config: RunConfig) -> TimeSeries:
     """Preprocess one dataset, writing each stage's output when asked."""
-    try:
+    with stage("preprocess", label):
         stationary, stages = pipeline_with_stages(series, config.preprocess)
         if config.emit_stages:
             for name, stage_series in stages.items():
                 write_series_csv(stage_series, config.outdir / f"stage_{label}_{name}.csv")
-    except (TrafficastError, OSError) as exc:
-        raise PipelineError("preprocess", f"dataset {label}: {exc}") from exc
     return stationary
 
 
@@ -472,11 +462,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"trafficast: config error: {exc}", file=sys.stderr)
         return 2
-    except PipelineError as exc:
-        print(f"trafficast: stage failed: {exc}", file=sys.stderr)
-        return 1
     except (TrafficastError, OSError) as exc:
-        print(f"trafficast: {args.command}: {exc}", file=sys.stderr)
+        where = "stage failed" if isinstance(exc, PipelineError) else args.command
+        print(f"trafficast: {where}: {exc}", file=sys.stderr)
         return 1
 
 

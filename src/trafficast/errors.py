@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the rule that names a failing stage."""
+from contextlib import contextmanager
 
 
 class TrafficastError(Exception):
@@ -33,6 +34,17 @@ class PipelineError(TrafficastError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+@contextmanager
+def stage(name: str, dataset: str | None = None):
+    """Run a block as the pipeline stage ``name``: a TrafficastError or OSError
+    raised in it becomes a PipelineError naming the stage, and ``dataset`` if given."""
+    try:
+        yield
+    except (TrafficastError, OSError) as exc:
+        where = "" if dataset is None else f"dataset {dataset}: "
+        raise PipelineError(name, f"{where}{exc}") from exc
 
 
 class ConfigError(TrafficastError):

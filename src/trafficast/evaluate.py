@@ -26,7 +26,7 @@ import numpy as np
 
 from . import arma, kalman
 from .errors import TrafficastError, ValidationError
-from .series import TimeSeries, values_of
+from .series import TimeSeries, pow2_scaled, quiet_overflow, values_of
 
 Cell = Union[float, int, Decimal, None]
 
@@ -102,8 +102,10 @@ def run_predictor(spec: PredictorSpec, series: TimeSeries) -> np.ndarray:
     return kalman.predict_series(model, series, init).predictions
 
 
+@quiet_overflow
 def mse(predicted, actual, skip: int = 0) -> float:
-    """Mean squared prediction error over indices >= ``skip``."""
+    """Mean squared prediction error over indices >= ``skip``; one the
+    float range cannot hold is a :class:`ValidationError`."""
     p = values_of(predicted, "predicted")
     a = values_of(actual, "actual")
     if p.shape != a.shape:
@@ -111,7 +113,16 @@ def mse(predicted, actual, skip: int = 0) -> float:
     if not 0 <= skip < p.size:
         raise ValidationError(f"skip must be in [0, {p.size}), got {skip}")
     d = p[skip:] - a[skip:]
-    return float(np.mean(d * d))
+    # Squared after an exact scaling by a power of two, so that no square
+    # overflows on the way to a representable mean.
+    d, exp = pow2_scaled(d, out=d)
+    try:
+        result = math.ldexp(float(np.mean(d * d)), 2 * exp)
+    except OverflowError:
+        result = math.inf
+    if result == math.inf:  # also where a difference overflowed
+        raise ValidationError(f"mean squared error over {d.size} samples overflows")
+    return result
 
 
 def time_predictor(task: Callable[[], object], repetitions: int = 3) -> float:

@@ -361,12 +361,14 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
     not pay for every bin with every chunk.
     """
     bin_width = real("bin_width", bin_width, positive=True)
-    counts = np.zeros(0, dtype=np.intp)
-    n_bins = 0
+    # Counted in float64, exact below 2**53: the series copies this array,
+    # and no other bin-sized array is made.
+    counts = np.zeros(0)
+    n_bins, last = 0, 0.0
     for ts in chunks:
         if not ts.size:
             continue
-        last = float(ts.max())
+        last = max(last, float(ts.max()))
         if not last / bin_width + 1 < _MAX_BINS:
             raise ValidationError(
                 f"last timestamp {last!r} needs {last / bin_width + 1:.4g} bins of"
@@ -375,22 +377,28 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
         # Times here are finite and >= 0, so truncation is floor; correctly
         # rounded division is monotone, so ``last`` falls in the top bin.
         idx = (ts / bin_width).astype(np.intp)
-        high = int(last / bin_width) + 1
-        if high > counts.size:
+        n_bins = int(last / bin_width) + 1
+        if n_bins > counts.size:
             try:
-                grown = np.zeros(max(high, 2 * counts.size), dtype=np.intp)
+                grown = np.zeros(max(n_bins, 2 * counts.size))
             except (MemoryError, ValueError):  # ValueError: more than 2**63 bytes
-                raise ValidationError(
-                    f"last timestamp {last!r} needs {high} bins of {bin_width!r} s,"
-                    " more than memory holds"
-                ) from None
+                raise _no_memory_for(n_bins, last, bin_width) from None
             grown[: counts.size] = counts
             counts = grown
-        np.add.at(counts, idx, 1)
-        n_bins = max(n_bins, high)
+        np.add.at(counts, idx, 1.0)
     if not n_bins:
         raise ValidationError("cannot bin an empty trace: no capture duration")
-    return TimeSeries(values=counts[:n_bins].astype(float), dt=bin_width, origin=0.0)
+    try:
+        return TimeSeries(values=counts[:n_bins], dt=bin_width, origin=0.0)
+    except MemoryError:
+        raise _no_memory_for(n_bins, last, bin_width) from None
+
+
+def _no_memory_for(n_bins: int, last: float, bin_width: float) -> ValidationError:
+    return ValidationError(
+        f"last timestamp {last!r} needs {n_bins} bins of {bin_width!r} s,"
+        " more than memory holds"
+    )
 
 
 def load_series_csv(source: Source) -> TimeSeries:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import PipelineError, TrafficastError, ValidationError
-from .series import TimeSeries
+from .errors import ValidationError, stage
+from .series import TimeSeries, quiet_overflow
 
 SCALE_MODES = ("zscore", "none")
 
@@ -66,6 +66,7 @@ def frame_count(n: int, window_len: int, hop: int) -> int:
     return (n - window_len) // hop + 1
 
 
+@quiet_overflow
 def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
     """Per-frame mean subtraction with overlap-averaged reconstruction.
 
@@ -89,6 +90,7 @@ def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
     return replace(series, values=acc / cover)
 
 
+@quiet_overflow
 def scale(series: TimeSeries, mode: str = "zscore") -> TimeSeries:
     """Scale to zero mean / unit sample std (``zscore``) or pass through (``none``)."""
     if mode not in SCALE_MODES:
@@ -109,6 +111,7 @@ def pipeline(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeSer
     return result
 
 
+@quiet_overflow
 def pipeline_with_stages(
     series: TimeSeries, cfg: PreprocessConfig | None = None
 ) -> tuple[TimeSeries, dict[str, TimeSeries]]:
@@ -118,10 +121,12 @@ def pipeline_with_stages(
     current = series
 
     if cfg.log_enabled:
-        current = _run_stage("log_transform", log_transform, current)
+        with stage("log_transform"):
+            current = log_transform(current)
         stages["log_transform"] = current
 
-    current = _run_stage("box_center", box_center, current, cfg)
+    with stage("box_center"):
+        current = box_center(current, cfg)
     stages["box_center"] = current
 
     if cfg.scale_mode == "zscore" and float(current.values.std(ddof=1 if len(current) > 1 else 0)) == 0.0:
@@ -130,12 +135,6 @@ def pipeline_with_stages(
         mean = float(current.values.mean())
         result = replace(current, values=np.zeros(len(current)), scale_mean=mean, scale_std=1.0)
     else:
-        result = _run_stage("scale", scale, current, cfg.scale_mode)
+        with stage("scale"):
+            result = scale(current, cfg.scale_mode)
     return result, stages
-
-
-def _run_stage(name, func, *args):
-    try:
-        return func(*args)
-    except TrafficastError as exc:
-        raise PipelineError(name, str(exc)) from exc

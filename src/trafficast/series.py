@@ -86,9 +86,30 @@ def values_of(series: TimeSeries | np.ndarray, name: str = "series values") -> n
     return arr
 
 
-# A growing recurrence may overflow to inf, as the sequential loop did;
-# callers reject non-finite results, so numpy need not warn as well.
-@np.errstate(over="ignore", invalid="ignore")
+def quiet_overflow(func):
+    """``func`` run without numpy's overflow and invalid-value warnings.
+
+    A value that overflows comes out as inf or nan, and ``TimeSeries`` or
+    the caller rejects it as not finite with a named error; so numpy need
+    not warn as well.
+    """
+    return np.errstate(over="ignore", invalid="ignore")(func)
+
+
+def pow2_scaled(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """``x`` scaled by a power of two to a peak magnitude in [0.5, 1), and
+    the exponent ``e`` with ``x == ldexp(result, e)``.
+
+    The scaling is exact unless a value falls into the subnormal range,
+    and no square of the result exceeds 1, so sums of squares stay in
+    range.  ``out`` may be ``x`` itself, to scale it in place.
+    """
+    exp = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(x, -exp, out=out), exp
+
+
+# A growing recurrence may overflow to inf, as the sequential loop did.
+@quiet_overflow
 def linear_recurrence(u, a, init=()) -> np.ndarray:
     """Solve ``y[t] = u[t] - sum_{j=1..q} a[j-1] * y[t-j]`` for t = 0..n-1.
 

@@ -543,3 +543,14 @@ class TestInvertibility:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError):
                 arma.predict_series(model, np.ones(3000))
+
+    def test_overflowing_ma_sum_is_rejected_without_warnings(self):
+        # A strongly non-invertible estimate (phi about -2.7e9): the
+        # innovations overflow in the scan, and the MA sum after it.
+        x = np.concatenate([np.ones(20), np.random.default_rng(11).normal(size=20)])
+        model, diagnostics = arma.fit(x, 2, 1)
+        assert not diagnostics.ma_invertible and model.phi[0] < -1e9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^series values must be finite$"):
+                arma.predict_series(model, x)

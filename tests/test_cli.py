@@ -1,14 +1,23 @@
 import ast
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trafficast import __version__, cli, evaluate, ingest, kalman
+from trafficast.errors import PipelineError, ValidationError, stage
 from trafficast.evaluate import inverse_transform
 from trafficast.ingest import load_series_csv, write_series_csv
 from trafficast.preprocess import PreprocessConfig, pipeline
@@ -594,6 +603,36 @@ def test_stage_csv_write_failure_names_its_stage(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_report_stage_names_a_library_error(tmp_path, capsys, monkeypatch):
+    def fail(report, fmt):
+        raise ValidationError("cannot render")
+
+    monkeypatch.setattr(cli, "render_report", fail)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {tmp_path / 'out'}\n\n[synth]\nn = 400\n\n"
+                      "[predictors]\nspecs = kf:0.01,0.01\n")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "trafficast: stage failed: report: cannot render\n"
+
+
+@pytest.mark.parametrize(
+    "raised, dataset, message",
+    [(ValidationError("bad"), None, "compare: bad"),
+     (FileNotFoundError("gone"), "A", "compare: dataset A: gone")],
+)
+def test_stage_names_itself_and_its_dataset(raised, dataset, message):
+    with pytest.raises(PipelineError, match=f"^{message}$") as info:
+        with stage("compare", dataset):
+            raise raised
+    assert info.value.stage == "compare" and info.value.__cause__ is raised
+
+
+def test_stage_lets_other_exceptions_through():
+    with pytest.raises(KeyError):
+        with stage("compare"):
+            raise KeyError("x")
+
+
 @pytest.mark.parametrize(
     "out", ["mse_grid.csv", "time_grid.csv", "predictions_A.csv", "stage_A_log.csv",
             "./mse_grid.csv"],
@@ -824,6 +863,26 @@ def test_run_ingest_matches_the_trace_path(tmp_path, monkeypatch):
     assert run("traced") == streamed
 
 
+def test_prediction_csv_skipped_for_a_dataset_whose_arma_cell_failed(tmp_path):
+    # 35 one-second bins: box_center keeps 35 samples, fewer than the 40
+    # that every ARMA order of the default grid needs; the KF runs on them.
+    packets, config, outdir = tmp_path / "short.csv", tmp_path / "run.cfg", tmp_path / "out"
+    counts = np.random.default_rng(4).integers(1, 6, size=35)
+    packets.write_text("time,protocol\n" + "".join(
+        f"{i + 0.5},TCP\n" * int(c) for i, c in enumerate(counts)
+    ))
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\nn = 400\n\n[ingest]\ninputs = {packets}\n\n"
+        "[eval]\ntiming_reps = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert (outdir / "predictions_A.csv").exists()
+    assert not (outdir / "predictions_short.csv").exists()
+    row = (outdir / "mse_grid.csv").read_text().splitlines()[2].split(",")
+    assert row[:6] == ["short", "", "", "", "", ""]
+    assert len(row) == 7 and math.isfinite(float(row[6]))
+
+
 def test_infinite_bin_width_fails_with_one_line(tmp_path, capsys):
     packets = tmp_path / "packets.csv"
     write_packet_csv(packets)
@@ -885,3 +944,86 @@ def test_repro_paper_does_not_import_numpy_ma(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# Shapes of adversarial series; each is scaled to a peak magnitude of 1,
+# then by a power of ten.
+SHAPES = {
+    "noise": lambda n, rng: rng.normal(size=n),
+    "constant": lambda n, rng: np.ones(n),
+    "half-constant": lambda n, rng: np.r_[np.ones(n // 2), rng.normal(size=n - n // 2)],
+    "spike": lambda n, rng: np.eye(1, n, int(rng.integers(n)))[0],
+    "alternating": lambda n, rng: (-1.0) ** np.arange(n),
+    "geometric": lambda n, rng: 1.01 ** np.arange(n),
+    "random-walk": lambda n, rng: np.cumsum(rng.normal(size=n)),
+}
+# Around the window (10) and every default ARMA order's minimum (40, 50).
+LENGTHS = st.one_of(st.integers(3, 300), st.sampled_from([9, 10, 11, 39, 40, 41, 49, 50, 51]))
+SCALES = st.integers(-300, 307).map(lambda e: 10.0 ** e)
+STAGES = "(synth|preprocess: dataset A: (log_transform|box_center|scale)|compare|report)"
+
+
+@st.composite
+def adversarial_series(draw):
+    n = draw(LENGTHS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = SHAPES[draw(st.sampled_from(sorted(SHAPES)))](n, rng)
+    return values / np.max(np.abs(values)) * draw(SCALES)
+
+
+@st.composite
+def synth_config(draw):
+    n = draw(LENGTHS)
+    scale = draw(SCALES)
+    share = st.sampled_from([0.0, 0.5, 1.0])
+    return (
+        f"[synth]\nn = {n}\nperiod = {draw(st.integers(2, n))}\n"
+        f"base_rate = {draw(share) * scale!r}\namplitude = {draw(share) * scale!r}\n"
+        f"noise_std = {draw(share) * scale!r}\n\n"
+        f"[preprocess]\nlog = {draw(st.booleans())}\n\n[eval]\nformat = json\ntiming_reps = 1\n"
+    )
+
+
+def run_command(argv):
+    """Exit code, stderr and the messages of any warnings of ``cli.main(argv)``."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["compare", "preprocess", "fit-arma", "predict-kf", "run"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_adversarial_inputs_end_in_a_defined_outcome(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        series, out = tmp / "series.csv", tmp / "out"
+        if command == "run":
+            (tmp / "run.cfg").write_text(f"[run]\noutdir = {out}\n\n" + data.draw(synth_config()))
+            argv = ["run", "--config", str(tmp / "run.cfg")]
+        else:
+            write_series_csv(TimeSeries(data.draw(adversarial_series())), series)
+            source = "--datasets" if command == "compare" else "--input"
+            argv = [command, source, str(series), "--out", str(out)] + {
+                "compare": ["--timing-reps", "1", "--format", "json"],
+                "preprocess": ["--no-log"],
+                "fit-arma": ["--p", "2", "--q", "2"],
+                "predict-kf": [],
+            }[command]
+        code, err, caught = run_command(argv)
+        assert not caught
+        assert code in (0, 1, 2)
+        if code:
+            assert err.endswith("\n") and err.count("\n") == 1
+            prefix = {
+                "run": f"trafficast: stage failed: {STAGES}: ",
+                "preprocess": "trafficast: stage failed: (box_center|scale): ",
+            }.get(command, f"trafficast: {command}: ")
+            assert re.match(prefix, err), err
+        elif command in ("compare", "run"):
+            report = out / "report.json" if command == "run" else out
+            for row in json.loads(report.read_text())["mse_grid"]:
+                assert all(cell is None or math.isfinite(cell) for cell in row)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -63,6 +64,28 @@ class TestMse:
     def test_skip_bounds(self):
         with pytest.raises(ValidationError):
             evaluate.mse([1.0], [1.0], skip=1)
+
+    @pytest.mark.parametrize(
+        "predicted, shift",
+        [([1.3e154] * 4, -600), ([2e154, 0.0, 0.0, 0.0], -600), ([1e-160, 3e-160], 600)],
+        ids=["sum-overflows", "square-overflows", "squares-underflow"],
+    )
+    def test_every_representable_mse_kept(self, predicted, shift):
+        # Squared unscaled, the first two gave inf (and a RuntimeWarning)
+        # and the last rounded each square to a subnormal.  A power-of-two
+        # shift is exact, so the MSE of the shifted values gives the true one.
+        zeros = np.zeros(len(predicted))
+        shifted = evaluate.mse(np.ldexp(predicted, shift), zeros)
+        assert evaluate.mse(predicted, zeros) == math.ldexp(shifted, -2 * shift)
+
+    @pytest.mark.parametrize(
+        "predicted, actual",
+        [([1e300, -1e300], [0.0, 0.0]), ([1e308, 0.0], [-1e308, 0.0])],
+        ids=["squares-overflow", "difference-overflows"],
+    )
+    def test_unrepresentable_mse_rejected(self, predicted, actual):
+        with pytest.raises(ValidationError, match="^mean squared error over 2 samples overflows$"):
+            evaluate.mse(predicted, actual)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -184,6 +207,13 @@ class TestCompare:
         )
         assert report.mse_grid[0][0] is None
         assert report.mse_grid[0][1] is not None
+
+    def test_overflowing_mse_is_a_blank_cell(self):
+        huge = TimeSeries(values=np.random.default_rng(0).normal(size=2000) * 1e300)
+        report = evaluate.compare(
+            [("huge", huge)], [evaluate.parse_predictor("kf:0.01,0.01")], timing_repetitions=1
+        )
+        assert report.mse_grid == [[None]]
 
     def test_requires_inputs(self):
         with pytest.raises(ValidationError):

@@ -574,6 +574,28 @@ class TestBinToRate:
         with pytest.raises(ValidationError, match="5000000000000000001 bins.*memory"):
             bin_to_rate(np.array([0.5, 5e18]), 1.0)
 
+    def test_counts_in_the_series_bins_and_one_copy(self):
+        # 200 001 bins are 1.6 MB of float64: the count array and the
+        # series' own copy of it.  Counting in integers and converting
+        # made a third bin-sized array (3.0x).
+        tracemalloc.start()
+        try:
+            series = bin_to_rate(np.array([0.5, 2e5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.values.sum() == 2
+        assert peak < 2.5 * series.values.nbytes
+
+    def test_series_that_memory_cannot_hold_rejected(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(ingest, "TimeSeries", no_memory)
+        with pytest.raises(ValidationError, match=r"^last timestamp 2\.5 needs 3 bins of 1\.0 s,"
+                           " more than memory holds$"):
+            bin_to_rate(np.array([0.5, 2.5]))
+
     @settings(max_examples=60, deadline=None)
     @given(
         times=st.lists(

@@ -63,6 +63,12 @@ class TestLogTransform:
 
 
 class TestBoxCenter:
+    def test_overflowing_frame_sums_rejected_without_warnings(self):
+        # Ten values of 1e308 sum past the float range, so the frame means
+        # are inf and the centered values are not finite.
+        with pytest.raises(ValidationError, match="^series values must be finite$"):
+            box_center(TimeSeries(np.full(20, 1e308)), CFG)
+
     def test_constant_series_maps_to_zeros(self):
         out = box_center(TimeSeries(np.full(20, 5.0)), CFG)
         assert out.values.tolist() == [0.0] * 20
@@ -140,6 +146,11 @@ class TestBoxCenter:
 
 
 class TestScale:
+    def test_overflowing_std_rejected_without_warnings(self):
+        noise = TimeSeries(np.random.default_rng(0).normal(size=40) * 1e154)
+        with pytest.raises(ValidationError, match="^scale_std must be positive and finite, got inf$"):
+            scale(noise, "zscore")
+
     def test_zscore_values_and_params(self):
         out = scale(TimeSeries(np.array([1.0, 2.0, 3.0])), "zscore")
         assert out.values.tolist() == [-1.0, 0.0, 1.0]
@@ -185,6 +196,15 @@ class TestPipeline:
     def test_negative_input_error_names_log_stage(self):
         with pytest.raises(PipelineError, match="log_transform"):
             pipeline(TimeSeries(np.array([-1.0] * 20)), CFG)
+
+    def test_overflowing_constant_check_names_the_scale_stage(self):
+        # Near 1e154 the squares in the std of the constant check overflow;
+        # scale's own std then overflows, and TimeSeries rejects it.
+        noise = TimeSeries(np.random.default_rng(0).normal(size=40) * 1e154)
+        message = "^scale: scale_std must be positive and finite, got inf$"
+        with pytest.raises(PipelineError, match=message) as info:
+            pipeline_with_stages(noise, PreprocessConfig(log_enabled=False))
+        assert info.value.stage == "scale"
 
     def test_seasonal_series_is_standardized(self):
         raw = gen_seasonal_traffic(SeasonalSpec(n=1000, period=50))
