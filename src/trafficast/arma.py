@@ -292,6 +292,7 @@ def fit(
         eps = np.zeros(n)
         eps[m:] = _regress(x, m, m, "long autoregression")[1]
     coef, resid = _regress(x, p, t0, f"ARMA({p},{q}) regression", eps, q)
+    del x, eps  # the scaled copy and the innovations: only the residuals are kept
 
     try:
         sigma2 = math.ldexp(float(np.mean(resid**2)), 2 * exp)
@@ -299,7 +300,7 @@ def fit(
         raise FitError(f"innovation variance of ARMA({p},{q}) overflows") from None
     model = ArmaModel(p=p, q=q, theta=coef[:p], phi=coef[p:], sigma2=sigma2)
     diagnostics = FitDiagnostics(
-        residuals=np.ldexp(resid, exp),
+        residuals=np.ldexp(resid, exp, out=resid),
         ar_stationary=model.is_stationary,
         ma_invertible=model.is_invertible,
     )

@@ -193,7 +193,11 @@ def run_pipeline(config: RunConfig) -> int:
         with stage("ingest", path.stem):
             raw.append((path.stem, load_packet_rates(path, config.bin_width)))
 
-    datasets = [(label, _stationarize(label, series, config)) for label, series in raw]
+    datasets = []
+    while raw:
+        label, series = raw.pop(0)
+        datasets.append((label, _stationarize(label, series, config)))
+        del series  # so no raw series stays alive through compare and the report
 
     with stage("compare"):
         report = compare(

@@ -9,6 +9,16 @@ plus the bin counts, whatever the capture's length.  ``load_packet_trace``
 returns the kept timestamps as one sorted array, and ``bin_to_rate``
 counts any such array into the same series.
 
+Bins rule: the bins up to a capture's last timestamp may number at most
+64 per packet counted, or 262144 (2**18) if that is more, so that a short
+sparse capture, say a few packets over a day of 1 s bins, still bins.  The
+rule holds for the whole capture: a chunk whose bins the packets read so
+far do not allow keeps its timestamps until enough packets have come.
+Beyond it, as for a timestamp past the bins an index or memory holds, the
+result is a :class:`ValidationError` raised before any bin-sized array is
+made; a run names the ingest stage.  So a capture with far timestamps,
+such as Unix-epoch times, cannot ask for gigabytes of bins.
+
 Value series: optional ``# key=value`` comment lines (``dt``, ``origin``,
 ``scale_mean``, ``scale_std`` and ``log1p`` are honoured, absent keys take
 the :class:`TimeSeries` defaults), then a ``value`` header and one float
@@ -52,6 +62,11 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 
 # 2**63 as a float: a bin count below it fits ``np.intp``.
 _MAX_BINS = float(np.iinfo(np.intp).max)
+
+# The bins rule (see the module docstring): a capture may span
+# ``max(_MIN_BINS, _BINS_PER_PACKET * packets)`` bins.
+_MIN_BINS = 1 << 18
+_BINS_PER_PACKET = 64
 
 # Comment keys of a value series CSV and how each value is parsed.
 _METADATA = {
@@ -114,9 +129,11 @@ def load_packet_rates(
     The same series as ``bin_to_rate(load_packet_trace(source,
     filter_protocols=filter_protocols), bin_width)``, counted one chunk at
     a time as it is read, so memory holds one chunk and the bin counts,
-    never an array per packet.  Errors come in file order: a timestamp too
-    large to bin is reported when its chunk is counted, before a malformed
-    row further on, where ``load_packet_trace`` parses the whole file first.
+    never an array per packet while the bins rule holds.  Errors come in
+    file order: a timestamp too large to index a bin is reported when its
+    chunk is read, before a malformed row further on, where
+    ``load_packet_trace`` parses the whole file first.  The bins rule is
+    checked on the whole capture, after its last row.
     """
     chunks = _read_chunks(source, filter_protocols)
     with contextlib.closing(chunks):
@@ -356,38 +373,53 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
     defines them.
 
     Each chunk is counted as it comes, by adding one per row into a count
-    array that grows by doubling.  So a chunk costs its rows, however
-    many bins its timestamps span: an unsorted capture at fine bins does
-    not pay for every bin with every chunk.
+    array that grows by doubling, up to the bins rule's limit.  So a chunk
+    costs its rows, however many bins its timestamps span: an unsorted
+    capture at fine bins does not pay for every bin with every chunk.  A
+    chunk that needs more bins than the rule allows for the packets so far
+    waits, with every chunk after it, until the packets allow them.
     """
     bin_width = real("bin_width", bin_width, positive=True)
     # Counted in float64, exact below 2**53: the series copies this array,
     # and no other bin-sized array is made.
     counts = np.zeros(0)
-    n_bins, last = 0, 0.0
+    held: list[np.ndarray] = []  # chunks whose bins the packets so far do not allow
+    n_bins, last, packets = 0, 0.0, 0
     for ts in chunks:
         if not ts.size:
             continue
         last = max(last, float(ts.max()))
+        packets += ts.size
         if not last / bin_width + 1 < _MAX_BINS:
             raise ValidationError(
                 f"last timestamp {last!r} needs {last / bin_width + 1:.4g} bins of"
                 f" {bin_width!r} s, more than an array index can address"
             )
-        # Times here are finite and >= 0, so truncation is floor; correctly
-        # rounded division is monotone, so ``last`` falls in the top bin.
-        idx = (ts / bin_width).astype(np.intp)
+        held.append(ts)
         n_bins = int(last / bin_width) + 1
+        limit = max(_MIN_BINS, _BINS_PER_PACKET * packets)
+        if n_bins > limit:
+            continue
         if n_bins > counts.size:
             try:
-                grown = np.zeros(max(n_bins, 2 * counts.size))
+                grown = np.zeros(max(n_bins, min(2 * counts.size, limit)))
             except (MemoryError, ValueError):  # ValueError: more than 2**63 bytes
                 raise _no_memory_for(n_bins, last, bin_width) from None
             grown[: counts.size] = counts
             counts = grown
-        np.add.at(counts, idx, 1.0)
+        for times in held:
+            # Times here are finite and >= 0, so truncation is floor; correctly
+            # rounded division is monotone, so ``last`` falls in the top bin.
+            np.add.at(counts, (times / bin_width).astype(np.intp), 1.0)
+        held.clear()
     if not n_bins:
         raise ValidationError("cannot bin an empty trace: no capture duration")
+    if held:
+        raise ValidationError(
+            f"last timestamp {last!r} needs {n_bins} bins of {bin_width!r} s for"
+            f" {packets} packets; a capture may span at most {limit} bins"
+            f" ({_BINS_PER_PACKET} per packet, at least {_MIN_BINS})"
+        )
     try:
         return TimeSeries(values=counts[:n_bins], dt=bin_width, origin=0.0)
     except MemoryError:

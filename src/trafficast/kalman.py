@@ -13,7 +13,7 @@ The one-step-ahead observation prediction recorded for step k is ``h x-``,
 computed before z_k is folded in.  The default configuration is the local
 level model (a = h = 1): a random walk observed in noise (Harvey 1989).
 Once the gain settles, the remaining predictions are solved in one scan by
-:func:`trafficast.series.linear_recurrence`.
+:func:`trafficast.series.first_order_scan`.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterError, ValidationError
-from .series import TimeSeries, linear_recurrence, real, values_of
+from .series import TimeSeries, first_order_scan, real, values_of
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,40 @@ class KalmanState:
 @dataclass(frozen=True)
 class PredictionTrace:
     """Per-step outputs of a filtering pass: one-step-ahead observation
-    predictions, gains and posterior variances (the last two of shape
-    (n, 1, 1))."""
+    predictions, and the gain and posterior variance of each step up to
+    the settle step.  From there on both repeat their last value, the
+    steady state (Harvey 1989), so only that head is stored; ``gains``
+    and ``covariances`` give every step's value, with shape (n, 1, 1)."""
 
     predictions: np.ndarray
-    gains: np.ndarray
-    covariances: np.ndarray
+    settling_gains: np.ndarray
+    settling_covariances: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.predictions) == len(self.gains) == len(self.covariances)):
-            raise ValidationError("trace sequences must have equal length")
+        steps = len(self.settling_gains)
+        if not (steps == len(self.settling_covariances) and 1 <= steps <= len(self)):
+            raise ValidationError(
+                "a trace needs equally many gains and covariances, from one to one per prediction"
+            )
 
     def __len__(self) -> int:
         return len(self.predictions)
+
+    def _every_step(self, head: np.ndarray) -> np.ndarray:
+        values = np.empty(len(self))
+        values[: head.size] = head
+        values[head.size :] = head[-1]
+        return values.reshape(-1, 1, 1)
+
+    @property
+    def gains(self) -> np.ndarray:
+        """Gain per step, shape (n, 1, 1)."""
+        return self._every_step(self.settling_gains)
+
+    @property
+    def covariances(self) -> np.ndarray:
+        """Posterior variance per step, shape (n, 1, 1)."""
+        return self._every_step(self.settling_covariances)
 
     @property
     def gain_series(self) -> np.ndarray:
@@ -97,8 +118,8 @@ def predict_series(
     For each sample the prior prediction ``h x-`` is recorded, then the
     sample is folded in.  One loop runs the recursion until the posterior
     variance repeats; the gain is fixed from then on, so one first-order
-    scan gives the remaining predictions.  Gains and posterior variances
-    come back with shape (n, 1, 1).
+    scan, run in the output array, gives the remaining predictions.  The
+    trace keeps the gains and posterior variances up to that step.
     """
     z = values_of(series)
     if z.size == 0:
@@ -111,12 +132,11 @@ def predict_series(
     # its floating-point fixed point after a few dozen steps; once two
     # consecutive posteriors are bit-identical every later value repeats, so
     # the loop stops there and the scan below finishes the series.
-    gains = np.empty(n)
-    covs = np.empty(n)
-    head: list[float] = []
+    preds: list[float] = []
+    gains: list[float] = []
+    covs: list[float] = []
     p_prev = None
-    settled = n
-    for i, zi in enumerate(memoryview(z)):
+    for zi in memoryview(z):
         xp = a * x
         pp = a * p * a + q
         s = h * pp * h + r
@@ -126,25 +146,23 @@ def predict_series(
         pred = h * xp
         x = xp + k * (zi - pred)
         p = (1.0 - k * h) * pp
-        gains[i] = k
-        covs[i] = p
-        head.append(pred)
+        preds.append(pred)
+        gains.append(k)
+        covs.append(p)
         if p == p_prev:
-            settled = i + 1
             break
         p_prev = p
-    gains[settled:] = k
-    covs[settled:] = p
-    tail = np.empty(0)
+    settled = len(preds)
+    out = np.empty(n)
+    out[:settled] = preds
     if settled < n:
         # With the gain fixed at k the update is x_t = c x_{t-1} + k z_t for
         # c = a(1 - kh), so the predictions h a x_{t-1} obey
         # pred_t = c pred_{t-1} + h a k z_{t-1}, from pred_settled = h a x.
-        drive = (h * a * k) * z[settled - 1 : n - 1]
-        drive[0] = h * (a * x)
-        tail = linear_recurrence(drive, [-(a * (1.0 - k * h))])
+        tail = out[settled:]
+        np.multiply(z[settled - 1 : n - 1], h * a * k, out=tail)
+        tail[0] = h * (a * x)
+        first_order_scan(tail, a * (1.0 - k * h))
     return PredictionTrace(
-        predictions=np.concatenate([head, tail]),
-        gains=gains.reshape(n, 1, 1),
-        covariances=covs.reshape(n, 1, 1),
+        predictions=out, settling_gains=np.array(gains), settling_covariances=np.array(covs)
     )

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, stage
-from .series import TimeSeries, quiet_overflow
+from .series import TimeSeries, pow2_scaled, quiet_overflow
 
 SCALE_MODES = ("zscore", "none")
 
@@ -66,6 +66,19 @@ def frame_count(n: int, window_len: int, hop: int) -> int:
     return (n - window_len) // hop + 1
 
 
+def _kept(statistic, x: np.ndarray):
+    """``statistic(x)`` for a statistic that scales with its input, such as
+    a mean or a standard deviation.  Where numpy's sums overflow, it is
+    computed again on ``x`` scaled by a power of two and scaled back, so
+    every statistic the float range holds is kept; other input pays for
+    the first computation only."""
+    value = statistic(x)
+    if np.isfinite(value).all():
+        return value
+    scaled, exp = pow2_scaled(x)
+    return np.ldexp(statistic(scaled), exp)
+
+
 @quiet_overflow
 def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
     """Per-frame mean subtraction with overlap-averaged reconstruction.
@@ -77,7 +90,7 @@ def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
     window, hop = cfg.window_len, cfg.hop
     n_frames = frame_count(x.size, window, hop)
     out_len = hop * (n_frames - 1) + window
-    means = sliding_window_view(x, window)[::hop].mean(axis=1)
+    means = _kept(lambda v: sliding_window_view(v, window)[::hop].mean(axis=1), x)
     acc = np.zeros(out_len)
     cover = np.zeros(out_len)
     # Offset k of every frame at once.  Going from the last offset down adds
@@ -87,7 +100,9 @@ def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
         at = slice(k, k + hop * n_frames, hop)
         acc[at] += x[at] - means
         cover[at] += 1.0
-    return replace(series, values=acc / cover)
+    acc /= cover
+    del cover  # before the series copies acc
+    return replace(series, values=acc)
 
 
 @quiet_overflow
@@ -98,11 +113,13 @@ def scale(series: TimeSeries, mode: str = "zscore") -> TimeSeries:
     x = series.values
     if mode == "none":
         return series
-    mean = float(x.mean())
-    std = float(x.std(ddof=1)) if x.size > 1 else 0.0
+    mean = float(_kept(np.mean, x))
+    std = float(_kept(lambda v: v.std(ddof=1), x)) if x.size > 1 else 0.0
     if std <= 0:
         raise ValidationError("zero variance: cannot z-score a constant series")
-    return replace(series, values=(x - mean) / std, scale_mean=mean, scale_std=std)
+    values = np.subtract(x, mean)
+    values /= std
+    return replace(series, values=values, scale_mean=mean, scale_std=std)
 
 
 def pipeline(series: TimeSeries, cfg: PreprocessConfig | None = None) -> TimeSeries:

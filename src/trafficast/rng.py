@@ -32,13 +32,30 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
 
 
 def normal_stream(seed: int, n: int) -> np.ndarray:
-    """``n`` standard-normal draws via Box-Muller on the uniform stream."""
+    """``n`` standard-normal draws via Box-Muller on the uniform stream.
+
+    Even draws are ``r cos(2 pi u2)`` and odd ones ``r sin(2 pi u2)``, with
+    ``r = sqrt(-2 ln(1 - u1))`` and (u1, u2) the stream's consecutive
+    pairs.  The work runs in the uniform array and the output array, each
+    transcendental on contiguous halves of them, so no other series-sized
+    array is made.
+    """
     pairs = (max(n, 0) + 1) // 2
     u = uniform_stream(seed, 2 * pairs)
-    u1 = 1.0 - u[0::2]  # shift to (0, 1] so the log stays finite
-    u2 = u[1::2]
-    radius = np.sqrt(-2.0 * np.log(u1))
     z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    head, tail = z[:pairs], z[pairs:]
+    np.subtract(1.0, u[0::2], out=head)  # shift to (0, 1] so the log stays finite
+    np.multiply(2.0 * np.pi, u[1::2], out=tail)
+    # The uniforms are used up: u now holds the radius and the sines.
+    radius, sine = u[pairs:], u[:pairs]
+    np.log(head, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.cos(tail, out=head)
+    np.sin(tail, out=sine)
+    head *= radius
+    sine *= radius
+    u[pairs:] = head  # the cosine products, moved out of z to interleave
+    z[0::2] = u[pairs:]
+    z[1::2] = sine
     return z[:n]

@@ -157,7 +157,7 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
     for t in range(min(q, n)):
         y[t] -= sum(c * v for c, v in zip(coef[t:], lags))
     if q == 1:
-        return _first_order(y, -coef[0])
+        return first_order_scan(y, -coef[0])
     poles = np.roots([1.0, *coef])
     x = _cascade(y, poles)
     # Residual of the exact recurrence, computed elementwise.
@@ -171,12 +171,17 @@ def _cascade(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """A copy of ``w`` run through ``y[t] = w[t] + c y[t-1]`` for each pole."""
     y = w.astype(complex if np.iscomplexobj(poles) else float)
     for c in poles.tolist():
-        _first_order(y, c)
+        first_order_scan(y, c)
     return y.real
 
 
-def _first_order(y: np.ndarray, c) -> np.ndarray:
-    """Solve ``y[t] += c y[t-1]`` in place by doubling; returns ``y``."""
+@quiet_overflow
+def first_order_scan(y: np.ndarray, c) -> np.ndarray:
+    """Solve ``y[t] += c y[t-1]`` in place by doubling; returns ``y``.
+
+    The stop rule and the explosive-pole error are those of
+    :func:`linear_recurrence`, which runs its poles through this scan.
+    """
     n = y.size
     # The lags from d on weigh at most |c^d| / (1 - |c|) times max |u|, and
     # max |u| <= (1 + |c|) max |y|: once that product is at most 2**-53,

@@ -42,11 +42,24 @@ class SeasonalSpec:
 
 
 def gen_seasonal_traffic(spec: SeasonalSpec) -> TimeSeries:
-    """values[i] = max(0, base + amplitude * sin(2*pi*i/period) + noise_i)."""
-    i = np.arange(spec.n)
-    noise = spec.noise_std * normal_stream(spec.seed, spec.n)
-    values = spec.base_rate + spec.amplitude * np.sin(2.0 * np.pi * i / spec.period) + noise
-    return TimeSeries(values=np.maximum(values, 0.0), dt=1.0)
+    """values[i] = max(0, base + amplitude * sin(2*pi*i/period) + noise_i).
+
+    Built in the noise array and one wave array, with the operations of
+    that formula in its order, so the series costs two arrays of its size
+    besides its own copy.
+    """
+    values = normal_stream(spec.seed, spec.n)
+    values *= spec.noise_std
+    wave = np.arange(spec.n, dtype=float)
+    wave *= 2.0 * np.pi
+    wave /= spec.period
+    np.sin(wave, out=wave)
+    wave *= spec.amplitude
+    wave += spec.base_rate
+    values += wave
+    del wave
+    np.maximum(values, 0.0, out=values)
+    return TimeSeries(values=values, dt=1.0)
 
 
 def gen_linear_gaussian(

@@ -126,6 +126,31 @@ def box_center_frames(x, window, hop):
     return acc / cover
 
 
+def box_center_offsets(x, window, hop):
+    """``box_center`` as one array expression per frame offset, its sums
+    and its count division each a new array."""
+    x = np.asarray(x, dtype=float)
+    n_frames = (x.size - window) // hop + 1
+    out_len = hop * (n_frames - 1) + window
+    means = np.lib.stride_tricks.sliding_window_view(x, window)[::hop].mean(axis=1)
+    acc = np.zeros(out_len)
+    cover = np.zeros(out_len)
+    for k in reversed(range(window)):
+        at = slice(k, k + hop * n_frames, hop)
+        acc[at] += x[at] - means
+        cover[at] += 1.0
+    return acc / cover
+
+
+def zscore_expression(x):
+    """(x - mean) / std with numpy's mean and sample std, each step a new
+    array; returns (values, mean, std)."""
+    x = np.asarray(x, dtype=float)
+    mean = float(x.mean())
+    std = float(x.std(ddof=1))
+    return (x - mean) / std, mean, std
+
+
 def box_center_reference(x, window, hop):
     """Per-output-sample overlap averaging, formulated sample-first."""
     x = list(x)
@@ -140,6 +165,29 @@ def box_center_reference(x, window, hop):
                 contributions.append(x[j] - frame_mean)
         out.append(sum(contributions) / len(contributions))
     return np.array(out)
+
+
+def philox_normals(seed, n):
+    """``n`` Box-Muller normals from a Philox 4x64 stream keyed by the
+    seed, written as array expressions, each a new array."""
+    pairs = (max(n, 0) + 1) // 2
+    u = np.random.Generator(np.random.Philox(key=seed % 2**64)).random(2 * pairs)
+    u1 = 1.0 - u[0::2]
+    u2 = u[1::2]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
+    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return z[:n]
+
+
+def seasonal_traffic(n, period, amplitude, base_rate, noise_std, seed):
+    """max(0, base + amplitude sin(2 pi i / period) + noise_std * normal_i)
+    as one array expression."""
+    i = np.arange(n)
+    noise = noise_std * philox_normals(seed, n)
+    values = base_rate + amplitude * np.sin(2.0 * np.pi * i / period) + noise
+    return np.maximum(values, 0.0)
 
 
 def yule_walker(x, order):
@@ -200,14 +248,18 @@ def linear_recurrence_loop(u, a, init=()):
     return np.array(out)
 
 
-def first_order_scan(u, c, y_prev=0.0):
+def first_order_scan(u, c, y_prev=0.0, stop=False):
     """y[t] = u[t] + c y[t-1] by Hillis-Steele doubling over every span
     below n, with no early stop: the scan ``linear_recurrence`` runs for
-    q = 1 before its stop rule."""
+    q = 1 before its stop rule.  With ``stop`` (and |c| < 1) it ends once
+    |c^d| (1 + |c|) / (1 - |c|) <= 2**-53, as that stop rule does.  A zero
+    ``y_prev`` adds nothing, so a leading -0.0 keeps its sign."""
     y = np.array(u, dtype=float)
-    y[0] += c * y_prev
+    if y_prev:
+        y[0] += c * y_prev
     d, power = 1, c
-    while d < y.size:
+    bound = 2.0**-53 * (1 - abs(c)) / (1 + abs(c)) if stop and abs(c) < 1 else 0.0
+    while d < y.size and not abs(power) <= bound:
         y[d:] += power * y[:-d]
         power *= power
         d *= 2
@@ -302,6 +354,44 @@ def scalar_kalman_loop(a, h, q, r, x0, p0, z):
         x = xp + k * (zi - pred)
         preds.append(pred)
     return np.asarray(preds), gains, covs
+
+
+def local_level_settle_and_scan(a, h, q, r, x0, p0, z):
+    """The scalar filter as one loop up to the settle step and one
+    first-order scan after it, with full-length gain and covariance
+    arrays, the scan's drive in its own array and the two parts joined
+    by ``np.concatenate``.
+
+    Returns (predictions, gains, posterior covariances).
+    """
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    gains = np.empty(n)
+    covs = np.empty(n)
+    head = []
+    x, p, p_prev, settled = x0, p0, None, n
+    for i, zi in enumerate(z.tolist()):
+        xp = a * x
+        pp = a * p * a + q
+        k = pp * h / (h * pp * h + r)
+        pred = h * xp
+        x = xp + k * (zi - pred)
+        p = (1.0 - k * h) * pp
+        gains[i] = k
+        covs[i] = p
+        head.append(pred)
+        if p == p_prev:
+            settled = i + 1
+            break
+        p_prev = p
+    gains[settled:] = k
+    covs[settled:] = p
+    tail = np.empty(0)
+    if settled < n:
+        drive = (h * a * k) * z[settled - 1 : n - 1]
+        drive[0] = h * (a * x)
+        tail = first_order_scan(drive, a * (1.0 - k * h), stop=True)
+    return np.concatenate([head, tail]), gains, covs
 
 
 def poly_from_roots(roots):

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +13,7 @@ from trafficast.evaluate import mse
 from trafficast.rng import normal_stream
 
 import reference
+from memory import traced_peak
 
 AR1 = arma.ArmaModel(p=1, q=0, theta=[0.8], phi=[], sigma2=1.0)
 
@@ -430,13 +430,18 @@ def test_fit_memory_stays_below_eight_columns():
     # would hold 20 columns; the fit keeps a few series-length vectors.
     n = 200_000
     x = np.random.default_rng(0).normal(size=n)
-    tracemalloc.start()
-    try:
-        arma.fit(x, 2, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(arma.fit, x, 2, 1)
     assert peak < 8 * n * 8
+
+
+def test_fit_drops_its_scaled_copy_before_the_diagnostics():
+    # The scaled copy, the innovations, the residuals and one product at
+    # the second regression; the diagnostics copy the residuals after the
+    # copy and the innovations are gone.  In series of n values.
+    n = 50_000
+    x = np.random.default_rng(1).normal(size=n)
+    _, peak = traced_peak(arma.fit, x, 2, 1)
+    assert peak < 4.5 * n * 8
 
 
 class TestScanAgainstLoop:

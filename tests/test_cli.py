@@ -26,6 +26,7 @@ from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
 import reference
+from memory import traced_peak
 
 SUBCOMMANDS = ["ingest", "preprocess", "fit-arma", "predict-kf", "synth", "compare", "repro-paper"]
 
@@ -400,6 +401,42 @@ def test_out_of_range_timestamp_fails_with_one_line(tmp_path, capsys, last):
     assert cli.main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("trafficast: stage failed: ingest: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("last", ["1.2e8", "1.7e9"])  # 0.96 GB and 13.6 GB of bins
+def test_far_timestamp_fails_by_the_bins_rule(tmp_path, capsys, last):
+    packets = tmp_path / "cap.csv"
+    packets.write_text(f"time,protocol\n0.5,TCP\n1.0,UDP\n{last},TCP\n")
+    message = (f"last timestamp {float(last)!r} needs {int(float(last)) + 1} bins of 1.0 s"
+               " for 3 packets; a capture may span at most 262144 bins")
+    argv = ["ingest", "--input", str(packets), "--out", str(tmp_path / "rates.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"trafficast: ingest: {message}")
+
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\noutdir = {tmp_path / 'out'}\n\n[ingest]\ninputs = {packets}\n")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"trafficast: stage failed: ingest: dataset cap: {message}")
+
+
+def test_run_holds_no_series_it_has_stationarized(tmp_path):
+    # n = 50 000, one timing run: the stationary series, and the scaled
+    # copy, innovations, residuals and one product of the ARMA(2,1) fit,
+    # plus the CSV writer's workspace.  Holding the raw series through
+    # compare adds one series, and the stages' own copies more.
+    n = 50_000
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {tmp_path / 'out'}\n\n[synth]\ndatasets = L\nn = {n}\n\n"
+        "[predictors]\nspecs = arma:2,1 kf:0.01,0.01\n\n[eval]\ntiming_reps = 1\n"
+    )
+    argv = ["run", "--config", str(config)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0  # modules and the CSV formatter load first
+        code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    assert peak < 7.0 * n * 8
 
 
 @pytest.mark.parametrize(
@@ -960,7 +997,10 @@ SHAPES = {
 # Around the window (10) and every default ARMA order's minimum (40, 50).
 LENGTHS = st.one_of(st.integers(3, 300), st.sampled_from([9, 10, 11, 39, 40, 41, 49, 50, 51]))
 SCALES = st.integers(-300, 307).map(lambda e: 10.0 ** e)
-STAGES = "(synth|preprocess: dataset A: (log_transform|box_center|scale)|compare|report)"
+STAGES = (
+    "(synth|ingest: dataset cap|preprocess: dataset (A|cap): (log_transform|box_center|scale)"
+    "|compare|report)"
+)
 
 
 @st.composite
@@ -984,6 +1024,20 @@ def synth_config(draw):
     )
 
 
+@st.composite
+def adversarial_capture(draw):
+    """A capture of 1 to 40 rows whose times mix the first ten minutes
+    with far ones, up to past Unix-epoch seconds (about 1.7e9).  A far
+    time needs more bins than the bins rule allows 40 packets, so no
+    capture here bins to more than a few kB."""
+    times = draw(st.lists(
+        st.one_of(st.floats(0.0, 600.0), st.floats(1e7, 1e10)), min_size=1, max_size=40
+    ))
+    tags = draw(st.lists(st.sampled_from(["TCP", "UDP", "ICMP"]),
+                         min_size=len(times), max_size=len(times)))
+    return "time,protocol\n" + "".join(f"{t!r},{tag}\n" for t, tag in zip(times, tags))
+
+
 def run_command(argv):
     """Exit code, stderr and the messages of any warnings of ``cli.main(argv)``."""
     err = io.StringIO()
@@ -994,7 +1048,9 @@ def run_command(argv):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("command", ["compare", "preprocess", "fit-arma", "predict-kf", "run"])
+@pytest.mark.parametrize(
+    "command", ["compare", "preprocess", "fit-arma", "predict-kf", "run", "ingest", "run-capture"]
+)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_adversarial_inputs_end_in_a_defined_outcome(command, data):
@@ -1004,6 +1060,17 @@ def test_adversarial_inputs_end_in_a_defined_outcome(command, data):
         if command == "run":
             (tmp / "run.cfg").write_text(f"[run]\noutdir = {out}\n\n" + data.draw(synth_config()))
             argv = ["run", "--config", str(tmp / "run.cfg")]
+        elif command in ("ingest", "run-capture"):
+            capture = tmp / "cap.csv"
+            capture.write_text(data.draw(adversarial_capture()))
+            width = data.draw(st.sampled_from(["0.5", "1.0", "10.0"]))
+            argv = ["ingest", "--input", str(capture), "--bin-width", width, "--out", str(out)]
+            if command == "run-capture":
+                (tmp / "run.cfg").write_text(
+                    f"[run]\noutdir = {out}\n\n[ingest]\ninputs = {capture}\nbin_width = {width}"
+                    "\n\n[eval]\nformat = json\ntiming_reps = 1\n"
+                )
+                argv = ["run", "--config", str(tmp / "run.cfg")]
         else:
             write_series_csv(TimeSeries(data.draw(adversarial_series())), series)
             source = "--datasets" if command == "compare" else "--input"
@@ -1020,10 +1087,11 @@ def test_adversarial_inputs_end_in_a_defined_outcome(command, data):
             assert err.endswith("\n") and err.count("\n") == 1
             prefix = {
                 "run": f"trafficast: stage failed: {STAGES}: ",
+                "run-capture": f"trafficast: stage failed: {STAGES}: ",
                 "preprocess": "trafficast: stage failed: (box_center|scale): ",
             }.get(command, f"trafficast: {command}: ")
             assert re.match(prefix, err), err
-        elif command in ("compare", "run"):
-            report = out / "report.json" if command == "run" else out
+        elif command in ("compare", "run", "run-capture"):
+            report = out if command == "compare" else out / "report.json"
             for row in json.loads(report.read_text())["mse_grid"]:
                 assert all(cell is None or math.isfinite(cell) for cell in row)

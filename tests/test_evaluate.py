@@ -6,7 +6,6 @@ import platform
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
 import reference
+from memory import traced_peak
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_tables.json"
 
@@ -356,12 +356,7 @@ class TestRendering:
         columns = np.random.default_rng(50_000).normal(size=(3, 50_000))
         path = tmp_path / "predictions.csv"
         write_prediction_csv(io.StringIO(), actual=[1.0])  # the formatter loads first
-        tracemalloc.start()
-        try:
-            write_prediction_csv(path, **dict(zip(PREDICTION_COLUMNS, columns)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(write_prediction_csv, path, **dict(zip(PREDICTION_COLUMNS, columns)))
         assert peak < columns.nbytes
 
     @pytest.mark.parametrize("name", PREDICTION_COLUMNS)

@@ -7,7 +7,6 @@ import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from trafficast.ingest import write_series_csv
 from trafficast.series import TimeSeries
 
 import reference
+from memory import traced_peak
 
 HEADER = "index,actual,arma_pred,kf_pred"
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -211,12 +211,7 @@ def test_workspace_of_a_long_write_stays_below_its_columns_bytes():
     columns = np.random.default_rng(4).normal(size=(3, 200_000))
     assert _floattext.chunk_rows(200_000, 3) * 3 == _floattext.MAX_CHUNK_VALUES
     _floattext.write_csv_rows(DiscardingSink(), columns[:, :10], index=True)  # tables built first
-    tracemalloc.start()
-    try:
-        _floattext.write_csv_rows(DiscardingSink(), columns, index=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(_floattext.write_csv_rows, DiscardingSink(), columns, index=True)
     assert peak < columns.nbytes
 
 

@@ -3,7 +3,6 @@ import io
 import itertools
 import math
 import re
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -26,6 +25,7 @@ from trafficast.rng import uniform_stream
 from trafficast.series import TimeSeries, values_of
 
 import reference
+from memory import traced_peak
 
 # Arrays that are not real numbers, each with the dtype the error names.
 NOT_REAL = pytest.mark.parametrize(
@@ -490,14 +490,60 @@ class TestLoadPacketRates:
         for n in (5_000, 50_000):
             path = tmp_path / f"capture-{n}.csv"
             path.write_text("time,protocol\n" + "\n".join(capture_lines(n)) + "\n")
-            tracemalloc.start()
-            try:
-                series = load_packet_rates(path)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            series, peak = traced_peak(load_packet_rates, path)
+            peaks.append(peak)
             assert series.values.sum() == n - n // 5
         assert peaks[1] < 1.2 * peaks[0]
+
+
+class TestBinsRule:
+    """A capture may span 64 bins per packet, or 2**18 bins if that is
+    more, checked on the whole capture before any bin-sized array."""
+
+    @pytest.mark.parametrize("last", ["1.2e8", "1.7e9"])  # 0.96 GB and 13.6 GB of bins
+    def test_far_timestamp_rejected_before_any_bin_array(self, last):
+        text = f"time,protocol\n0.5,TCP\n1.0,UDP\n{last},TCP\n"
+
+        def load():
+            with pytest.raises(ValidationError) as raised:
+                load_packet_rates(io.StringIO(text))
+            return str(raised.value)
+
+        message, peak = traced_peak(load)
+        assert message == (
+            f"last timestamp {float(last)!r} needs {int(float(last)) + 1} bins of 1.0 s"
+            " for 3 packets; a capture may span at most 262144 bins"
+            " (64 per packet, at least 262144)"
+        )
+        assert peak < 1 << 20
+
+    @pytest.fixture
+    def small_rule(self, monkeypatch):
+        """At least 100 bins, 4 per packet."""
+        monkeypatch.setattr(ingest, "_MIN_BINS", 100)
+        monkeypatch.setattr(ingest, "_BINS_PER_PACKET", 4)
+
+    @pytest.mark.parametrize(
+        "packets, last, bins",
+        [(10, 99.5, 100), (30, 119.5, 120), (10, 100.0, None), (30, 120.0, None)],
+    )
+    def test_limit_is_bins_per_packet_with_a_floor(self, small_rule, packets, last, bins):
+        ts = np.r_[np.zeros(packets - 1), last]
+        if bins is None:
+            with pytest.raises(ValidationError, match=f"needs {int(last) + 1} bins"):
+                bin_to_rate(ts)
+        else:
+            assert len(bin_to_rate(ts)) == bins
+
+    @pytest.mark.parametrize("rows", [99, 100])
+    def test_chunks_are_held_to_the_whole_capture(self, small_rule, monkeypatch, rows):
+        # The far time comes first, in a chunk of a few rows: 100 packets
+        # allow its 400 bins, 99 do not, as for the whole trace.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 16)
+        text = "time,protocol\n399.5,TCP\n" + "0.5,UDP\n" * (rows - 1)
+        assert_rates_match_trace_path(lambda: io.StringIO(text))
+        if rows == 100:
+            assert load_packet_rates(io.StringIO(text)).values.sum() == 100
 
 
 class TestBinToRate:
@@ -553,8 +599,10 @@ class TestBinToRate:
             with pytest.raises(ValidationError, match=re.escape(f"timestamp {last!r} needs")):
                 bin_to_rate(trace, 1.0)
 
-    def test_unallocatable_bin_count_rejected(self):
+    def test_unallocatable_bin_count_rejected(self, monkeypatch):
         # 1e18 one-second bins need 8e18 bytes, more than any address space.
+        # The bins rule would refuse them first, so it is lifted here.
+        monkeypatch.setattr(ingest, "_MIN_BINS", 1 << 63)
         with pytest.raises(ValidationError, match="1000000000000000001 bins.*memory"):
             bin_to_rate(np.array([0.5, 1e18]), 1.0)
 
@@ -569,8 +617,10 @@ class TestBinToRate:
         ):
             bin_to_rate(np.array([0.0, 5.0]), bin_width)
 
-    def test_timestamp_beyond_addressable_bytes_rejected(self):
+    def test_timestamp_beyond_addressable_bytes_rejected(self, monkeypatch):
         # 5e18 eight-byte counts pass the index check but overflow a byte size.
+        # The bins rule would refuse them first, so it is lifted here.
+        monkeypatch.setattr(ingest, "_MIN_BINS", 1 << 63)
         with pytest.raises(ValidationError, match="5000000000000000001 bins.*memory"):
             bin_to_rate(np.array([0.5, 5e18]), 1.0)
 
@@ -578,12 +628,7 @@ class TestBinToRate:
         # 200 001 bins are 1.6 MB of float64: the count array and the
         # series' own copy of it.  Counting in integers and converting
         # made a third bin-sized array (3.0x).
-        tracemalloc.start()
-        try:
-            series = bin_to_rate(np.array([0.5, 2e5]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        series, peak = traced_peak(bin_to_rate, np.array([0.5, 2e5]))
         assert series.values.sum() == 2
         assert peak < 2.5 * series.values.nbytes
 
@@ -666,12 +711,7 @@ class TestSeriesCsv:
         for n in (5_000, 50_000):
             series = TimeSeries(np.random.default_rng(n).normal(size=n))
             path = tmp_path / f"series-{n}.csv"
-            tracemalloc.start()
-            try:
-                write_series_csv(series, path)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(write_series_csv, series, path)[1])
             assert path.read_text(encoding="utf-8").count("\n") == n + 6
         assert peaks[1] < 1.2 * peaks[0]
 

@@ -13,6 +13,7 @@ from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_linear_gaussian
 
 import reference
+from memory import traced_peak
 
 LOCAL_LEVEL, _ = kalman.default_local_level(0.01, 0.01)
 
@@ -376,3 +377,54 @@ class TestScalarScanAgainstLoop:
         assert settled is not None and settled > 5
         z = np.random.default_rng(4).normal(size=settled + offset)
         assert_matches_loop(1.0, 1.0, 0.01, 0.01, 0.3, 1.0, z)
+
+
+# Memory bounds are in series of n float64 values, at n = 50 000.
+N = 50_000
+
+
+class TestSettledTrace:
+    """The filter stores gains and covariances up to the settle step and
+    scans the tail in its output array, with the bits of the full-length
+    layout (``reference.local_level_settle_and_scan``)."""
+
+    @pytest.mark.parametrize(
+        "a, h, q, r, x0, p0",
+        [
+            (1.0, 1.0, 0.01, 0.01, 0.3, 1.0),
+            (0.9, 2.0, 1e-4, 1.0, -1.5, 100.0),
+            (-0.7, 0.5, 1.0, 1e-12, 2.0, 0.0),
+            (1.0, 1.0, 0.0, 0.5, 0.0, 1.0),  # never settles
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 1001, 5000])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_the_full_length_layout(self, a, h, q, r, x0, p0, n, seed):
+        z = np.random.default_rng(seed).normal(size=n) * 3.0
+        model = kalman.StateSpaceModel(a=a, h=h, q=q, r=r)
+        trace = kalman.predict_series(model, z, kalman.KalmanState(x=x0, p=p0))
+        preds, gains, covs = reference.local_level_settle_and_scan(a, h, q, r, x0, p0, z)
+        assert trace.predictions.tobytes() == preds.tobytes()
+        assert trace.gains.shape == trace.covariances.shape == (n, 1, 1)
+        assert trace.gains.tobytes() == gains.tobytes()
+        assert trace.covariances.tobytes() == covs.tobytes()
+        assert trace.gain_series.tobytes() == gains.tobytes()
+
+    def test_stores_gains_up_to_the_settle_step(self):
+        settled = settle_length(1.0, 1.0, 0.01, 0.01, 1.0)
+        z = np.random.default_rng(6).normal(size=1000)
+        trace = kalman.predict_series(LOCAL_LEVEL, z, kalman.KalmanState(x=0.0, p=1.0))
+        assert len(trace.settling_gains) == len(trace.settling_covariances) == settled
+        assert trace.gains[settled:, 0, 0].tolist() == [trace.settling_gains[-1]] * (1000 - settled)
+
+    @pytest.mark.parametrize("steps", [0, 11])
+    def test_trace_needs_one_to_n_steps(self, steps):
+        with pytest.raises(ValidationError, match="^a trace needs equally many gains"):
+            kalman.PredictionTrace(np.zeros(10), np.zeros(steps), np.zeros(steps))
+        with pytest.raises(ValidationError, match="^a trace needs equally many gains"):
+            kalman.PredictionTrace(np.zeros(10), np.zeros(3), np.zeros(4))
+
+    def test_works_in_its_output_and_one_scan_temporary(self):
+        z = np.random.default_rng(7).normal(size=N)
+        _, peak = traced_peak(kalman.predict_series, LOCAL_LEVEL, z, kalman.KalmanState(0.0, 1.0))
+        assert peak < 2.5 * N * 8

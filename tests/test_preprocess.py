@@ -20,6 +20,7 @@ from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_seasonal_traffic
 
 import reference
+from memory import traced_peak
 
 CFG = PreprocessConfig()  # window 10, 50% overlap, log on, zscore
 
@@ -63,11 +64,17 @@ class TestLogTransform:
 
 
 class TestBoxCenter:
-    def test_overflowing_frame_sums_rejected_without_warnings(self):
-        # Ten values of 1e308 sum past the float range, so the frame means
-        # are inf and the centered values are not finite.
-        with pytest.raises(ValidationError, match="^series values must be finite$"):
-            box_center(TimeSeries(np.full(20, 1e308)), CFG)
+    def test_overflowing_frame_sums_keep_their_means(self):
+        # Ten values of 1e308 sum past the float range, but each frame mean
+        # is 1e308: it is taken again on the values scaled by 2**-1024.
+        out = box_center(TimeSeries(np.full(20, 1e308)), CFG)
+        assert out.values.tolist() == [0.0] * 20
+
+    def test_overflowing_frame_sums_center_as_the_scaled_series(self):
+        x = np.ldexp(np.log1p(1000.0 * uniform_stream(seed=5, n=103)), 1020)
+        small = box_center(TimeSeries(np.ldexp(x, -1024)), CFG).values
+        out = box_center(TimeSeries(x), CFG).values
+        assert out.tobytes() == np.ldexp(small, 1024).tobytes()
 
     def test_constant_series_maps_to_zeros(self):
         out = box_center(TimeSeries(np.full(20, 5.0)), CFG)
@@ -146,10 +153,15 @@ class TestBoxCenter:
 
 
 class TestScale:
-    def test_overflowing_std_rejected_without_warnings(self):
-        noise = TimeSeries(np.random.default_rng(0).normal(size=40) * 1e154)
-        with pytest.raises(ValidationError, match="^scale_std must be positive and finite, got inf$"):
-            scale(noise, "zscore")
+    def test_overflowing_std_kept(self):
+        # The squares of values near 1e154 overflow, but their std does not:
+        # it is taken again on the values scaled by a power of two.
+        x = np.random.default_rng(0).normal(size=40)
+        out = scale(TimeSeries(x * 2.0**512), "zscore")
+        unit = scale(TimeSeries(x), "zscore")
+        assert out.scale_std == unit.scale_std * 2.0**512
+        assert out.scale_mean == unit.scale_mean * 2.0**512
+        assert out.values.tobytes() == unit.values.tobytes()
 
     def test_zscore_values_and_params(self):
         out = scale(TimeSeries(np.array([1.0, 2.0, 3.0])), "zscore")
@@ -197,14 +209,15 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="log_transform"):
             pipeline(TimeSeries(np.array([-1.0] * 20)), CFG)
 
-    def test_overflowing_constant_check_names_the_scale_stage(self):
-        # Near 1e154 the squares in the std of the constant check overflow;
-        # scale's own std then overflows, and TimeSeries rejects it.
-        noise = TimeSeries(np.random.default_rng(0).normal(size=40) * 1e154)
-        message = "^scale: scale_std must be positive and finite, got inf$"
-        with pytest.raises(PipelineError, match=message) as info:
-            pipeline_with_stages(noise, PreprocessConfig(log_enabled=False))
-        assert info.value.stage == "scale"
+    def test_overflowing_constant_check_passes_to_a_kept_scale(self):
+        # Near 1e154 the squares in the std of the constant check overflow,
+        # so the series is not taken for constant; scale keeps its std.
+        x = np.random.default_rng(0).normal(size=40)
+        cfg = PreprocessConfig(log_enabled=False)
+        out, _ = pipeline_with_stages(TimeSeries(x * 2.0**512), cfg)
+        unit, _ = pipeline_with_stages(TimeSeries(x), cfg)
+        assert out.scale_std == unit.scale_std * 2.0**512
+        assert out.values.tobytes() == unit.values.tobytes()
 
     def test_seasonal_series_is_standardized(self):
         raw = gen_seasonal_traffic(SeasonalSpec(n=1000, period=50))
@@ -224,3 +237,36 @@ class TestPipeline:
         raw = TimeSeries(np.arange(40.0))
         _, stages = pipeline_with_stages(raw, cfg)
         assert "log_transform" not in stages
+
+
+# Memory bounds are in series of n float64 values, at n = 50 000.
+N = 50_000
+
+
+class TestOneBuffer:
+    """``box_center`` and ``scale`` give the bits of the array expressions
+    (``tests/reference.py``) with one working array."""
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 91, 4990, 4993])  # n is the window plus extra
+    @pytest.mark.parametrize("seed", [0, 4, 12])
+    @pytest.mark.parametrize("window, overlap", [(10, 0.5), (7, 0.6), (16, 0.9), (2, 0.0)])
+    def test_box_center_is_the_array_expressions(self, extra, seed, window, overlap):
+        cfg = PreprocessConfig(window_len=window, overlap_fraction=overlap)
+        x = np.log1p(1000.0 * uniform_stream(seed=seed, n=window + extra))
+        want = reference.box_center_offsets(x, window, cfg.hop)
+        assert box_center(TimeSeries(x), cfg).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 101, 5000, 5003])
+    @pytest.mark.parametrize("seed", [0, 4, 12])
+    def test_scale_is_the_array_expression(self, n, seed):
+        x = np.log1p(1000.0 * uniform_stream(seed=seed, n=n)) - 3.0
+        want, mean, std = reference.zscore_expression(x)
+        out = scale(TimeSeries(x), "zscore")
+        assert out.values.tobytes() == want.tobytes()
+        assert (out.scale_mean, out.scale_std) == (mean, std)
+
+    def test_box_center_works_in_two_series(self):
+        # The sums and the counts, then the sums and the series' own copy.
+        x = TimeSeries(np.log1p(1000.0 * uniform_stream(seed=1, n=N)))
+        _, peak = traced_peak(box_center, x, CFG)
+        assert peak < 3.0 * N * 8

@@ -10,6 +10,7 @@ from trafficast.rng import normal_stream
 from trafficast.synth import SeasonalSpec, gen_linear_gaussian, gen_seasonal_traffic
 
 import reference
+from memory import traced_peak
 
 
 class TestSeasonalTraffic:
@@ -112,3 +113,38 @@ class TestLinearGaussian:
         model, _ = kalman.default_local_level(0.01, 0.01)
         with pytest.raises(ValidationError):
             gen_linear_gaussian(model, 0.0, 0, seed=0)
+
+
+# Memory bounds are in series of n float64 values, at n = 50 000.
+N = 50_000
+
+
+class TestOneBuffer:
+    """The in-place draws and wave give the bits of the array expressions
+    (``tests/reference.py``) in two working arrays."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 101, 5000, 50_001])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**64 + 3])
+    def test_normal_stream_is_the_array_expressions(self, n, seed):
+        want = reference.philox_normals(seed, n)
+        assert normal_stream(seed, n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, period", [(2, 2), (3, 2), (60, 60), (61, 60), (1000, 50), (5001, 7)]
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    def test_seasonal_traffic_is_the_array_expressions(self, n, period, seed):
+        for amplitude, base_rate, noise_std in [(20.0, 50.0, 5.0), (3.5, 0.1, 40.0)]:
+            spec = SeasonalSpec(n=n, period=period, amplitude=amplitude,
+                                base_rate=base_rate, noise_std=noise_std, seed=seed)
+            want = reference.seasonal_traffic(n, period, amplitude, base_rate, noise_std, seed)
+            assert gen_seasonal_traffic(spec).values.tobytes() == want.tobytes()
+
+    def test_normal_stream_works_in_its_uniforms_and_output(self):
+        _, peak = traced_peak(normal_stream, 3, N)
+        assert peak < 2.5 * N * 8
+
+    def test_seasonal_traffic_works_in_two_series(self):
+        # The noise and the wave, then the noise and the series' own copy.
+        _, peak = traced_peak(gen_seasonal_traffic, SeasonalSpec(n=N, seed=3))
+        assert peak < 2.5 * N * 8
