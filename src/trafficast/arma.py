@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 from .rng import normal_stream
-from .series import TimeSeries, linear_recurrence, pow2_scaled, quiet_overflow, real, values_of
+from .series import TimeSeries, integer, linear_recurrence, pow2_scaled, quiet_overflow
+from .series import real, values_of
 
 SIMULATION_BURN_IN = 500
 
@@ -59,8 +60,8 @@ class ArmaModel:
     sigma2: float
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValidationError("model orders must be nonnegative")
+        object.__setattr__(self, "p", integer("p", self.p, minimum=0))
+        object.__setattr__(self, "q", integer("q", self.q, minimum=0))
         theta = np.array(values_of(self.theta, "theta"))
         phi = np.array(values_of(self.phi, "phi"))
         if theta.size != self.p:
@@ -114,8 +115,8 @@ class ArmaModel:
     @classmethod
     def from_dict(cls, data: dict) -> "ArmaModel":
         return cls(
-            p=int(data["p"]),
-            q=int(data["q"]),
+            p=data["p"],
+            q=data["q"],
             theta=data["theta"],
             phi=data["phi"],
             sigma2=data["sigma2"],
@@ -245,10 +246,12 @@ def _regress(
     return coef, resid
 
 
-def check_order(p: int, q: int) -> None:
-    """Reject orders no ARMA model can be fit with."""
+def check_order(p: int, q: int) -> tuple[int, int]:
+    """``(p, q)`` as ints; orders no ARMA model can be fit with are rejected."""
+    p, q = integer("p", p), integer("q", q)
     if p < 0 or q < 0 or p + q < 1:
         raise ValidationError("need p >= 0, q >= 0 and p + q >= 1")
+    return p, q
 
 
 def fit(
@@ -266,7 +269,7 @@ def fit(
     geometrically, which shows as a huge MSE.
     """
     x = values_of(series)
-    check_order(p, q)
+    p, q = check_order(p, q)
     n = x.size
     m = max(20, 2 * (p + q))
     need = max(10 * (p + q + 1), 2 * m)
@@ -363,8 +366,7 @@ def simulate(model: ArmaModel, n: int, seed: int) -> TimeSeries:
     A 500-sample burn-in is generated and discarded so the output starts
     in the stationary regime.  Identical seeds give identical series.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = integer("n", n, minimum=1)
     if not model.is_stationary:
         raise ValidationError("cannot simulate a nonstationary model")
     total = n + SIMULATION_BURN_IN

@@ -29,7 +29,7 @@ from .evaluate import (
 from .ingest import load_packet_rates, load_series_csv, write_prediction_csv, write_series_csv
 from .preprocess import SCALE_MODES, PreprocessConfig, pipeline_with_stages
 from .rng import derive_seed
-from .series import TimeSeries, real
+from .series import TimeSeries, integer, real
 from .synth import SeasonalSpec, gen_seasonal_traffic
 
 DEFAULT_PREDICTOR_GRID = ["arma:2,0", "arma:2,1", "arma:2,2", "arma:3,0", "arma:3,1", "kf:0.01,0.01"]
@@ -98,8 +98,10 @@ def load_run_config(path: Path) -> RunConfig:
                         f"unknown key {key!r} in section [{name}];"
                         f" use one of {CONFIG_KEYS[name]}"
                     )
-        # A list key that is given must list something.
-        for section, key in (("synth", "datasets"), ("ingest", "inputs"), ("predictors", "specs")):
+        # A list key that is given must list something, and an outdir must
+        # name one: Path("") would be the working directory.
+        for section, key in (("synth", "datasets"), ("ingest", "inputs"), ("predictors", "specs"),
+                             ("run", "outdir")):
             if parser.has_option(section, key) and not parser[section][key].split():
                 raise ValidationError(f"[{section}] {key} is empty")
         if parser.has_section("run"):
@@ -158,9 +160,8 @@ def load_run_config(path: Path) -> RunConfig:
                 raise ValidationError(
                     f"[eval] out {cfg.report_name!r} names a file the run also writes"
                 )
-            cfg.timing_repetitions = sec.getint("timing_reps", cfg.timing_repetitions)
-            if cfg.timing_repetitions < 1:
-                raise ValidationError(f"timing_reps must be >= 1, got {cfg.timing_repetitions}")
+            timing_reps = sec.getint("timing_reps", cfg.timing_repetitions)
+            cfg.timing_repetitions = integer("timing_reps", timing_reps, minimum=1)
         for label, _ in cfg.synth_specs:  # a label names files under outdir
             if "/" in label or os.sep in label:
                 raise ValidationError(f"[synth] label {label!r} holds a path separator")
@@ -376,6 +377,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def directory(text: str) -> str:
+    """An output directory flag; an empty one would be the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficast",
@@ -442,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an end-to-end pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--out", type=directory)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -451,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         "comparison tables and prediction CSVs",
     )
     p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--out", default="repro")
+    p.add_argument("--out", type=directory, default="repro")
     p.add_argument("--timing-reps", type=positive_int, default=RunConfig.timing_repetitions)
     p.set_defaults(func=cmd_repro_paper)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import arma, kalman
 from .errors import TrafficastError, ValidationError
-from .series import TimeSeries, pow2_scaled, quiet_overflow, values_of
+from .series import TimeSeries, integer, pow2_scaled, quiet_overflow, values_of
 
 Cell = Union[float, int, Decimal, None]
 
@@ -49,9 +49,7 @@ class PredictorSpec:
 
     def __post_init__(self):
         if self.kind == "arma":
-            p, q = self.params
-            object.__setattr__(self, "params", (int(p), int(q)))
-            arma.check_order(*self.params)
+            object.__setattr__(self, "params", arma.check_order(*self.params))
         elif self.kind == "kf":
             q, r = self.params
             object.__setattr__(self, "params", (float(q), float(r)))
@@ -220,8 +218,7 @@ def compare(
     if not datasets or not predictors:
         raise ValidationError("need at least one dataset and one predictor")
     check_labels([label for label, _ in datasets], [spec.label for spec in predictors])
-    if timing_repetitions < 1:
-        raise ValidationError(f"timing_repetitions must be >= 1, got {timing_repetitions}")
+    timing_repetitions = integer("timing_repetitions", timing_repetitions, minimum=1)
     skip = max(spec.burn_in for spec in predictors)
     cells = [
         [_run_cell(spec, series, timing_repetitions, skip) for spec in predictors]
@@ -245,13 +242,18 @@ def _cell_text(cell: Cell, display: bool = False) -> str:
     return f"{cell:.6g}" if display else repr(float(cell))
 
 
+def _markdown_label(label: str) -> str:
+    """A label as a table cell: a ``|`` in it is escaped, so it ends no cell."""
+    return label.replace("|", r"\|")
+
+
 def _markdown_table(title: str, report: EvalReport, grid: list[list[Cell]]) -> list[str]:
     lines = [f"## {title}", ""]
-    lines.append("| S | " + " | ".join(report.predictors) + " |")
+    lines.append("| S | " + " | ".join(map(_markdown_label, report.predictors)) + " |")
     lines.append("|" + " --- |" * (len(report.predictors) + 1))
     for label, row in zip(report.datasets, grid):
         cells = " | ".join(_cell_text(c, display=True) for c in row)
-        lines.append(f"| {label} | {cells} |")
+        lines.append(f"| {_markdown_label(label)} | {cells} |")
     lines.append("")
     return lines
 

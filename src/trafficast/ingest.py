@@ -19,11 +19,12 @@ result is a :class:`ValidationError` raised before any bin-sized array is
 made; a run names the ingest stage.  So a capture with far timestamps,
 such as Unix-epoch times, cannot ask for gigabytes of bins.
 
-Value series: optional ``# key=value`` comment lines (``dt``, ``origin``,
+Value series: optional ``# key=value`` comment lines (``dt``,
 ``scale_mean``, ``scale_std`` and ``log1p`` are honoured, absent keys take
-the :class:`TimeSeries` defaults), then a ``value`` header and one float
-per row.  ``write_series_csv`` emits every key and value as its ``repr``
-text, so a written series reloads bit-exactly.
+the :class:`TimeSeries` defaults and other keys are skipped), then a
+``value`` header and one float per row.  ``write_series_csv`` emits every
+key and value as its ``repr`` text, so a written series reloads
+bit-exactly.
 
 Prediction: header ``index`` and one name per column, such as
 ``index,actual,arma_pred,kf_pred``, then the row number and each value's
@@ -71,7 +72,6 @@ _BINS_PER_PACKET = 64
 # Comment keys of a value series CSV and how each value is parsed.
 _METADATA = {
     "dt": float,
-    "origin": float,
     "scale_mean": float,
     "scale_std": float,
     "log1p": lambda text: {"true": True, "false": False}[text.lower()],
@@ -421,7 +421,7 @@ def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
             f" ({_BINS_PER_PACKET} per packet, at least {_MIN_BINS})"
         )
     try:
-        return TimeSeries(values=counts[:n_bins], dt=bin_width, origin=0.0)
+        return TimeSeries(values=counts[:n_bins], dt=bin_width)
     except MemoryError:
         raise _no_memory_for(n_bins, last, bin_width) from None
 

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, stage
-from .series import TimeSeries, pow2_scaled, quiet_overflow
+from .series import TimeSeries, integer, pow2_scaled, quiet_overflow
 
 SCALE_MODES = ("zscore", "none")
 
@@ -32,8 +32,7 @@ class PreprocessConfig:
     scale_mode: str = "zscore"
 
     def __post_init__(self):
-        if self.window_len < 2:
-            raise ValidationError(f"window_len must be >= 2, got {self.window_len}")
+        object.__setattr__(self, "window_len", integer("window_len", self.window_len, minimum=2))
         if not 0 <= self.overlap_fraction < 1:
             raise ValidationError(
                 f"overlap_fraction must be in [0, 1), got {self.overlap_fraction}"
@@ -106,13 +105,9 @@ def box_center(series: TimeSeries, cfg: PreprocessConfig) -> TimeSeries:
 
 
 @quiet_overflow
-def scale(series: TimeSeries, mode: str = "zscore") -> TimeSeries:
-    """Scale to zero mean / unit sample std (``zscore``) or pass through (``none``)."""
-    if mode not in SCALE_MODES:
-        raise ValidationError(f"scale_mode must be one of {SCALE_MODES}")
+def scale(series: TimeSeries) -> TimeSeries:
+    """Scale to zero mean and unit sample std (z-score), recording both."""
     x = series.values
-    if mode == "none":
-        return series
     mean = float(_kept(np.mean, x))
     std = float(_kept(lambda v: v.std(ddof=1), x)) if x.size > 1 else 0.0
     if std <= 0:
@@ -146,12 +141,14 @@ def pipeline_with_stages(
         current = box_center(current, cfg)
     stages["box_center"] = current
 
-    if cfg.scale_mode == "zscore" and float(current.values.std(ddof=1 if len(current) > 1 else 0)) == 0.0:
+    if cfg.scale_mode == "none":
+        result = current
+    elif float(current.values.std(ddof=1 if len(current) > 1 else 0)) == 0.0:
         # A constant input is centered to exactly zero; z-scoring it would
         # divide by zero, so the zeros pass through with a unit std recorded.
         mean = float(current.values.mean())
         result = replace(current, values=np.zeros(len(current)), scale_mean=mean, scale_std=1.0)
     else:
         with stage("scale"):
-            result = scale(current, cfg.scale_mode)
+            result = scale(current)
     return result, stages

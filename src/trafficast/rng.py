@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ValidationError
+from .series import integer
 
 _U64 = 2**64
 
@@ -25,9 +25,8 @@ def derive_seed(seed: int, label: str) -> int:
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """``n`` doubles uniform on [0, 1) from a Philox generator keyed by seed."""
-    if n < 0:
-        raise ValidationError("stream length must be nonnegative")
-    gen = np.random.Generator(np.random.Philox(key=seed % _U64))
+    n = integer("stream length", n, minimum=0)
+    gen = np.random.Generator(np.random.Philox(key=integer("seed", seed) % _U64))
     return gen.random(n)
 
 
@@ -40,7 +39,8 @@ def normal_stream(seed: int, n: int) -> np.ndarray:
     transcendental on contiguous halves of them, so no other series-sized
     array is made.
     """
-    pairs = (max(n, 0) + 1) // 2
+    n = integer("stream length", n, minimum=0)
+    pairs = (n + 1) // 2
     u = uniform_stream(seed, 2 * pairs)
     z = np.empty(2 * pairs)
     head, tail = z[:pairs], z[pairs:]

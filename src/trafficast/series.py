@@ -3,6 +3,7 @@ that the ARMA, Kalman and synthetic-data recursions share."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,24 @@ def real(name: str, value, *, nonnegative: bool = False, positive: bool = False)
     return number
 
 
+def integer(name: str, value, *, minimum: int | None = None) -> int:
+    """``value`` as an ``int``, else a :class:`ValidationError` naming ``name``:
+    Python and numpy integers pass, as for ``operator.index``, but not floats,
+    even integral ones, or text; ``minimum`` also rejects values below it."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Real-valued samples on a uniform time grid.
 
-    ``dt`` is the sample spacing in seconds and ``origin`` the time of the
-    first sample relative to capture start.  ``scale_mean``/``scale_std``
+    ``dt`` is the sample spacing in seconds.  ``scale_mean``/``scale_std``
     are the parameters the scaling stage subtracted and divided out
     (identity by default), and ``log1p`` records that ln(1+x) was applied
     before that scaling, so predictions can be mapped back.  Values are
@@ -46,7 +59,6 @@ class TimeSeries:
 
     values: np.ndarray
     dt: float = 1.0
-    origin: float = 0.0
     scale_mean: float = 0.0
     scale_std: float = 1.0
     log1p: bool = False
@@ -55,7 +67,7 @@ class TimeSeries:
         arr = np.array(values_of(self.values))
         if arr.size < 1:
             raise ValidationError("series must contain at least one sample")
-        for name in ("dt", "origin", "scale_mean", "scale_std"):
+        for name in ("dt", "scale_mean", "scale_std"):
             value = real(name, getattr(self, name), positive=name in ("dt", "scale_std"))
             object.__setattr__(self, name, value)
         arr.flags.writeable = False
@@ -110,12 +122,10 @@ def pow2_scaled(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarra
 
 # A growing recurrence may overflow to inf, as the sequential loop did.
 @quiet_overflow
-def linear_recurrence(u, a, init=()) -> np.ndarray:
-    """Solve ``y[t] = u[t] - sum_{j=1..q} a[j-1] * y[t-j]`` for t = 0..n-1.
-
-    ``init`` holds the outputs before ``u[0]``, most recent last; the ones
-    it leaves out are zero.  They are folded into the first q inputs, so
-    the solve starts from zero history.
+def linear_recurrence(u, a) -> np.ndarray:
+    """Solve ``y[t] = u[t] - sum_{j=1..q} a[j-1] * y[t-j]`` for t = 0..n-1,
+    from zero history; a caller with outputs before ``u[0]`` folds them
+    into the first q inputs.
 
     The recurrence factors as ``prod_i (1 - c_i B)`` over its poles, the
     roots of ``z^q + a[0] z^(q-1) + ... + a[q-1]``, and is solved as a
@@ -137,15 +147,10 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
     """
     y = np.array(u, dtype=float)
     coef = np.asarray(a, dtype=float).reshape(-1).tolist()
-    past = np.asarray(init, dtype=float).reshape(-1).tolist()
     q, n = len(coef), y.size
     if y.ndim != 1:
         raise ValidationError(
             f"recurrence input must be one-dimensional, got shape {y.shape}"
-        )
-    if len(past) > q:
-        raise ValidationError(
-            f"{len(past)} initial values given for a recurrence of order {q}"
         )
     if q == 0 or n == 0:
         return y
@@ -153,9 +158,6 @@ def linear_recurrence(u, a, init=()) -> np.ndarray:
         raise ValidationError(
             f"explosive recurrence: its coefficients {coef} are not all finite"
         )
-    lags = past[::-1] + [0.0] * (q - len(past))  # lags[j] = y[-1-j]
-    for t in range(min(q, n)):
-        y[t] -= sum(c * v for c, v in zip(coef[t:], lags))
     if q == 1:
         return first_order_scan(y, -coef[0])
     poles = np.roots([1.0, *coef])

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .kalman import StateSpaceModel
 from .rng import normal_stream
-from .series import TimeSeries, linear_recurrence, real
+from .series import TimeSeries, first_order_scan, integer, real
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class SeasonalSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.period < 2:
-            raise ValidationError(f"period must be >= 2, got {self.period}")
+        for name, minimum in (("period", 2), ("n", None), ("seed", None)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), minimum=minimum))
         if self.n < self.period:
             raise ValidationError(
                 f"need at least one full cycle (n >= period), got n={self.n},"
@@ -71,11 +71,13 @@ def gen_linear_gaussian(
     of the seeded stream drive the process noise, the next n the
     measurement noise.  Returns (states, measurements).
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = integer("n", n, minimum=1)
     draws = normal_stream(seed, 2 * n)
     w = math.sqrt(model.q) * draws[:n]
     v = math.sqrt(model.r) * draws[n:]
-    states = linear_recurrence(w, [-model.a], init=[float(init)])
+    fold = model.a * float(init)  # what ``init`` adds to the first state
+    if fold:  # adding a zero would turn a first draw of -0.0 into 0.0
+        w[0] += fold
+    states = first_order_scan(w, model.a)
     measurements = model.h * states + v
     return TimeSeries(values=states), TimeSeries(values=measurements)

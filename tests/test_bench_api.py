@@ -2,10 +2,13 @@
 
 ``perfbench/tracer.py`` wraps module attributes and reads
 ``PredictionTrace.gains`` as (n, 1, 1); ``perfbench/sweep.py`` calls the
-per-packet ingest path and ``render_prediction_csv``.  A change that would
-leave the benchmark blind or broken fails here instead.
+per-packet ingest path, ``render_prediction_csv`` and every other layer it
+times.  A change that would leave the benchmark blind or broken fails here
+instead.
 """
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -46,3 +49,15 @@ def test_sweep_layer_calls(tmp_path):
     actual = np.array([1.0, 2.0])
     text = evaluate.render_prediction_csv(actual, actual + 0.5, actual - 0.5)
     assert text.splitlines()[1:] == ["0,1.0,1.5,0.5", "1,2.0,2.5,1.5"]
+
+
+def test_sweep_runs_every_sized_layer(tmp_path, monkeypatch):
+    sweep, capture = load_perfbench("sweep"), load_perfbench("capture")
+    monkeypatch.setattr(sweep, "SIZES", {"n5e3": 300, "n1e5": 400, "n1e6": 500})
+    captures = {tag: str(capture.ensure_capture(tmp_path, 1, n)) for tag, n in sweep.SIZES.items()}
+    metrics = sweep.run(captures, 1)
+    per_layer = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    sized = [m["name"] for m in per_layer if any(f".{tag}." in m["name"] for tag in sweep.SIZES)]
+    assert len(sized) == 27
+    for name in sized + ["kalman.c5_ratio"]:
+        assert math.isfinite(metrics[name]) and metrics[name] > 0, name

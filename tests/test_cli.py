@@ -102,13 +102,13 @@ def test_preprocess_emit_stages(tmp_path):
 
 def test_preprocess_output_reloads_with_its_scale(tmp_path):
     raw = gen_seasonal_traffic(SeasonalSpec(n=300, period=30, seed=4))
-    series = TimeSeries(raw.values, dt=0.25, origin=3.0)
+    series = TimeSeries(raw.values, dt=0.25)
     rates, out = tmp_path / "rates.csv", tmp_path / "stationary.csv"
     write_series_csv(series, rates)
     assert cli.main(["preprocess", "--input", str(rates), "--out", str(out)]) == 0
     reloaded = load_series_csv(out)
     expected = pipeline(series)
-    for name in ("dt", "origin", "scale_mean", "scale_std", "log1p"):
+    for name in ("dt", "scale_mean", "scale_std", "log1p"):
         assert getattr(reloaded, name) == getattr(expected, name), name
     assert reloaded.values.tobytes() == expected.values.tobytes()
     assert (
@@ -727,6 +727,47 @@ def test_report_in_a_subdirectory_of_outdir(tmp_path):
     report = json.loads((outdir / "sub" / "deeper" / "report.json").read_text())
     assert report["datasets"] == ["A"]
     assert (outdir / "mse_grid.csv").exists()
+
+
+def test_empty_outdir_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("[run]\noutdir =\n\n[synth]\nn = 400\n\n[eval]\ntiming_reps = 1\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}: [run] outdir is empty\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "run.cfg", "--out", ""],
+    ["repro-paper", "--timing-reps", "1", "--out", ""],
+], ids=["run", "repro-paper"])
+def test_empty_out_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("[synth]\nn = 400\n\n[eval]\ntiming_reps = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --out: must name a directory, got ''" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+def test_markdown_rows_keep_their_cells_with_a_bar_in_a_label(tmp_path):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {outdir}\n\n[synth]\ndatasets = a|b C\nn = 400\n\n"
+        "[predictors]\nspecs = arma:2,1 kf:0.01,0.01\n\n[eval]\ntiming_reps = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config)]) == 0
+    tables = (outdir / "report.md").read_text().split("## ")[1:]
+    assert len(tables) == 2
+    for table in tables:
+        rows = [line for line in table.splitlines() if line.startswith("|")]
+        cells = [len(re.split(r"(?<!\\)\|", row)) for row in rows]
+        assert len(rows) == 4 and cells == [cells[0]] * 4, rows
+        assert rows[2].startswith(r"| a\|b | ")
 
 
 def test_config_values_are_read_literally(tmp_path):

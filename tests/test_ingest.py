@@ -378,7 +378,7 @@ def assert_rates_match_trace_path(make_source, bin_width=1.0, filter_protocols=T
     else:
         got = load_packet_rates(make_source(), bin_width, filter_protocols)
         assert got.values.tobytes() == want.values.tobytes()
-        assert (got.dt, got.origin) == (want.dt, want.origin)
+        assert got.dt == want.dt
 
 
 class TestLoadPacketRates:
@@ -693,9 +693,10 @@ class TestSeriesCsv:
         with pytest.raises(ValidationError, match="^dt must be positive and finite, got inf$"):
             load_series_csv(io.StringIO("# dt=inf\nvalue\n1\n2\n"))
 
-    def test_non_finite_origin_rejected(self):
-        with pytest.raises(ValidationError, match="^origin must be finite, got nan$"):
-            load_series_csv(io.StringIO("# origin=nan\nvalue\n1\n2\n"))
+    def test_old_origin_line_is_ignored(self):
+        # A key the loader does not read, such as an older file's origin, is skipped.
+        got = load_series_csv(io.StringIO("# origin=nan\n# dt=0.5\nvalue\n1\n2\n"))
+        assert (got.values.tolist(), got.dt) == ([1.0, 2.0], 0.5)
 
     def test_values_written_as_the_row_loop_writes_them(self):
         values = reference.AWKWARD_FLOATS
@@ -712,19 +713,19 @@ class TestSeriesCsv:
             series = TimeSeries(np.random.default_rng(n).normal(size=n))
             path = tmp_path / f"series-{n}.csv"
             peaks.append(traced_peak(write_series_csv, series, path)[1])
-            assert path.read_text(encoding="utf-8").count("\n") == n + 6
+            assert path.read_text(encoding="utf-8").count("\n") == n + 5
         assert peaks[1] < 1.2 * peaks[0]
 
     def test_round_trip_is_exact(self):
         values = np.array([1 / 3, np.pi, 1e-17, 12345.678901234567, 0.1])
         original = TimeSeries(
-            values, dt=0.25, origin=3.5, scale_mean=-1 / 7, scale_std=0.3, log1p=True
+            values, dt=0.25, scale_mean=-1 / 7, scale_std=0.3, log1p=True
         )
         buf = io.StringIO()
         write_series_csv(original, buf)
         reloaded = load_series_csv(io.StringIO(buf.getvalue()))
         assert reloaded.values.tolist() == original.values.tolist()
-        for name in ("dt", "origin", "scale_mean", "scale_std", "log1p"):
+        for name in ("dt", "scale_mean", "scale_std", "log1p"):
             assert getattr(reloaded, name) == getattr(original, name), name
 
 

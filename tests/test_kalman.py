@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trafficast import arma, kalman
-from trafficast.errors import FilterError, ValidationError
+from trafficast import arma, cli, evaluate, kalman
+from trafficast.errors import ConfigError, FilterError, ValidationError
 from trafficast.evaluate import mse
 from trafficast.ingest import bin_to_rate
+from trafficast.preprocess import PreprocessConfig
+from trafficast.rng import normal_stream, uniform_stream
 from trafficast.series import TimeSeries
 from trafficast.synth import SeasonalSpec, gen_linear_gaussian
 
@@ -84,10 +86,10 @@ class TestFieldValidation:
     ]
     FIELDS = [
         "a", "h", "q", "r", "x", "p",
-        "dt", "origin", "scale_mean", "scale_std",
+        "dt", "scale_mean", "scale_std",
         "amplitude", "base_rate", "noise_std", "sigma2", "bin_width",
     ]
-    SIGNED = {"a", "h", "x", "origin", "scale_mean", "amplitude"}
+    SIGNED = {"a", "h", "x", "scale_mean", "amplitude"}
     POSITIVE = {"dt", "scale_std", "bin_width"}
 
     @staticmethod
@@ -99,7 +101,7 @@ class TestFieldValidation:
         elif name in ("a", "h", "q", "r"):
             fields = {"a": 1.0, "h": 1.0, "q": 0.1, "r": 0.1, name: value}
             owner = kalman.StateSpaceModel(**fields)
-        elif name in ("dt", "origin", "scale_mean", "scale_std"):
+        elif name in ("dt", "scale_mean", "scale_std"):
             owner = TimeSeries([1.0, 2.0], **{name: value})
         elif name in ("amplitude", "base_rate", "noise_std"):
             owner = SeasonalSpec(**{name: value})
@@ -137,6 +139,91 @@ class TestFieldValidation:
         message = f"{name} must be a real number, got '1.0'"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             self.build(name, "1.0")
+
+
+def _timing_reps_of_a_config(value, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[synth]\ndatasets = A\n\n[eval]\ntiming_reps = {value}\n")
+    return cli.load_run_config(config).timing_repetitions
+
+
+class TestIntegerSettings:
+    # Every integer setting goes through ``series.integer``: it keeps a
+    # Python or numpy integer as an int, and rejects floats, even integral
+    # ones, text, and values below its minimum.  Each entry: the name its
+    # errors use, its minimum, and a call that applies a value to the
+    # setting and returns what it kept, or what it computed from it.
+    SERIES = normal_stream(1, 200)
+    SETTINGS = {
+        "SeasonalSpec.n": ("n", None, lambda v, _: SeasonalSpec(n=v, period=2).n),
+        "SeasonalSpec.period": ("period", 2, lambda v, _: SeasonalSpec(period=v).period),
+        "SeasonalSpec.seed": ("seed", None, lambda v, _: SeasonalSpec(seed=v).seed),
+        "PreprocessConfig.window_len": (
+            "window_len", 2, lambda v, _: PreprocessConfig(window_len=v).window_len
+        ),
+        "ArmaModel.p": (
+            "p", 0, lambda v, _: arma.ArmaModel(p=v, q=0, theta=[0.1, 0.2], phi=[], sigma2=1.0).p
+        ),
+        "ArmaModel.q": (
+            "q", 0, lambda v, _: arma.ArmaModel(p=0, q=v, theta=[], phi=[0.1, 0.2], sigma2=1.0).q
+        ),
+        "ArmaModel.from_dict": ("p", 0, lambda v, _: arma.ArmaModel.from_dict(
+            {"p": v, "q": 0, "theta": [0.1, 0.2], "phi": [], "sigma2": 1.0}
+        ).p),
+        "check_order.p": ("p", 0, lambda v, _: arma.check_order(v, 1)[0]),
+        "check_order.q": ("q", 0, lambda v, _: arma.check_order(1, v)[1]),
+        "PredictorSpec": ("p", 0, lambda v, _: evaluate.PredictorSpec("arma", (v, 1)).params[0]),
+        "fit": ("p", 0, lambda v, _: arma.fit(TestIntegerSettings.SERIES, v, 1)[0].p),
+        "simulate.n": ("n", 1, lambda v, _: arma.simulate(
+            arma.ArmaModel(p=1, q=0, theta=[0.5], phi=[], sigma2=1.0), v, seed=1
+        ).values.tolist()),
+        "gen_linear_gaussian.n": ("n", 1, lambda v, _: (
+            gen_linear_gaussian(LOCAL_LEVEL, 0.0, v, seed=1)[1].values.tolist()
+        )),
+        "uniform_stream.seed": ("seed", None, lambda v, _: uniform_stream(v, 3).tolist()),
+        "uniform_stream.n": ("stream length", 0, lambda v, _: uniform_stream(1, v).tolist()),
+        "normal_stream.seed": ("seed", None, lambda v, _: normal_stream(v, 3).tolist()),
+        "normal_stream.n": ("stream length", 0, lambda v, _: normal_stream(1, v).tolist()),
+        "compare": ("timing_repetitions", 1, lambda v, _: evaluate.compare(
+            [("A", TimeSeries(TestIntegerSettings.SERIES))],
+            [evaluate.PredictorSpec("kf", (0.01, 0.01))],
+            timing_repetitions=v,
+        ).mse_grid),
+        "config.timing_reps": ("timing_reps", 1, _timing_reps_of_a_config),
+    }
+    # Orders go through check_order, which names no single order below 0.
+    JOINT = {"check_order.p", "check_order.q", "PredictorSpec", "fit"}
+    # A config value is text that configparser's getint parses, so the rule
+    # never sees a float there.
+    TEXT = {"config.timing_reps"}
+    BOUNDED = [name for name, (_, minimum, _) in SETTINGS.items() if minimum is not None]
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), "2"], ids=repr)
+    @pytest.mark.parametrize("setting", sorted(SETTINGS.keys() - TEXT))
+    def test_non_integer_rejected(self, setting, value, tmp_path):
+        name, _, apply = self.SETTINGS[setting]
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            apply(value, tmp_path)
+
+    @pytest.mark.parametrize("setting", BOUNDED)
+    def test_below_minimum_rejected(self, setting, tmp_path):
+        name, minimum, apply = self.SETTINGS[setting]
+        message = f"{name} must be >= {minimum}, got {minimum - 1}"
+        if setting in self.JOINT:
+            message = "need p >= 0, q >= 0 and p + q >= 1"
+        if setting in self.TEXT:  # the config error names the file first
+            error, pattern = ConfigError, f": {re.escape(message)}$"
+        else:
+            error, pattern = ValidationError, f"^{re.escape(message)}$"
+        with pytest.raises(error, match=pattern):
+            apply(minimum - 1, tmp_path)
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_numpy_integer_kept_as_int(self, setting, tmp_path):
+        apply = self.SETTINGS[setting][2]
+        kept, want = apply(np.int64(2), tmp_path), apply(2, tmp_path)
+        assert type(kept) is type(want) and kept == want
 
 
 class TestTimeUpdate:

@@ -157,25 +157,28 @@ class TestScale:
         # The squares of values near 1e154 overflow, but their std does not:
         # it is taken again on the values scaled by a power of two.
         x = np.random.default_rng(0).normal(size=40)
-        out = scale(TimeSeries(x * 2.0**512), "zscore")
-        unit = scale(TimeSeries(x), "zscore")
+        out = scale(TimeSeries(x * 2.0**512))
+        unit = scale(TimeSeries(x))
         assert out.scale_std == unit.scale_std * 2.0**512
         assert out.scale_mean == unit.scale_mean * 2.0**512
         assert out.values.tobytes() == unit.values.tobytes()
 
     def test_zscore_values_and_params(self):
-        out = scale(TimeSeries(np.array([1.0, 2.0, 3.0])), "zscore")
+        out = scale(TimeSeries(np.array([1.0, 2.0, 3.0])))
         assert out.values.tolist() == [-1.0, 0.0, 1.0]
         assert (out.scale_mean, out.scale_std) == (2.0, 1.0)
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValidationError, match="variance"):
-            scale(TimeSeries(np.full(3, 7.0)), "zscore")
+            scale(TimeSeries(np.full(3, 7.0)))
 
     def test_mode_none_is_identity(self):
-        x = np.array([4.0, -1.0, 2.5])
-        out = scale(TimeSeries(x), "none")
-        assert out.values.tolist() == x.tolist()
+        # scale_mode "none" skips the stage: the centered series is the result.
+        x = np.array([4.0, -1.0, 2.5, 7.0])
+        cfg = PreprocessConfig(window_len=2, log_enabled=False, scale_mode="none")
+        out, stages = pipeline_with_stages(TimeSeries(x), cfg)
+        assert out is stages["box_center"]
+        assert out.values.tolist() == box_center(TimeSeries(x), cfg).values.tolist()
         assert (out.scale_mean, out.scale_std) == (0.0, 1.0)
 
     @settings(max_examples=40, deadline=None)
@@ -190,7 +193,7 @@ class TestScale:
         x = np.asarray(values)
         if x.std(ddof=1) <= 1e-9:  # near-constant inputs are the error case
             return
-        out = scale(TimeSeries(x), "zscore").values
+        out = scale(TimeSeries(x)).values
         assert abs(out.mean()) < 1e-12 * x.size
         assert abs(out.std(ddof=1) - 1.0) < 1e-12
 
@@ -261,7 +264,7 @@ class TestOneBuffer:
     def test_scale_is_the_array_expression(self, n, seed):
         x = np.log1p(1000.0 * uniform_stream(seed=seed, n=n)) - 3.0
         want, mean, std = reference.zscore_expression(x)
-        out = scale(TimeSeries(x), "zscore")
+        out = scale(TimeSeries(x))
         assert out.values.tobytes() == want.tobytes()
         assert (out.scale_mean, out.scale_std) == (mean, std)
 
