@@ -55,6 +55,21 @@ CONFIG_KEYS = {
 }
 
 
+# What each typed read of a run-config value expects, for its error.
+_VALUE_KINDS = {"int": "an integer", "float": "a real number", "boolean": "a boolean"}
+
+
+def _typed(section: configparser.SectionProxy, key: str, fallback, kind: str):
+    """``section.get<kind>(key, fallback)``; a value that does not parse is
+    a :class:`ValidationError` naming the section and key."""
+    try:
+        return getattr(section, f"get{kind}")(key, fallback)
+    except ValueError:
+        raise ValidationError(
+            f"[{section.name}] {key} must be {_VALUE_KINDS[kind]}, got {section[key]!r}"
+        ) from None
+
+
 @dataclass
 class RunConfig:
     """End-to-end run description assembled from a config file or presets.
@@ -106,32 +121,32 @@ def load_run_config(path: Path) -> RunConfig:
                 raise ValidationError(f"[{section}] {key} is empty")
         if parser.has_section("run"):
             run = parser["run"]
-            cfg.seed = run.getint("seed", cfg.seed)
+            cfg.seed = _typed(run, "seed", cfg.seed, "int")
             cfg.outdir = Path(run.get("outdir", cfg.outdir))
         if parser.has_section("synth"):
             sec = parser["synth"]
             spec = SeasonalSpec(
-                n=sec.getint("n", SeasonalSpec.n),
-                period=sec.getint("period", SeasonalSpec.period),
-                amplitude=sec.getfloat("amplitude", SeasonalSpec.amplitude),
-                base_rate=sec.getfloat("base_rate", SeasonalSpec.base_rate),
-                noise_std=sec.getfloat("noise_std", SeasonalSpec.noise_std),
+                n=_typed(sec, "n", SeasonalSpec.n, "int"),
+                period=_typed(sec, "period", SeasonalSpec.period, "int"),
+                amplitude=_typed(sec, "amplitude", SeasonalSpec.amplitude, "float"),
+                base_rate=_typed(sec, "base_rate", SeasonalSpec.base_rate, "float"),
+                noise_std=_typed(sec, "noise_std", SeasonalSpec.noise_std, "float"),
             )
             cfg.synth_specs = [(label, spec) for label in sec.get("datasets", "A").split()]
         if parser.has_section("ingest"):
             sec = parser["ingest"]
             cfg.ingest_inputs = [Path(p) for p in sec.get("inputs", "").split()]
-            bin_width = sec.getfloat("bin_width", cfg.bin_width)
+            bin_width = _typed(sec, "bin_width", cfg.bin_width, "float")
             cfg.bin_width = real("bin_width", bin_width, positive=True)
         if parser.has_section("preprocess"):
             sec = parser["preprocess"]
             cfg.preprocess = PreprocessConfig(
-                window_len=sec.getint("window", PreprocessConfig.window_len),
-                overlap_fraction=sec.getfloat("overlap", PreprocessConfig.overlap_fraction),
-                log_enabled=sec.getboolean("log", PreprocessConfig.log_enabled),
+                window_len=_typed(sec, "window", PreprocessConfig.window_len, "int"),
+                overlap_fraction=_typed(sec, "overlap", PreprocessConfig.overlap_fraction, "float"),
+                log_enabled=_typed(sec, "log", PreprocessConfig.log_enabled, "boolean"),
                 scale_mode=sec.get("scale", PreprocessConfig.scale_mode),
             )
-            cfg.emit_stages = sec.getboolean("emit_stages", cfg.emit_stages)
+            cfg.emit_stages = _typed(sec, "emit_stages", cfg.emit_stages, "boolean")
         specs = parser.get("predictors", "specs", fallback="").split()
         if specs:
             cfg.predictors = [parse_predictor(s) for s in specs]
@@ -160,7 +175,7 @@ def load_run_config(path: Path) -> RunConfig:
                 raise ValidationError(
                     f"[eval] out {cfg.report_name!r} names a file the run also writes"
                 )
-            timing_reps = sec.getint("timing_reps", cfg.timing_repetitions)
+            timing_reps = _typed(sec, "timing_reps", cfg.timing_repetitions, "int")
             cfg.timing_repetitions = integer("timing_reps", timing_reps, minimum=1)
         for label, _ in cfg.synth_specs:  # a label names files under outdir
             if "/" in label or os.sep in label:

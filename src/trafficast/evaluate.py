@@ -48,14 +48,20 @@ class PredictorSpec:
     params: tuple
 
     def __post_init__(self):
-        if self.kind == "arma":
-            object.__setattr__(self, "params", arma.check_order(*self.params))
-        elif self.kind == "kf":
-            q, r = self.params
-            object.__setattr__(self, "params", (float(q), float(r)))
-            kalman.default_local_level(*self.params)
-        else:
+        names = {"arma": "(p, q)", "kf": "(q, r)"}.get(self.kind)
+        if names is None:
             raise ValidationError(f"unknown predictor kind {self.kind!r}")
+        try:
+            first, second = self.params
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{self.kind} params must be {names}, got {self.params!r}"
+            ) from None
+        if self.kind == "arma":
+            object.__setattr__(self, "params", arma.check_order(first, second))
+        else:
+            object.__setattr__(self, "params", (float(first), float(second)))
+            kalman.default_local_level(*self.params)
 
     @property
     def label(self) -> str:
@@ -108,6 +114,7 @@ def mse(predicted, actual, skip: int = 0) -> float:
     a = values_of(actual, "actual")
     if p.shape != a.shape:
         raise ValidationError(f"length mismatch: {p.shape} vs {a.shape}")
+    skip = integer("skip", skip)
     if not 0 <= skip < p.size:
         raise ValidationError(f"skip must be in [0, {p.size}), got {skip}")
     d = p[skip:] - a[skip:]
@@ -125,6 +132,7 @@ def mse(predicted, actual, skip: int = 0) -> float:
 
 def time_predictor(task: Callable[[], object], repetitions: int = 3) -> float:
     """Median wall time of ``task()`` over ``repetitions`` monotonic-clock runs."""
+    repetitions = integer("repetitions", repetitions, minimum=1)
     times = []
     for _ in range(repetitions):
         start = time.perf_counter()

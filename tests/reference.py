@@ -167,11 +167,17 @@ def box_center_reference(x, window, hop):
     return np.array(out)
 
 
+def philox_uniforms(seed, n):
+    """``n`` uniform doubles from numpy's own Philox 4x64 generator keyed
+    by the seed."""
+    return np.random.Generator(np.random.Philox(key=seed % 2**64)).random(n)
+
+
 def philox_normals(seed, n):
     """``n`` Box-Muller normals from a Philox 4x64 stream keyed by the
     seed, written as array expressions, each a new array."""
     pairs = (max(n, 0) + 1) // 2
-    u = np.random.Generator(np.random.Philox(key=seed % 2**64)).random(2 * pairs)
+    u = philox_uniforms(seed, 2 * pairs)
     u1 = 1.0 - u[0::2]
     u2 = u[1::2]
     radius = np.sqrt(-2.0 * np.log(u1))

@@ -565,6 +565,33 @@ def test_empty_list_key_exits_2_before_any_work(tmp_path, capsys, sections, key)
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("section, key, value, kind", [
+    ("run", "seed", "4.0", "an integer"),
+    ("synth", "n", "2.5", "an integer"),
+    ("synth", "period", "sixty", "an integer"),
+    ("synth", "amplitude", "abc", "a real number"),
+    ("synth", "base_rate", "5,0", "a real number"),
+    ("synth", "noise_std", "x", "a real number"),
+    ("ingest", "bin_width", "1s", "a real number"),
+    ("preprocess", "window", "1e1", "an integer"),
+    ("preprocess", "overlap", "half", "a real number"),
+    ("preprocess", "log", "maybe", "a boolean"),
+    ("preprocess", "emit_stages", "2", "a boolean"),
+    ("eval", "timing_reps", "3.0", "an integer"),
+])
+def test_unparsable_config_value_names_its_key(tmp_path, capsys, section, key, value, kind):
+    outdir, config = tmp_path / "out", tmp_path / "run.cfg"
+    sections = {"run": f"outdir = {outdir}\n", "synth": ""}
+    sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+    config.write_text("".join(f"[{name}]\n{body}\n" for name, body in sections.items()))
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: invalid config {config}:"
+        f" [{section}] {key} must be {kind}, got {value!r}\n"
+    )
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("sections", ["", "[ingest]\nbin_width = 2.0\n"],
                          ids=["neither", "ingest-without-inputs"])
 def test_config_without_a_dataset_names_the_rule(tmp_path, capsys, sections):
@@ -1014,6 +1041,32 @@ def test_repro_paper_does_not_import_numpy_ma(tmp_path):
         "from trafficast import cli\n"
         f"assert cli.main(['repro-paper', '--timing-reps', '1', '--out', {str(tmp_path)!r}]) == 0\n"
         "print([name for name in ('numpy.ma', 'statistics') if name in sys.modules])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_runs_load_neither_openssl_nor_numpy_random(tmp_path):
+    # hashlib and secrets (which numpy.random imports) load OpenSSL's
+    # libcrypto: about 3.5 MB, and numpy.random 2.5 MB more, in every run.
+    write_packet_csv(tmp_path / "cap.csv")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"[run]\noutdir = {tmp_path / 'run'}\n\n[ingest]\ninputs = {tmp_path / 'cap.csv'}\n"
+    )
+    repro = ["repro-paper", "--timing-reps", "1", "--out", str(tmp_path / "repro")]
+    code = (
+        "import sys\n"
+        "from trafficast import cli\n"
+        f"assert cli.main({repro!r}) == 0\n"
+        f"assert cli.main(['run', '--config', {str(config)!r}]) == 0\n"
+        "print([name for name in ('_hashlib', 'hashlib', 'secrets', 'numpy.random')"
+        " if name in sys.modules])\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(

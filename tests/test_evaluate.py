@@ -65,6 +65,12 @@ class TestMse:
         with pytest.raises(ValidationError):
             evaluate.mse([1.0], [1.0], skip=1)
 
+    @pytest.mark.parametrize("skip", [1.5, 1.0, "1", None])
+    def test_skip_must_be_an_integer(self, skip):
+        message = f"skip must be an integer, got {skip!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate.mse([9.0, 1.0], [0.0, 0.0], skip=skip)
+
     @pytest.mark.parametrize(
         "predicted, shift",
         [([1.3e154] * 4, -600), ([2e154, 0.0, 0.0, 0.0], -600), ([1e-160, 3e-160], 600)],
@@ -122,6 +128,17 @@ class TestTiming:
         got = evaluate.time_predictor(lambda: None, repetitions=len(durations))
         assert type(got) is float and got == median
 
+    @pytest.mark.parametrize("repetitions, message", [
+        (0, "repetitions must be >= 1, got 0"),
+        (-2, "repetitions must be >= 1, got -2"),
+        (2.0, "repetitions must be an integer, got 2.0"),
+    ])
+    def test_repetitions_must_be_a_positive_integer(self, repetitions, message):
+        calls = []
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate.time_predictor(lambda: calls.append(1), repetitions)
+        assert calls == []
+
     def test_kf_run_records_positive_time(self):
         series = small_dataset(n=5000)
         spec = evaluate.PredictorSpec(kind="kf", params=(0.01, 0.01))
@@ -151,6 +168,19 @@ class TestPredictorSpec:
     def test_parse_errors(self, text):
         with pytest.raises(ValidationError, match="^cannot parse predictor"):
             evaluate.parse_predictor(text)
+
+    @pytest.mark.parametrize("kind, params, names", [
+        ("arma", (1, 2, 3), "(p, q)"),
+        ("arma", (2,), "(p, q)"),
+        ("arma", 2, "(p, q)"),
+        ("kf", (1,), "(q, r)"),
+        ("kf", (), "(q, r)"),
+        ("kf", (0.01, 0.01, 0.01), "(q, r)"),
+    ])
+    def test_wrong_number_of_params_names_the_pair(self, kind, params, names):
+        message = f"{kind} params must be {names}, got {params!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate.PredictorSpec(kind, params)
 
     @pytest.mark.parametrize("kind, params, message", [
         ("arma", (0, 0), "p + q >= 1"),
