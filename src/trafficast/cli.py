@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 stage failure (message names the stage),
 2 bad command line or run-config file.
+
+A module that every ``run`` uses is imported at start, when the heap is
+smallest; one that only some command or file format uses (``configparser``
+for a config file, ``json`` for a model file) is imported there.
 """
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -20,9 +22,12 @@ from .errors import ConfigError, PipelineError, TrafficastError, ValidationError
 from .evaluate import (
     REPORT_FORMATS,
     PredictorSpec,
+    check_grid,
     check_labels,
     compare,
+    compare_row,
     grid_csv,
+    grid_report,
     parse_predictor,
     render_report,
 )
@@ -98,6 +103,8 @@ def load_run_config(path: Path) -> RunConfig:
     """Read a run config file; keys absent from a section keep the defaults
     of ``RunConfig``, ``SeasonalSpec`` and ``PreprocessConfig``, and a
     section or key not in ``CONFIG_KEYS`` is an error."""
+    import configparser
+
     # No default section: a [DEFAULT] header names an ordinary, unknown
     # section instead of keys that would leak into every other section.
     parser = configparser.ConfigParser(default_section="", interpolation=None)
@@ -196,30 +203,25 @@ def load_run_config(path: Path) -> RunConfig:
 
 def run_pipeline(config: RunConfig) -> int:
     """Execute synth/ingest -> preprocess -> compare -> report, writing
-    artifacts under ``config.outdir``."""
+    artifacts under ``config.outdir``.
+
+    Datasets go one row at a time, ``[synth]`` ones first: each is made,
+    stationarized and measured, and its prediction CSV written, before the
+    next is made, so memory holds one dataset however many the run has.
+    The grids and the report are written once every row is in.  A failing
+    stage ends the run: the prediction CSVs of the datasets before it
+    stay, and no report or grid is written.
+    """
     outdir = config.outdir
     outdir.mkdir(parents=True, exist_ok=True)
-
-    raw: list[tuple[str, TimeSeries]] = []
-    with stage("synth"):
-        for label, spec in config.synth_specs:
-            seed = derive_seed(config.seed, f"dataset-{label}")
-            raw.append((label, gen_seasonal_traffic(replace(spec, seed=seed))))
-    for path in config.ingest_inputs:
-        with stage("ingest", path.stem):
-            raw.append((path.stem, load_packet_rates(path, config.bin_width)))
-
-    datasets = []
-    while raw:
-        label, series = raw.pop(0)
-        datasets.append((label, _stationarize(label, series, config)))
-        del series  # so no raw series stays alive through compare and the report
-
+    sources = [("synth", label, spec) for label, spec in config.synth_specs]
+    sources += [("ingest", path.stem, path) for path in config.ingest_inputs]
+    labels = [label for _, label, _ in sources]
     with stage("compare"):
-        report = compare(
-            datasets, config.predictors, timing_repetitions=config.timing_repetitions
-        )
-
+        check_grid(labels, config.predictors, config.timing_repetitions)
+    columns = _prediction_columns(config.predictors)
+    rows = [_run_row(config, kind, label, source, columns) for kind, label, source in sources]
+    report = grid_report(labels, config.predictors, rows)
     with stage("report"):
         artifacts = {
             config.report_name: render_report(report, config.report_format),
@@ -230,8 +232,34 @@ def run_pipeline(config: RunConfig) -> int:
             path = outdir / name
             path.parent.mkdir(parents=True, exist_ok=True)  # [eval] out may name a subdirectory
             path.write_text(text, encoding="utf-8", newline="")
-        _write_prediction_csvs(config, datasets, report, outdir)
     return 0
+
+
+def _run_row(config: RunConfig, kind: str, label: str, source, columns) -> tuple[list, list]:
+    """One dataset's row: make it from ``source`` (a ``SeasonalSpec`` for
+    ``kind`` synth, a capture path for ingest), stationarize it, measure
+    every predictor on it and write its prediction CSV from the
+    ``columns`` cells.  Returns the row's MSE and time cells; nothing of
+    the dataset outlives the call."""
+    with stage(kind, label):
+        if kind == "synth":
+            seed = derive_seed(config.seed, f"dataset-{label}")
+            series = gen_seasonal_traffic(replace(source, seed=seed))
+        else:
+            series = load_packet_rates(source, config.bin_width)
+    series = _stationarize(label, series, config)
+    mse_row, time_row, predictions = compare_row(
+        series, config.predictors, config.timing_repetitions, keep=columns
+    )
+    if columns:
+        arma_pred, kf_pred = (predictions[col] for col in columns)
+        if arma_pred is not None and kf_pred is not None:
+            with stage("report", label):
+                write_prediction_csv(
+                    config.outdir / f"predictions_{label}.csv",
+                    actual=series.values, arma_pred=arma_pred, kf_pred=kf_pred,
+                )
+    return mse_row, time_row
 
 
 def _stationarize(label: str, series: TimeSeries, config: RunConfig) -> TimeSeries:
@@ -251,20 +279,16 @@ def _pick(predictors: list[PredictorSpec], kind: str, preferred=None) -> int | N
     return min(ranked, default=(None, None))[1]
 
 
-def _write_prediction_csvs(config, datasets, report, outdir: Path) -> None:
-    """Emit index/actual/arma_pred/kf_pred columns, taken from the cells
-    ``compare`` measured, when the grid includes both predictor families
-    (the overlay-plot companion).  A dataset whose cell failed is skipped."""
-    arma_col = _pick(config.predictors, "arma", preferred=(2, 1))
-    kf_col = _pick(config.predictors, "kf")
+def _prediction_columns(predictors: list[PredictorSpec]) -> tuple[int, int] | tuple[()]:
+    """The ARMA and KF columns whose predictions a dataset's
+    index/actual/arma_pred/kf_pred CSV holds (the overlay-plot companion),
+    or none when the grid lacks either family.  A dataset whose cell in
+    either column failed gets no CSV."""
+    arma_col = _pick(predictors, "arma", preferred=(2, 1))
+    kf_col = _pick(predictors, "kf")
     if arma_col is None or kf_col is None:
-        return
-    for (label, series), row in zip(datasets, report.predictions):
-        arma_pred, kf_pred = row[arma_col], row[kf_col]
-        if arma_pred is None or kf_pred is None:
-            continue
-        path = outdir / f"predictions_{label}.csv"
-        write_prediction_csv(path, actual=series.values, arma_pred=arma_pred, kf_pred=kf_pred)
+        return ()
+    return arma_col, kf_col
 
 
 # ---------------------------------------------------------------- commands
@@ -302,6 +326,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_fit_arma(args) -> int:
+    import json
+
     series = load_series_csv(args.input)
     model, diag = arma.fit(series, args.p, args.q)
     Path(args.out).write_text(

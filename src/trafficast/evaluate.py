@@ -10,17 +10,20 @@ or ``None``/NaN for a cell whose predictor failed.  Timing uses a
 monotonic clock and reports the median of ``timing_repetitions`` runs
 (three by default); the MSE and predictions come from those same runs.
 Absolute times are machine-bound, only orderings are meaningful.
+
+A grid is measured one dataset row at a time (:func:`compare_row`), so a
+caller can drop each dataset before it makes the next.  ``json`` and
+``decimal`` are imported by the formats that use them: loading a report,
+or rendering JSON or a cell that is neither float nor int.
 """
 from __future__ import annotations
 
 import io
-import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field
-from decimal import Decimal
-from typing import IO, Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import IO, TYPE_CHECKING, Callable, Collection, Sequence, Union
 
 import numpy as np
 
@@ -28,7 +31,10 @@ from . import arma, kalman
 from .errors import TrafficastError, ValidationError
 from .series import TimeSeries, integer, pow2_scaled, quiet_overflow, values_of
 
-Cell = Union[float, int, Decimal, None]
+if TYPE_CHECKING:
+    from decimal import Decimal
+
+Cell = Union[float, int, "Decimal", None]
 
 REPORT_FORMATS = ("csv", "markdown", "json")
 
@@ -160,17 +166,13 @@ def describe_environment() -> str:
 
 @dataclass
 class EvalReport:
-    """Per-dataset, per-predictor MSE and timing grids, plus each measured
-    cell's predictions (``None`` if it failed; never rendered or loaded)."""
+    """Per-dataset, per-predictor MSE and timing grids."""
 
     datasets: list[str]
     predictors: list[str]
     mse_grid: list[list[Cell]]
     time_grid: list[list[Cell]]
     environment: str = ""
-    predictions: list[list[np.ndarray | None]] = field(
-        default_factory=list, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for name, grid in (("mse_grid", self.mse_grid), ("time_grid", self.time_grid)):
@@ -186,9 +188,10 @@ class EvalReport:
                         raise ValidationError(f"{name} cells must be nonnegative")
 
 
-def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: int):
+def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: int, keep: bool):
     """The MSE from index ``skip`` on of the last of ``repetitions`` timed
-    runs, their median time and those predictions; all None if one fails."""
+    runs, their median time and, if ``keep``, those predictions; all None
+    if one fails."""
     last = None
 
     def task():
@@ -197,7 +200,7 @@ def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: i
 
     try:
         seconds = time_predictor(task, repetitions)
-        return mse(last, series.values, skip=skip), seconds, last
+        return mse(last, series.values, skip=skip), seconds, last if keep else None
     except TrafficastError:
         return None, None, None
 
@@ -211,41 +214,85 @@ def check_labels(datasets: Sequence[str], predictors: Sequence[str]) -> None:
                 raise ValidationError(f"{what} label {label!r} is used twice")
 
 
+def check_grid(
+    datasets: Sequence[str], predictors: Sequence[PredictorSpec], timing_repetitions: int
+) -> None:
+    """Reject a grid with no dataset or no predictor, a label used twice, or
+    fewer than one timing repetition: what :func:`compare` checks before it
+    measures anything."""
+    if not datasets or not predictors:
+        raise ValidationError("need at least one dataset and one predictor")
+    check_labels(datasets, [spec.label for spec in predictors])
+    integer("timing_repetitions", timing_repetitions, minimum=1)
+
+
+def compare_row(
+    series: TimeSeries,
+    predictors: Sequence[PredictorSpec],
+    timing_repetitions: int = 3,
+    keep: Collection[int] = (),
+) -> tuple[list[Cell], list[Cell], list[np.ndarray | None]]:
+    """One dataset's row of both grids, one cell at a time: each
+    predictor's MSE and median time, and the predictions of the columns in
+    ``keep`` (``None`` in every other column and where a cell failed).
+
+    Every predictor's MSE skips the same burn-in prefix, the largest over
+    ``predictors``, so that columns stay comparable; the last timed run's
+    predictions give a cell's MSE.  A failing cell is recorded as missing
+    instead of aborting the row.
+    """
+    timing_repetitions = integer("timing_repetitions", timing_repetitions, minimum=1)
+    skip = max((spec.burn_in for spec in predictors), default=0)
+    cells = [
+        _run_cell(spec, series, timing_repetitions, skip, col in keep)
+        for col, spec in enumerate(predictors)
+    ]
+    return [cell[0] for cell in cells], [cell[1] for cell in cells], [cell[2] for cell in cells]
+
+
 def compare(
     datasets: Sequence[tuple[str, TimeSeries]],
     predictors: Sequence[PredictorSpec],
     timing_repetitions: int = 3,
 ) -> EvalReport:
-    """Fill both grids, one (dataset, predictor) cell at a time.
+    """Fill both grids, one dataset row at a time (:func:`compare_row`),
+    after :func:`check_grid`."""
+    labels = [label for label, _ in datasets]
+    check_grid(labels, predictors, timing_repetitions)
+    rows = [compare_row(series, predictors, timing_repetitions)[:2] for _, series in datasets]
+    return grid_report(labels, predictors, rows)
 
-    Every predictor's MSE skips the same burn-in prefix (the largest one
-    in the report) so columns stay comparable; the last timed run's
-    predictions give a cell's MSE.  A failing cell is recorded as missing
-    instead of aborting the grid; a repeated label is rejected first.
-    """
-    if not datasets or not predictors:
-        raise ValidationError("need at least one dataset and one predictor")
-    check_labels([label for label, _ in datasets], [spec.label for spec in predictors])
-    timing_repetitions = integer("timing_repetitions", timing_repetitions, minimum=1)
-    skip = max(spec.burn_in for spec in predictors)
-    cells = [
-        [_run_cell(spec, series, timing_repetitions, skip) for spec in predictors]
-        for _, series in datasets
-    ]
+
+def grid_report(
+    datasets: Sequence[str],
+    predictors: Sequence[PredictorSpec],
+    rows: Sequence[tuple[list[Cell], list[Cell]]],
+) -> EvalReport:
+    """The report of ``rows``, one dataset's (MSE cells, time cells) each,
+    with the environment it was measured in."""
     return EvalReport(
-        datasets=[label for label, _ in datasets],
+        datasets=list(datasets),
         predictors=[spec.label for spec in predictors],
-        mse_grid=[[cell_mse for cell_mse, _, _ in row] for row in cells],
-        time_grid=[[seconds for _, seconds, _ in row] for row in cells],
+        mse_grid=[mse_row for mse_row, _ in rows],
+        time_grid=[time_row for _, time_row in rows],
         environment=describe_environment(),
-        predictions=[[predictions for _, _, predictions in row] for row in cells],
     )
+
+
+def _is_decimal(cell: Cell) -> bool:
+    """Whether ``cell`` is a ``Decimal``.  ``decimal`` is imported only for a
+    cell that is neither float nor int, which a measured report never holds."""
+    if cell is None or isinstance(cell, (float, int)):
+        return False
+    from decimal import Decimal
+
+    return isinstance(cell, Decimal)
 
 
 def _cell_text(cell: Cell, display: bool = False) -> str:
     if cell is None or (isinstance(cell, float) and math.isnan(cell)):
         return ""
-    if isinstance(cell, (Decimal, int)):
+    if isinstance(cell, int) or _is_decimal(cell):
         return str(cell)
     return f"{cell:.6g}" if display else repr(float(cell))
 
@@ -284,6 +331,8 @@ def render_report(report: EvalReport, fmt: str = "markdown") -> str:
                 out.append(f"{label},{pred},{_cell_text(m)},{_cell_text(t)}")
         return "\n".join(out) + "\n"
     if fmt == "json":
+        import json
+
         return json.dumps(_report_payload(report), indent=2) + "\n"
     raise ValidationError(f"unknown report format {fmt!r}; use one of {REPORT_FORMATS}")
 
@@ -291,7 +340,7 @@ def render_report(report: EvalReport, fmt: str = "markdown") -> str:
 def _json_cell(cell: Cell):
     if cell is None or (isinstance(cell, float) and math.isnan(cell)):
         return None
-    if isinstance(cell, Decimal):
+    if _is_decimal(cell):
         return float(cell)
     return cell
 
@@ -309,6 +358,9 @@ def _report_payload(report: EvalReport) -> dict:
 def report_from_json(source: Union[str, IO[str]]) -> EvalReport:
     """Load a report; numeric cells keep their written digits (Decimal/int),
     so re-rendering reproduces them verbatim."""
+    import json
+    from decimal import Decimal
+
     text = source if isinstance(source, str) else source.read()
     data = json.loads(text, parse_float=Decimal, parse_int=int)
     try:

@@ -34,11 +34,14 @@ Every reader and writer here opens a path as UTF-8 with no newline
 translation and closes it when done, uses a caller's stream as it is and
 leaves it open, and reports input that is not UTF-8 as a
 :class:`ParseError` that names the first bad byte.
+
+The float writer ``_floattext`` is imported with this module, at start,
+when the heap is smallest, since every ``run`` writes a CSV; ``csv`` is
+imported by the packet-capture reader, the one format that uses it.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import itertools
 import math
@@ -47,6 +50,7 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
+from ._floattext import write_csv_rows
 from .errors import ParseError, ValidationError
 from .series import TimeSeries, real, values_of
 
@@ -153,6 +157,8 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     row scan, which alone decides what else is accepted and which line an
     error names.
     """
+    import csv
+
     with _text_file(source) as stream:
         header_reader = csv.reader(stream)
         try:
@@ -300,6 +306,8 @@ def _scan_rows(
     runs into the field size limit) is a :class:`ParseError` naming the
     line the row starts on.
     """
+    import csv
+
     reader = csv.reader(lines)
     times: list[float] = []
     known: list[bool] = []
@@ -506,6 +514,4 @@ def _write_rows(dest: Source, head: str, columns: list[np.ndarray], index: bool)
     """Write the ``head`` line, then the rows of ``columns`` a chunk at a time."""
     with _text_file(dest, "w") as stream:
         stream.write(head + "\n")
-        from ._floattext import write_csv_rows  # compiled on first use, not at start-up
-
         write_csv_rows(stream, columns, index=index)

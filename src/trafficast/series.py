@@ -177,12 +177,20 @@ def _cascade(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return y.real
 
 
+# Samples per block of a doubling pass: the pass's one temporary.
+_SCAN_BLOCK = 1 << 14
+
+
 @quiet_overflow
 def first_order_scan(y: np.ndarray, c) -> np.ndarray:
     """Solve ``y[t] += c y[t-1]`` in place by doubling; returns ``y``.
 
     The stop rule and the explosive-pole error are those of
     :func:`linear_recurrence`, which runs its poles through this scan.
+    Each pass ``y[d:] += c^d y[:-d]`` runs in blocks of ``_SCAN_BLOCK``
+    samples from the end, so a block reads only slots no earlier block
+    wrote: the bits are those of the whole-array pass, and its temporary
+    is one block, not a series.
     """
     n = y.size
     # The lags from d on weigh at most |c^d| / (1 - |c|) times max |u|, and
@@ -196,7 +204,9 @@ def first_order_scan(y: np.ndarray, c) -> np.ndarray:
                 f"explosive recurrence: its pole powers overflow at lag {d} "
                 f"of {n} samples"
             )
-        y[d:] += power * y[:-d]
+        for end in range(n, d, -_SCAN_BLOCK):
+            start = max(d, end - _SCAN_BLOCK)
+            y[start:end] += power * y[start - d : end - d]
         power *= power
         d *= 2
     return y

@@ -256,11 +256,13 @@ def linear_recurrence_loop(u, a, init=()):
 
 def first_order_scan(u, c, y_prev=0.0, stop=False):
     """y[t] = u[t] + c y[t-1] by Hillis-Steele doubling over every span
-    below n, with no early stop: the scan ``linear_recurrence`` runs for
-    q = 1 before its stop rule.  With ``stop`` (and |c| < 1) it ends once
-    |c^d| (1 + |c|) / (1 - |c|) <= 2**-53, as that stop rule does.  A zero
-    ``y_prev`` adds nothing, so a leading -0.0 keeps its sign."""
-    y = np.array(u, dtype=float)
+    below n, each pass over the whole array at once, with no early stop:
+    the scan ``linear_recurrence`` runs for q = 1 before its stop rule.
+    With ``stop`` (and |c| < 1) it ends once |c^d| (1 + |c|) / (1 - |c|)
+    <= 2**-53, as that stop rule does, and is then the unblocked form of
+    ``series.first_order_scan``.  A complex ``u`` is scanned as complex.
+    A zero ``y_prev`` adds nothing, so a leading -0.0 keeps its sign."""
+    y = np.array(u, dtype=complex if np.iscomplexobj(u) else float)
     if y_prev:
         y[0] += c * y_prev
     d, power = 1, c

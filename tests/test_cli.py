@@ -332,28 +332,29 @@ def test_config_file_without_a_section_header_exits_2(tmp_path, capsys):
 
 def test_repro_computes_each_cell_once_per_timing_rep(tmp_path, monkeypatch):
     reps = 2
-    calls, reports = [], []
-    real_run, real_compare = evaluate.run_predictor, cli.compare
+    calls, rows = [], []
+    real_run, real_row = evaluate.run_predictor, cli.compare_row
 
     def counting_run(spec, series):
         calls.append(spec)
         return real_run(spec, series)
 
-    def keeping_compare(*args, **kwargs):
-        reports.append(real_compare(*args, **kwargs))
-        return reports[-1]
+    def keeping_row(series, predictors, *args, **kwargs):
+        row = real_row(series, predictors, *args, **kwargs)
+        rows.append(([spec.label for spec in predictors], row))
+        return row
 
     monkeypatch.setattr(evaluate, "run_predictor", counting_run)
-    monkeypatch.setattr(cli, "compare", keeping_compare)
+    monkeypatch.setattr(cli, "compare_row", keeping_row)
     outdir = tmp_path / "repro"
     assert cli.main(["repro-paper", "--out", str(outdir), "--timing-reps", str(reps)]) == 0
-    (report,) = reports
     assert len(calls) == 30 * reps
-    arma_col, kf_col = report.predictors.index("ARMA(2,1)"), report.predictors.index("KF")
-    for label, row in zip(report.datasets, report.predictions):
+    assert len(rows) == len(cli.REPRO_DATASETS)
+    for (label, _, _), (predictors, (_, _, predictions)) in zip(cli.REPRO_DATASETS, rows):
+        arma_col, kf_col = predictors.index("ARMA(2,1)"), predictors.index("KF")
         columns = np.loadtxt(outdir / f"predictions_{label}.csv", delimiter=",", skiprows=1)
-        assert columns[:, 2].tobytes() == row[arma_col].tobytes()
-        assert columns[:, 3].tobytes() == row[kf_col].tobytes()
+        assert columns[:, 2].tobytes() == predictions[arma_col].tobytes()
+        assert columns[:, 3].tobytes() == predictions[kf_col].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -437,6 +438,68 @@ def test_run_holds_no_series_it_has_stationarized(tmp_path):
         code, peak = traced_peak(cli.main, argv)
     assert code == 0
     assert peak < 7.0 * n * 8
+
+
+def test_start_loads_the_formatter_and_no_module_of_one_format(tmp_path):
+    # Every run writes a CSV, so the formatter loads at start; configparser,
+    # json, decimal and csv load only with a config file, a model or report
+    # JSON or a packet capture, none of which repro-paper reads or writes.
+    code = (
+        "import sys, trafficast.cli\n"
+        "def loaded():\n"
+        "    names = ('trafficast._floattext', 'configparser', 'json', 'decimal', 'csv')\n"
+        "    print(*(m for m in names if m in sys.modules), sep=',')\n"
+        "loaded()\n"
+        f"status = trafficast.cli.main(['repro-paper', '--timing-reps', '1', '--out', {str(tmp_path)!r}])\n"
+        "loaded()\n"
+        "print(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "trafficast._floattext"
+    assert done.stdout.splitlines()[-2:] == ["trafficast._floattext", "0"]
+
+
+def test_run_holds_one_dataset_row_at_a_time(tmp_path):
+    # Each dataset is made, measured and written before the next is made,
+    # so six datasets peak where one does.
+    n = 20_000
+    peaks = []
+    for labels in ("A", "A B C D E F"):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"[run]\noutdir = {tmp_path / 'out'}\n\n[synth]\ndatasets = {labels}\nn = {n}\n\n"
+            "[eval]\ntiming_reps = 1\n"
+        )
+        argv = ["run", "--config", str(config)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0  # modules and the CSV formatter's tables load first
+            code, peak = traced_peak(cli.main, argv)
+        assert code == 0
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < n * 8
+
+
+def test_a_failing_later_dataset_leaves_the_earlier_rows_and_no_report(tmp_path, capsys):
+    packets, bad = tmp_path / "packets.csv", tmp_path / "bad.csv"
+    write_packet_csv(packets, n=2000)
+    bad.write_text("time,protocol\n0.5,TCP\n1x,UDP\n")
+    clean, failed = tmp_path / "clean", tmp_path / "failed"
+    body = "[synth]\ndatasets = A\nn = 400\n\n[eval]\ntiming_reps = 1\n\n[ingest]\ninputs = "
+    for outdir, inputs in ((clean, f"{packets}"), (failed, f"{packets} {bad}")):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[run]\noutdir = {outdir}\n\n{body}{inputs}\n")
+        code = cli.main(["run", "--config", str(config)])
+        assert code == (0 if outdir == clean else 1)
+    assert capsys.readouterr().err == (
+        "trafficast: stage failed: ingest: dataset bad: line 3: invalid time value '1x'\n"
+    )
+    written = ["predictions_A.csv", "predictions_packets.csv"]
+    assert sorted(p.name for p in failed.iterdir()) == written
+    for name in written:
+        assert (failed / name).read_bytes() == (clean / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,30 @@ class TestCompare:
     def test_environment_names_the_platform_as_platform_does(self):
         assert evaluate.describe_environment().split(" / ")[0] == platform.platform()
 
+    def test_grids_are_the_rows_of_compare_row(self):
+        datasets = [(label, small_dataset(seed=i)) for i, label in enumerate("AB")]
+        predictors = [evaluate.parse_predictor(s) for s in ("arma:2,1", "kf:0.01,0.01")]
+        report = evaluate.compare(datasets, predictors, timing_repetitions=1)
+        for (_, series), mse_row in zip(datasets, report.mse_grid):
+            assert evaluate.compare_row(series, predictors, 1)[0] == mse_row
+
+    def test_row_keeps_only_the_asked_predictions(self):
+        series = small_dataset()
+        predictors = [evaluate.parse_predictor(s) for s in ("arma:2,1", "kf:0.01,0.01")]
+        mse_row, time_row, predictions = evaluate.compare_row(series, predictors, 1, keep=(1,))
+        assert len(mse_row) == len(time_row) == 2 and all(mse_row) and all(time_row)
+        assert predictions[0] is None
+        kf = evaluate.run_predictor(predictors[1], series)
+        assert predictions[1].tobytes() == kf.tobytes()
+        assert mse_row[1] == evaluate.mse(kf, series, skip=2)
+
+    def test_row_of_a_failed_cell_keeps_no_predictions(self):
+        tiny = TimeSeries(values=np.sin(np.arange(30.0)))  # too short for ARMA
+        predictors = [evaluate.parse_predictor(s) for s in ("arma:2,1", "kf:0.01,0.01")]
+        mse_row, time_row, predictions = evaluate.compare_row(tiny, predictors, 1, keep=(0, 1))
+        assert (mse_row[0], time_row[0], predictions[0]) == (None, None, None)
+        assert predictions[1] is not None
+
     def test_requires_a_timing_repetition(self):
         with pytest.raises(ValidationError, match="timing_repetitions"):
             evaluate.compare(
@@ -328,6 +353,52 @@ class TestRendering:
         md = evaluate.render_report(report, "markdown")
         assert "| A | 0.10 | 0.089 | 0.091 | 0.092 | 0.093 | 0.024 |" in md
         assert "| E | 12 | 20 | 21 | 21 | 20 | 0.48 |" in md
+
+    def test_cells_render_by_their_type(self):
+        # float, int, Decimal, None and NaN cells, in every format.
+        report = evaluate.EvalReport(
+            datasets=["A"], predictors=["a", "b", "c", "d", "e"],
+            mse_grid=[[0.1, 3, Decimal("0.10"), None, float("nan")]],
+            time_grid=[[1e-05, 0, Decimal("12"), None, 2.5]],
+        )
+        assert evaluate.render_report(report, "csv") == (
+            "dataset,predictor,mse,time_seconds\nA,a,0.1,1e-05\nA,b,3,0\nA,c,0.10,12\n"
+            "A,d,,\nA,e,,2.5\n"
+        )
+        table = "| S | a | b | c | d | e |\n| --- | --- | --- | --- | --- | --- |\n"
+        assert evaluate.render_report(report, "markdown") == (
+            "# Predictor comparison\n\n## Mean squared error\n\n" + table
+            + "| A | 0.1 | 3 | 0.10 |  |  |\n\n## Computation time (seconds)\n\n" + table
+            + "| A | 1e-05 | 0 | 12 |  | 2.5 |\n"
+        )
+        payload = json.loads(evaluate.render_report(report, "json"))
+        assert payload["mse_grid"] == [[0.1, 3, 0.1, None, None]]
+        assert payload["time_grid"] == [[1e-05, 0, 12.0, None, 2.5]]
+        assert evaluate.grid_csv(report, report.mse_grid) == "dataset,a,b,c,d,e\nA,0.1,3,0.10,,\n"
+
+    def test_decimal_and_json_load_with_the_formats_that_use_them(self):
+        code = (
+            "import sys\n"
+            "from trafficast import evaluate\n"
+            "def loaded():\n"
+            "    print(*(m for m in ('decimal', 'json') if m in sys.modules), sep=',')\n"
+            "report = evaluate.EvalReport(['A'], ['KF'], [[0.5]], [[0.1]], 'env')\n"
+            "evaluate.render_report(report, 'markdown')\n"
+            "evaluate.render_report(report, 'csv')\n"
+            "loaded()\n"
+            f"fixture = evaluate.report_from_json(open({str(FIXTURE)!r}).read())\n"
+            "loaded()\n"
+            "print(evaluate.render_report(fixture, 'markdown'), end='')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        before, after, markdown = done.stdout.split("\n", 2)
+        assert (before, after) == ("", "decimal,json")
+        fixture = evaluate.report_from_json(FIXTURE.read_text())
+        assert markdown == evaluate.render_report(fixture, "markdown")
+        assert "| A | 0.10 | 0.089 | 0.091 | 0.092 | 0.093 | 0.024 |" in markdown
 
     def test_markdown_layout(self):
         report = evaluate.report_from_json(FIXTURE.read_text())

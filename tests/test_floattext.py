@@ -223,7 +223,9 @@ def test_strided_and_byte_swapped_columns_are_written_by_value():
     )
 
 
-def test_formatter_and_its_tables_are_loaded_on_first_use_not_at_import():
+def test_formatter_loads_with_the_program_and_builds_its_tables_on_first_use():
+    # Every run writes a CSV, so the formatter compiles at start, when the
+    # heap is smallest; its tables wait for the first write.
     code = (
         "import sys, trafficast.cli; print('trafficast._floattext' in sys.modules);"
         "import trafficast._floattext as f;"
@@ -233,4 +235,4 @@ def test_formatter_and_its_tables_are_loaded_on_first_use_not_at_import():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "0", "0"]
+    assert done.stdout.split() == ["True", "0", "0"]

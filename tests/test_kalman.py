@@ -514,4 +514,4 @@ class TestSettledTrace:
     def test_works_in_its_output_and_one_scan_temporary(self):
         z = np.random.default_rng(7).normal(size=N)
         _, peak = traced_peak(kalman.predict_series, LOCAL_LEVEL, z, kalman.KalmanState(0.0, 1.0))
-        assert peak < 2.5 * N * 8
+        assert peak < 1.5 * N * 8

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficast.errors import ValidationError
-from trafficast.series import linear_recurrence
+from trafficast.series import _SCAN_BLOCK, first_order_scan, linear_recurrence
 
 import reference
 from reference import conjugate_pair, poly_from_roots, real_roots, stable_roots
@@ -161,3 +161,26 @@ class TestLinearRecurrence:
     def test_growth_that_fits_in_range_is_kept(self):
         got = linear_recurrence(np.eye(1, 100)[0] * 2.0, [-2.0])
         assert got.tolist() == [2.0**k for k in range(1, 101)]
+
+
+class TestBlockedScan:
+    """``first_order_scan`` runs each doubling pass in blocks from the end;
+    every bit is that of the whole-array pass."""
+
+    @pytest.mark.parametrize(
+        "n", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 7]
+    )
+    @pytest.mark.parametrize("c", [0.5, -0.9, 0.999999, 0.3 + 0.8j, -0.99j])
+    def test_matches_the_unblocked_pass_bitwise(self, n, c):
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=n)
+        if isinstance(c, complex):
+            u = u + 1j * rng.normal(size=n)
+        got = first_order_scan(u.copy(), c)
+        assert got.tobytes() == reference.first_order_scan(u, c, stop=True).tobytes()
+
+    def test_a_pass_longer_than_a_block_reads_only_old_values(self):
+        # With c = 1 and no stop, every pass runs: slot t sums u[0..t].
+        n = 2 * _SCAN_BLOCK + 3
+        got = first_order_scan(np.ones(n), 1.0)
+        assert got.tolist() == [float(t + 1) for t in range(n)]
