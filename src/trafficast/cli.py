@@ -21,10 +21,11 @@ from . import __version__, arma, kalman
 from .errors import ConfigError, PipelineError, TrafficastError, ValidationError, stage
 from .evaluate import (
     REPORT_FORMATS,
+    Arma,
+    Kalman,
     PredictorSpec,
     check_grid,
     check_labels,
-    compare,
     compare_row,
     grid_csv,
     grid_report,
@@ -272,23 +273,15 @@ def _stationarize(label: str, series: TimeSeries, config: RunConfig) -> TimeSeri
     return stationary
 
 
-def _pick(predictors: list[PredictorSpec], kind: str, preferred=None) -> int | None:
-    """Column of the first ``kind`` predictor, preferring ``params == preferred``."""
-    ranked = ((spec.params != preferred, col) for col, spec in enumerate(predictors)
-              if spec.kind == kind)
-    return min(ranked, default=(None, None))[1]
-
-
 def _prediction_columns(predictors: list[PredictorSpec]) -> tuple[int, int] | tuple[()]:
-    """The ARMA and KF columns whose predictions a dataset's
-    index/actual/arma_pred/kf_pred CSV holds (the overlay-plot companion),
-    or none when the grid lacks either family.  A dataset whose cell in
-    either column failed gets no CSV."""
-    arma_col = _pick(predictors, "arma", preferred=(2, 1))
-    kf_col = _pick(predictors, "kf")
-    if arma_col is None or kf_col is None:
-        return ()
-    return arma_col, kf_col
+    """The columns whose predictions a dataset's index/actual/arma_pred/kf_pred
+    CSV holds (the overlay-plot companion): ARMA(2,1), else the first ARMA,
+    and the first KF; none when the grid lacks either family.  A dataset
+    whose cell in either column failed gets no CSV."""
+    arma_cols = [col for col, spec in enumerate(predictors) if spec == Arma(2, 1)]
+    arma_cols += [col for col, spec in enumerate(predictors) if isinstance(spec, Arma)]
+    kf_cols = [col for col, spec in enumerate(predictors) if isinstance(spec, Kalman)]
+    return (arma_cols[0], kf_cols[0]) if arma_cols and kf_cols else ()
 
 
 # ---------------------------------------------------------------- commands
@@ -345,7 +338,7 @@ def cmd_fit_arma(args) -> int:
 
 def cmd_predict_kf(args) -> int:
     series = load_series_csv(args.input)
-    model, init = kalman.default_local_level(args.q, args.r, x0=float(series.values[0]))
+    model, init = Kalman(args.q, args.r).fit(series)
     trace = kalman.predict_series(model, series, init)
     write_prediction_csv(
         args.out, actual=series.values, predicted=trace.predictions, gain=trace.gain_series
@@ -369,14 +362,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    datasets = []
+    """Like ``run``, one dataset at a time: each series CSV is read in its
+    own row, after the whole grid is checked."""
+    paths = []
     for i, item in enumerate(args.datasets.split(","), start=1):
         if not item.strip():
             raise ValidationError(f"--datasets item {i} is empty")
-        path = Path(item.strip())
-        datasets.append((path.stem, load_series_csv(path)))
+        paths.append(Path(item.strip()))
+    labels = [path.stem for path in paths]
     predictors = [parse_predictor(s) for s in args.predictors]
-    report = compare(datasets, predictors, timing_repetitions=args.timing_reps)
+    check_grid(labels, predictors, args.timing_reps)
+    rows = [compare_row(load_series_csv(path), predictors, args.timing_reps)[:2] for path in paths]
+    report = grid_report(labels, predictors, rows)
     text = render_report(report, args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="")
@@ -461,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_arma)
 
     p = sub.add_parser("predict-kf", help="one-step Kalman predictions for a series CSV")
-    p.add_argument("--q", type=float, default=0.01, help="process noise variance")
-    p.add_argument("--r", type=float, default=0.01, help="measurement noise variance")
+    p.add_argument("--q", type=float, default=Kalman.q, help="process noise variance")
+    p.add_argument("--r", type=float, default=Kalman.r, help="measurement noise variance")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict_kf)

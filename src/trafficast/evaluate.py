@@ -23,7 +23,7 @@ import math
 import platform
 import time
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Callable, Collection, Sequence, Union
+from typing import IO, TYPE_CHECKING, Callable, ClassVar, Collection, Sequence, Union
 
 import numpy as np
 
@@ -38,61 +38,74 @@ Cell = Union[float, int, "Decimal", None]
 
 REPORT_FORMATS = ("csv", "markdown", "json")
 
-KF_BURN_IN = 1  # the first prediction only reflects the initial state
-
 
 @dataclass(frozen=True)
-class PredictorSpec:
-    """One column of the comparison grid.
+class Arma:
+    """ARMA(p, q), fit by :func:`arma.fit` and run by :func:`arma.predict_series`."""
 
-    ``kind`` is ``"arma"`` (params = (p, q)) or ``"kf"`` (params =
-    (process variance, measurement variance)).  Parameters no predictor
-    can run with are rejected here, by the checks the predictor applies.
-    """
-
-    kind: str
-    params: tuple
+    p: int
+    q: int
 
     def __post_init__(self):
-        names = {"arma": "(p, q)", "kf": "(q, r)"}.get(self.kind)
-        if names is None:
-            raise ValidationError(f"unknown predictor kind {self.kind!r}")
-        try:
-            first, second = self.params
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"{self.kind} params must be {names}, got {self.params!r}"
-            ) from None
-        if self.kind == "arma":
-            object.__setattr__(self, "params", arma.check_order(first, second))
-        else:
-            object.__setattr__(self, "params", (float(first), float(second)))
-            kalman.default_local_level(*self.params)
+        for name, order in zip("pq", arma.check_order(self.p, self.q)):
+            object.__setattr__(self, name, order)
 
     @property
     def label(self) -> str:
-        if self.kind == "arma":
-            return f"ARMA({self.params[0]},{self.params[1]})"
-        if self.params == (0.01, 0.01):
-            return "KF"
-        return f"KF({self.params[0]:g},{self.params[1]:g})"
+        return f"ARMA({self.p},{self.q})"
 
     @property
     def burn_in(self) -> int:
-        if self.kind == "arma":
-            return max(self.params)
-        return KF_BURN_IN
+        return max(self.p, self.q)
+
+    def fit(self, series: TimeSeries) -> arma.ArmaModel:
+        return arma.fit(series, self.p, self.q)[0]
+
+    def predict(self, model: arma.ArmaModel, series: TimeSeries) -> np.ndarray:
+        return arma.predict_series(model, series).values
+
+
+@dataclass(frozen=True)
+class Kalman:
+    """The local-level filter with process variance ``q`` and measurement
+    variance ``r``, started at a series' first sample."""
+
+    q: float = 0.01
+    r: float = 0.01
+
+    burn_in: ClassVar[int] = 1  # the first prediction only reflects the initial state
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "r", float(self.r))
+        kalman.default_local_level(self.q, self.r)
+
+    @property
+    def label(self) -> str:
+        default = (self.q, self.r) == (Kalman.q, Kalman.r)
+        return "KF" if default else f"KF({self.q:g},{self.r:g})"
+
+    def fit(self, series: TimeSeries) -> tuple[kalman.StateSpaceModel, kalman.KalmanState]:
+        return kalman.default_local_level(self.q, self.r, x0=float(series.values[0]))
+
+    def predict(self, fitted, series: TimeSeries) -> np.ndarray:
+        model, init = fitted
+        return kalman.predict_series(model, series, init).predictions
+
+
+# One column of the comparison grid; each rejects parameters it cannot run with.
+PredictorSpec = Union[Arma, Kalman]
 
 
 def parse_predictor(text: str) -> PredictorSpec:
     """Parse ``arma:p,q`` or ``kf:q,r`` predictor descriptors."""
     kind, _, rest = text.partition(":")
-    kind = kind.strip().lower()
-    parts = [s.strip() for s in rest.split(",") if s.strip()]
-    number = {"arma": int, "kf": float}.get(kind)
-    if number is not None and len(parts) == 2:
+    kinds = {"arma": (Arma, int), "kf": (Kalman, float)}
+    make, number = kinds.get(kind.strip().lower(), (None, None))
+    parts = rest.split(",")  # int() and float() strip the spaces around each
+    if make is not None and len(parts) == 2:
         try:
-            return PredictorSpec(kind=kind, params=(number(parts[0]), number(parts[1])))
+            return make(number(parts[0]), number(parts[1]))
         except ValueError:
             pass
         except ValidationError as exc:
@@ -103,13 +116,8 @@ def parse_predictor(text: str) -> PredictorSpec:
 
 
 def run_predictor(spec: PredictorSpec, series: TimeSeries) -> np.ndarray:
-    """Fit (where applicable) and produce one-step-ahead predictions."""
-    if spec.kind == "arma":
-        model, _ = arma.fit(series, *spec.params)
-        return arma.predict_series(model, series).values
-    q, r = spec.params
-    model, init = kalman.default_local_level(q, r, x0=float(series.values[0]))
-    return kalman.predict_series(model, series, init).predictions
+    """Fit ``spec`` to ``series`` and make its one-step-ahead predictions."""
+    return spec.predict(spec.fit(series), series)
 
 
 @quiet_overflow
@@ -175,17 +183,34 @@ class EvalReport:
     environment: str = ""
 
     def __post_init__(self):
+        for name in ("datasets", "predictors"):
+            labels = getattr(self, name)
+            if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+                raise ValidationError(f"{name} must be a list of labels, got {labels!r}")
         for name, grid in (("mse_grid", self.mse_grid), ("time_grid", self.time_grid)):
-            if len(grid) != len(self.datasets):
+            if not isinstance(grid, list) or len(grid) != len(self.datasets):
                 raise ValidationError(f"{name} must have one row per dataset")
             for row in grid:
+                if not isinstance(row, list):
+                    raise ValidationError(f"{name} rows must be lists, got {row!r}")
                 if len(row) != len(self.predictors):
                     raise ValidationError(f"{name} rows must match the predictor count")
                 for cell in row:
-                    if cell is None or (isinstance(cell, float) and math.isnan(cell)):
-                        continue
-                    if cell < 0:
-                        raise ValidationError(f"{name} cells must be nonnegative")
+                    if not _is_cell(cell):
+                        raise ValidationError(
+                            f"{name} cells must be null or finite nonnegative numbers,"
+                            f" got {cell!r}"
+                        )
+
+
+def _is_cell(cell) -> bool:
+    """Whether ``cell`` is missing (None or NaN) or a finite nonnegative
+    float, int or Decimal; a bool is no number here."""
+    if cell is None or (isinstance(cell, float) and math.isnan(cell)):
+        return True
+    if isinstance(cell, bool) or not (isinstance(cell, (float, int)) or _is_decimal(cell)):
+        return False
+    return 0 <= cell < math.inf
 
 
 def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: int, keep: bool):
@@ -196,6 +221,7 @@ def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: i
 
     def task():
         nonlocal last
+        last = None  # the previous run's predictions go before this run makes its own
         last = run_predictor(spec, series)
 
     try:
@@ -357,18 +383,25 @@ def _report_payload(report: EvalReport) -> dict:
 
 def report_from_json(source: Union[str, IO[str]]) -> EvalReport:
     """Load a report; numeric cells keep their written digits (Decimal/int),
-    so re-rendering reproduces them verbatim."""
+    so re-rendering reproduces them verbatim.  Text that is not a report
+    (:class:`EvalReport` checks the labels, rows and cells) is a
+    :class:`ValidationError`."""
     import json
     from decimal import Decimal
 
     text = source if isinstance(source, str) else source.read()
-    data = json.loads(text, parse_float=Decimal, parse_int=int)
+    try:
+        data = json.loads(text, parse_float=Decimal, parse_int=int)
+    except ValueError as exc:  # json.JSONDecodeError
+        raise ValidationError(f"report is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"report JSON must be an object, got {type(data).__name__}")
     try:
         return EvalReport(
-            datasets=list(data["datasets"]),
-            predictors=list(data["predictors"]),
-            mse_grid=[list(row) for row in data["mse_grid"]],
-            time_grid=[list(row) for row in data["time_grid"]],
+            datasets=data["datasets"],
+            predictors=data["predictors"],
+            mse_grid=data["mse_grid"],
+            time_grid=data["time_grid"],
             environment=str(data.get("environment", "")),
         )
     except KeyError as exc:

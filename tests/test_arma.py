@@ -23,6 +23,10 @@ class TestArmaModel:
         with pytest.raises(ValidationError):
             arma.ArmaModel(p=2, q=0, theta=[0.5], phi=[], sigma2=1.0)
 
+    def test_ma_coefficient_length_checked(self):
+        with pytest.raises(ValidationError, match="^expected 2 MA coefficients, got 1$"):
+            arma.ArmaModel(p=0, q=2, theta=[], phi=[0.3], sigma2=1.0)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValidationError):
             arma.ArmaModel(p=0, q=1, theta=[], phi=[0.3], sigma2=-1.0)
@@ -80,6 +84,11 @@ class TestPredictOneStep:
         model = arma.ArmaModel(p=2, q=0, theta=[0.5, 0.1], phi=[], sigma2=1.0)
         with pytest.raises(ValidationError):
             arma.predict_one_step(model, [1.0])
+
+    def test_insufficient_innovations(self):
+        model = arma.ArmaModel(p=0, q=2, theta=[], phi=[0.3, 0.1], sigma2=1.0)
+        with pytest.raises(ValidationError, match="^need 2 innovations, got 1$"):
+            arma.predict_one_step(model, [], [0.5])
 
     @pytest.mark.parametrize(
         "history, innovations, message",

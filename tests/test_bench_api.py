@@ -35,8 +35,11 @@ def test_tracer_metrics_of_a_repro_run(tmp_path):
         recorder.uninstall()
     metrics = tracer.layer_metrics(recorder.spans_out())
     assert metrics["kalman.settle_step"] > 0
-    # 5 datasets x 5 ARMA predictors, one timed run each.
-    assert metrics["arma.fit.calls"] == 25
+    # 5 datasets x 6 predictors, one timed run each, all through
+    # evaluate.run_predictor: evaluate.useful_run_ratio is built from these.
+    assert metrics["evaluate.run_predictor.calls"] == 30
+    assert metrics["arma.fit.calls"] == metrics["arma.predict_series.calls"] == 25
+    assert metrics["kalman.predict_series.calls"] == 5
 
 
 def test_sweep_layer_calls(tmp_path):

@@ -330,6 +330,14 @@ def test_config_file_without_a_section_header_exits_2(tmp_path, capsys):
     assert "no section headers" in capsys.readouterr().err
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "absent.cfg"
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"trafficast: config error: cannot read config file {config}\n"
+    )
+
+
 def test_repro_computes_each_cell_once_per_timing_rep(tmp_path, monkeypatch):
     reps = 2
     calls, rows = [], []
@@ -480,6 +488,34 @@ def test_run_holds_one_dataset_row_at_a_time(tmp_path):
         assert code == 0
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < n * 8
+
+
+def test_compare_reads_one_dataset_row_at_a_time(tmp_path):
+    # Each series CSV is read in its own row, so six datasets peak where one does.
+    n = 20_000
+    series = tmp_path / "s.csv"
+    write_series_csv(TimeSeries(normal_stream(5, n)), series)
+    paths = []
+    for label in "ABCDEF":
+        paths.append(tmp_path / f"{label}.csv")
+        paths[-1].write_bytes(series.read_bytes())
+    peaks = []
+    for datasets in (paths[:1], paths):
+        argv = ["compare", "--datasets", ",".join(map(str, datasets)),
+                "--predictors", "arma:2,1", "kf:0.01,0.01", "--timing-reps", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0  # modules load first
+            code, peak = traced_peak(cli.main, argv)
+        assert code == 0
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < n * 8
+
+
+def test_compare_checks_the_grid_before_it_reads_a_file(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    argv = ["compare", "--datasets", f"{missing},{missing}", "--predictors", "kf:0.01,0.01"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "trafficast: compare: dataset label 'missing' is used twice\n"
 
 
 def test_a_failing_later_dataset_leaves_the_earlier_rows_and_no_report(tmp_path, capsys):

@@ -142,46 +142,36 @@ class TestTiming:
 
     def test_kf_run_records_positive_time(self):
         series = small_dataset(n=5000)
-        spec = evaluate.PredictorSpec(kind="kf", params=(0.01, 0.01))
+        spec = evaluate.Kalman()
         t = evaluate.time_predictor(lambda: evaluate.run_predictor(spec, series))
         assert t > 0.0
 
 
 class TestPredictorSpec:
+    KINDS = {"arma": evaluate.Arma, "kf": evaluate.Kalman}
+
     def test_parse_arma(self):
         spec = evaluate.parse_predictor("arma:2,1")
-        assert spec.kind == "arma" and spec.params == (2, 1)
+        assert spec == evaluate.Arma(2, 1) and (spec.p, spec.q) == (2, 1)
         assert spec.label == "ARMA(2,1)"
         assert spec.burn_in == 2
 
     def test_parse_kf(self):
         spec = evaluate.parse_predictor("kf:0.01,0.01")
-        assert spec.kind == "kf" and spec.params == (0.01, 0.01)
+        assert spec == evaluate.Kalman() and (spec.q, spec.r) == (0.01, 0.01)
         assert spec.label == "KF"
         assert spec.burn_in == 1
 
     def test_non_default_kf_label(self):
-        assert evaluate.PredictorSpec("kf", (0.02, 0.01)).label == "KF(0.02,0.01)"
+        assert evaluate.Kalman(0.02, 0.01).label == "KF(0.02,0.01)"
 
-    @pytest.mark.parametrize(
-        "text", ["arma:2", "svm:1,2", "kf:", "arma:a,b", "arma:1.5,1", "kf:0.01,x"]
-    )
+    @pytest.mark.parametrize("text", [
+        "arma:2", "svm:1,2", "kf:", "arma:a,b", "arma:1.5,1", "kf:0.01,x",
+        "arma:2,,1", "arma:,2,1", "kf:0.01,0.01,",
+    ])
     def test_parse_errors(self, text):
         with pytest.raises(ValidationError, match="^cannot parse predictor"):
             evaluate.parse_predictor(text)
-
-    @pytest.mark.parametrize("kind, params, names", [
-        ("arma", (1, 2, 3), "(p, q)"),
-        ("arma", (2,), "(p, q)"),
-        ("arma", 2, "(p, q)"),
-        ("kf", (1,), "(q, r)"),
-        ("kf", (), "(q, r)"),
-        ("kf", (0.01, 0.01, 0.01), "(q, r)"),
-    ])
-    def test_wrong_number_of_params_names_the_pair(self, kind, params, names):
-        message = f"{kind} params must be {names}, got {params!r}"
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            evaluate.PredictorSpec(kind, params)
 
     @pytest.mark.parametrize("kind, params, message", [
         ("arma", (0, 0), "p + q >= 1"),
@@ -193,7 +183,7 @@ class TestPredictorSpec:
     ])
     def test_parameters_no_predictor_can_run_are_rejected(self, kind, params, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
-            evaluate.PredictorSpec(kind, params)
+            self.KINDS[kind](*params)
         text = f"{kind}:{params[0]},{params[1]}"
         with pytest.raises(ValidationError, match=re.escape(f"predictor '{text}': ")):
             evaluate.parse_predictor(text)
@@ -309,6 +299,16 @@ class TestCompare:
         kf = evaluate.run_predictor(predictors[1], series)
         assert predictions[1].tobytes() == kf.tobytes()
         assert mse_row[1] == evaluate.mse(kf, series, skip=2)
+
+    def test_repetitions_hold_one_run_of_predictions_at_a_time(self):
+        # A repetition's predictions are freed before the next run makes its
+        # own, so three repetitions peak where one does.
+        n = 200_000
+        series = TimeSeries(np.random.default_rng(6).normal(size=n))
+        predictors = [evaluate.Arma(2, 1)]
+        evaluate.compare_row(small_dataset(), predictors, 1)  # first-use costs go first
+        peaks = [traced_peak(evaluate.compare_row, series, predictors, reps)[1] for reps in (1, 3)]
+        assert peaks[1] - peaks[0] <= 0.25 * n * 8
 
     def test_row_of_a_failed_cell_keeps_no_predictions(self):
         tiny = TimeSeries(values=np.sin(np.arange(30.0)))  # too short for ARMA
@@ -487,6 +487,44 @@ class TestRendering:
             evaluate.EvalReport(
                 datasets=["A"], predictors=["KF"], mse_grid=[[-1.0]], time_grid=[[0.1]]
             )
+
+    @pytest.mark.parametrize("mse_grid, time_grid, message", [
+        ([[0.5]], [[0.1]], "mse_grid must have one row per dataset"),
+        ([[0.5], [0.2]], [[0.1], [0.2, 0.3]], "time_grid rows must match the predictor count"),
+    ], ids=["rows", "cells"])
+    def test_grid_shape_must_match_the_labels(self, mse_grid, time_grid, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate.EvalReport(["A", "B"], ["KF"], mse_grid, time_grid)
+
+
+class TestReportFromJson:
+    REPORT = {"datasets": ["A"], "predictors": ["KF"], "mse_grid": [[0.5]], "time_grid": [[0.1]]}
+    CELL = "mse_grid cells must be null or finite nonnegative numbers, got "
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "report JSON must be an object, got list"),
+        (json.dumps(REPORT | {"datasets": 5}), "datasets must be a list of labels, got 5"),
+        (json.dumps(REPORT | {"predictors": [1]}), "predictors must be a list of labels, got [1]"),
+        (json.dumps(REPORT | {"mse_grid": [0.5]}), "mse_grid rows must be lists, got Decimal('0.5')"),
+        (json.dumps(REPORT | {"mse_grid": [["0.5"]]}), CELL + "'0.5'"),
+        (json.dumps(REPORT | {"mse_grid": [[True]]}), CELL + "True"),
+        (json.dumps(REPORT | {"mse_grid": [[float("inf")]]}), CELL + "inf"),
+        (json.dumps(REPORT | {"mse_grid": [[-1]]}), CELL + "-1"),
+        (json.dumps({k: v for k, v in REPORT.items() if k != "time_grid"}),
+         "report JSON missing key 'time_grid'"),
+    ], ids=["list", "datasets", "label", "row", "text-cell", "bool-cell", "inf-cell",
+            "negative-cell", "missing-key"])
+    def test_malformed_report_is_a_validation_error(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate.report_from_json(text)
+
+    def test_text_that_is_not_json(self):
+        with pytest.raises(ValidationError, match="^report is not JSON: Expecting"):
+            evaluate.report_from_json("{")
+
+    def test_nan_cell_stays_a_missing_cell(self):
+        report = evaluate.report_from_json(json.dumps(self.REPORT | {"mse_grid": [[float("nan")]]}))
+        assert evaluate.grid_csv(report, report.mse_grid) == "dataset,KF\nA,\n"
 
 
 class TestInverseTransform:

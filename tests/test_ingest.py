@@ -74,6 +74,10 @@ class TestLoadPacketTrace:
         with pytest.raises(ParseError, match="line 1"):
             load_packet_trace(io.StringIO("a,b\n1,TCP\n"))
 
+    def test_empty_file_has_no_header_row(self):
+        with pytest.raises(ParseError, match="^line 1: missing header row$"):
+            load_packet_trace(io.StringIO(""))
+
     def test_filter_flag_is_keyword_only(self):
         # A positional second argument would be read as the filter flag.
         with pytest.raises(TypeError):
@@ -688,6 +692,16 @@ class TestSeriesCsv:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             load_series_csv(io.StringIO(""))
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,rate\n0,1\n", "line 1: header must contain a 'value' column, got ['time', 'rate']"),
+        ("# log1p=maybe\nvalue\n1\n", "line 1: invalid log1p metadata 'maybe'"),
+        ("value\n# dt=fast\n1\n", "line 2: invalid dt metadata 'fast'"),
+        ("time,value\n0,1\n1\n", "line 3: row has fewer columns than the header"),
+    ], ids=["no-value-header", "bad-log1p", "bad-dt", "short-row"])
+    def test_malformed_file_names_the_line(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_series_csv(io.StringIO(text))
 
     def test_non_finite_dt_rejected(self):
         with pytest.raises(ValidationError, match="^dt must be positive and finite, got inf$"):

@@ -172,7 +172,7 @@ class TestIntegerSettings:
         ).p),
         "check_order.p": ("p", 0, lambda v, _: arma.check_order(v, 1)[0]),
         "check_order.q": ("q", 0, lambda v, _: arma.check_order(1, v)[1]),
-        "PredictorSpec": ("p", 0, lambda v, _: evaluate.PredictorSpec("arma", (v, 1)).params[0]),
+        "PredictorSpec": ("p", 0, lambda v, _: evaluate.Arma(v, 1).p),
         "fit": ("p", 0, lambda v, _: arma.fit(TestIntegerSettings.SERIES, v, 1)[0].p),
         "simulate.n": ("n", 1, lambda v, _: arma.simulate(
             arma.ArmaModel(p=1, q=0, theta=[0.5], phi=[], sigma2=1.0), v, seed=1
@@ -186,7 +186,7 @@ class TestIntegerSettings:
         "normal_stream.n": ("stream length", 0, lambda v, _: normal_stream(1, v).tolist()),
         "compare": ("timing_repetitions", 1, lambda v, _: evaluate.compare(
             [("A", TimeSeries(TestIntegerSettings.SERIES))],
-            [evaluate.PredictorSpec("kf", (0.01, 0.01))],
+            [evaluate.Kalman()],
             timing_repetitions=v,
         ).mse_grid),
         "config.timing_reps": ("timing_reps", 1, _timing_reps_of_a_config),
