@@ -103,7 +103,8 @@ def parse_predictor(text: str) -> PredictorSpec:
     kinds = {"arma": (Arma, int), "kf": (Kalman, float)}
     make, number = kinds.get(kind.strip().lower(), (None, None))
     parts = rest.split(",")  # int() and float() strip the spaces around each
-    if make is not None and len(parts) == 2:
+    # They also read "1_0" as 10 and non-ASCII digits; neither is accepted.
+    if make is not None and len(parts) == 2 and rest.isascii() and "_" not in rest:
         try:
             return make(number(parts[0]), number(parts[1]))
         except ValueError:
@@ -208,9 +209,12 @@ def _is_cell(cell) -> bool:
     float, int or Decimal; a bool is no number here."""
     if cell is None or (isinstance(cell, float) and math.isnan(cell)):
         return True
-    if isinstance(cell, bool) or not (isinstance(cell, (float, int)) or _is_decimal(cell)):
+    if isinstance(cell, bool):
         return False
-    return 0 <= cell < math.inf
+    if isinstance(cell, (float, int)):
+        return 0 <= cell < math.inf
+    # A Decimal NaN raises on comparison, so finiteness is tested first.
+    return _is_decimal(cell) and cell.is_finite() and cell >= 0
 
 
 def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: int, keep: bool):

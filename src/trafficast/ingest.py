@@ -65,6 +65,11 @@ _CHUNK_BYTES = 1 << 18
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
 
+# Widest time cell, in bytes, that a plain chunk parses column-wise; a
+# chunk with a wider one goes to the row scan, so one long cell cannot
+# make every row of the chunk's cell matrix that wide.
+_MAX_TIME_BYTES = 64
+
 # 2**63 as a float: a bin count below it fits ``np.intp``.
 _MAX_BINS = float(np.iinfo(np.intp).max)
 
@@ -151,11 +156,13 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     end at a line end, or at the end of the input.  Times keep file order;
     rows that are neither TCP nor UDP are dropped if ``filter_protocols``.
 
-    A chunk of plain rows is parsed column-wise: ``np.loadtxt`` reads the
-    times and byte compares read the protocol tags.  Any other chunk
-    (quotes, blank or ragged rows, a bad value) goes through the ``csv``
-    row scan, which alone decides what else is accepted and which line an
-    error names.
+    A chunk of plain rows is parsed column-wise, at the commas and
+    newlines found once for the whole chunk: a numpy bytes-to-float cast
+    reads the time cells and byte compares read the protocol tags.  Any
+    other chunk (quotes, blank or ragged rows, a bad value, a time cell
+    the cast leaves to ``float()``) goes through the ``csv`` row scan,
+    which alone decides what else is accepted and which line an error
+    names.
     """
     import csv
 
@@ -213,10 +220,12 @@ def _parse_plain_chunk(
 
     Plain means what a split at commas and newlines reads exactly as
     ``csv`` does: LF or CRLF line ends, no quote character, and exactly one
-    cell per header column on every row.  None also when the chunk holds a
-    control character other than tab and LF, or a time is not a finite
-    nonnegative float that ``np.loadtxt`` reads, so the row scan accepts or
-    raises what the row-by-row loader always did.
+    cell per header column on every row.  The separators found for that
+    check bound every cell, so the chunk is split only once.  None also
+    when the chunk holds a control character other than tab and LF, or a
+    time cell that ``_parse_times`` rejects or that is not a finite
+    nonnegative float, so the row scan accepts or raises what the
+    row-by-row loader always did.
     """
     if '"' in text:
         return None
@@ -236,38 +245,72 @@ def _parse_plain_chunk(
     row = np.array([_COMMA] * (ncols - 1) + [_NEWLINE], dtype=np.uint8)
     if ragged or not np.all(np.append(raw[seps], _NEWLINE).reshape(nrows, ncols) == row):
         return None
-    # loadtxt skips \x1c-\x1f as whitespace, which float() rejects, and
-    # stops at a NUL; other control characters are rare enough to leave to
-    # the row scan as well.  Besides tabs, the only ones allowed are the
-    # nrows - 1 newlines.
-    controls = np.count_nonzero(raw < 0x20) - (nrows - 1)
-    if controls and controls != text.count("\t"):
-        return None
-    try:
-        # Its C reader parses through PyOS_string_to_double, as float()
-        # does; what it rejects and float() accepts (``1_0``, non-ASCII
-        # digits) goes to the row scan.
-        ts = np.loadtxt(
-            io.StringIO(text), delimiter=",", usecols=ti, dtype=float,
-            comments=None, ndmin=1,
-        )
-    except ValueError:
-        return None
-    if not np.all(np.isfinite(ts) & (ts >= 0)):
+    # The bytes cast drops a cell's trailing NULs, and float() takes
+    # \x1c-\x1f as whitespace in text but not in bytes; other control
+    # characters are rare enough to leave to the row scan as well.  Besides
+    # tabs, the only ones allowed are the nrows - 1 newlines.
+    tabs = np.count_nonzero(raw < 0x20) - (nrows - 1)
+    if tabs and tabs != text.count("\t"):
         return None
     ends = np.append(seps, raw.size).reshape(nrows, ncols)
-    stop = ends[:, pi]
-    start = (ends[:, pi - 1] if pi else np.append(-1, ends[:-1, -1])) + 1
-    return ts, _known_protocols(data, raw, start, stop)
+    ts = _parse_times(raw, *_cell_bounds(ends, ti))
+    if ts is None or not np.all(np.isfinite(ts) & (ts >= 0)):
+        return None
+    # Without spaces, tabs or non-ASCII characters, strip() and upper()
+    # keep a cell's length, so only a 3-byte cell can be TCP or UDP.
+    bare = not tabs and text.isascii() and " " not in text
+    return ts, _known_protocols(data, raw, *_cell_bounds(ends, pi), bare)
+
+
+def _cell_bounds(ends: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``[start, stop)`` byte offsets of column ``col``'s cells, where
+    row ``i``'s cells end at the offsets ``ends[i]``."""
+    stop = ends[:, col]
+    start = (ends[:, col - 1] if col else np.append(-1, ends[:-1, -1])) + 1
+    return start, stop
+
+
+def _parse_times(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+    """The cells ``raw[start:stop]`` as floats, each read as ``float()``
+    reads its text, or None for an empty cell, a cell wider than
+    ``_MAX_TIME_BYTES`` or one the cast rejects.
+
+    The cells are copied into the rows of a NUL-padded byte matrix, cast
+    from numpy bytes to float64: a cast that calls ``float()`` on each
+    cell's bytes.  That reads what ``float()`` reads in the text of a cell
+    with no control character but tab, which ``_parse_plain_chunk``
+    ensures.  It rejects every non-ASCII cell, whose bytes (0x80 and up)
+    are neither digits nor whitespace to it, though ``float`` reads
+    ``"\uff11"`` as 1.0.
+    """
+    lengths = stop - start
+    width = int(lengths.max())
+    if lengths.min() < 1 or width > _MAX_TIME_BYTES:
+        return None
+    padded = np.concatenate([raw, np.zeros(width, dtype=np.uint8)])
+    # Item i of this view is the ``width`` bytes from byte i on, so one
+    # gather copies every cell with what follows it.  The bytes past each
+    # cell's end are then zeroed through the transpose, so that numpy's
+    # inner loops run along the rows rather than across a few bytes.
+    windows = np.ndarray(raw.size, dtype=f"S{width}", buffer=padded, strides=(1,))
+    cells = windows[start]
+    matrix = cells.view(np.uint8).reshape(start.size, width)
+    matrix.T[...] *= np.arange(width)[:, None] < lengths
+    try:
+        return cells.astype(np.float64)
+    except ValueError:
+        return None
 
 
 def _known_protocols(
-    data: bytes, raw: np.ndarray, start: np.ndarray, stop: np.ndarray
+    data: bytes, raw: np.ndarray, start: np.ndarray, stop: np.ndarray, bare: bool
 ) -> np.ndarray:
     """Whether each cell ``data[start:stop]`` is a TCP or UDP tag.
 
     A 3-byte cell that is ``TCP`` or ``UDP`` in any ASCII case is matched
-    on its bytes; every other cell goes through ``_known_protocol``.
+    on its bytes.  That decides every cell of a ``bare`` chunk, one with
+    no space, tab or non-ASCII character; in any other chunk the cells
+    left go through ``_known_protocol``.
     """
     short = np.flatnonzero(stop - start == 3)
     # The bytes of each 3-byte cell as one integer, with 0x20 OR-ed into
@@ -280,6 +323,8 @@ def _known_protocols(
     tcp, udp = (int.from_bytes(tag.lower().encode(), "big") for tag in _KNOWN_PROTOCOLS)
     known = np.zeros(start.size, dtype=bool)
     known[short] = (key == tcp) | (key == udp)
+    if bare:
+        return known
     rest = np.flatnonzero(~known)
     cells = [data[a:b] for a, b in zip(start[rest].tolist(), stop[rest].tolist())]
     known_cell = {

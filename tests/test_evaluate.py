@@ -168,6 +168,7 @@ class TestPredictorSpec:
     @pytest.mark.parametrize("text", [
         "arma:2", "svm:1,2", "kf:", "arma:a,b", "arma:1.5,1", "kf:0.01,x",
         "arma:2,,1", "arma:,2,1", "kf:0.01,0.01,",
+        "arma:1_0,1", "kf:1_0,1", "arma:\uff12,1", "kf:0.0_1,0.01",
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ValidationError, match="^cannot parse predictor"):
@@ -487,6 +488,12 @@ class TestRendering:
             evaluate.EvalReport(
                 datasets=["A"], predictors=["KF"], mse_grid=[[-1.0]], time_grid=[[0.1]]
             )
+
+    @pytest.mark.parametrize("cell", ["NaN", "sNaN"])
+    def test_decimal_nan_cell_rejected(self, cell):
+        message = f"mse_grid cells must be null or finite nonnegative numbers, got Decimal('{cell}')"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate.EvalReport(["A"], ["KF"], [[Decimal(cell)]], [[0.1]])
 
     @pytest.mark.parametrize("mse_grid, time_grid, message", [
         ([[0.5]], [[0.1]], "mse_grid must have one row per dataset"),

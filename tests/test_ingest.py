@@ -196,10 +196,12 @@ class TestChunkedLoader:
             "time,protocol\n1.0,TCP\n\n\noops,UDP\n",  # error after blank lines
             "time,protocol\n1.0,T\x00CP\n2.0,UDP\n",  # NUL inside a field
             "time,protocol\n1.0,\udcffTCP\n2.0,UDP\n\udcff,TCP\n",  # lone surrogates
-            # Time cells: loadtxt reads \x1c-\x1f as whitespace, float() does not.
+            # Time cells: float() reads \x1c-\x1f as whitespace in text, not
+            # in bytes, which the column cast parses.
             "time,protocol\n\x1c1.5,TCP\n2.0,UDP\n",
             "time,protocol\n0.5,TCP\n1.5\x1f,UDP\n",
-            # float() reads these, loadtxt does not.
+            # float() reads these in text; the cast reads the first alike and
+            # rejects the second's UTF-8 bytes.
             "time,protocol\n1_000,TCP\n2.0,UDP\n",
             "time,protocol\n0.5,TCP\n\uff11,UDP\n",
             "time,protocol\n+1,TCP\n-0,UDP\n.5,tcp\n",
@@ -210,12 +212,22 @@ class TestChunkedLoader:
             "time,protocol\n0.5,TCP\n1\x005,UDP\n",
             "time,protocol\n0.5,TCP\n1#5,UDP\n",
             "time,protocol,note\n0.5,TCP,#x\n1.5,UDP,y#\n",
+            # The cast would drop a trailing NUL, which float() rejects.
+            "time,protocol\n0.5,TCP\n1.5\x00,TCP\n",
+            "time,protocol\n0.5,TCP\n,TCP\n",
+            "time,protocol\n 1.5 ,UDP\n\t2.5,TCP\n",
+            "time,protocol\n0.5,TCP\n" + "0" * 100 + "1.5,UDP\n",
+            # Protocol cells that no byte compare decides: \u00a0TCP strips
+            # to TCP.
+            "time,protocol\n0.5,ICMP\n1.5,TCPX\n2.5,\u00a0TCP\n3.5, udp\t\n",
         ],
         ids=[
             "ragged", "lone-cr", "repeated-column", "whitespace-row", "after-blanks",
             "nul", "surrogate", "x1c-time", "x1f-time", "underscore-time",
             "fullwidth-time", "signed-times", "overflow-time", "nan-time",
             "infinity-time", "hex-time", "nul-time", "hash-time", "hash-note",
+            "trailing-nul-time", "empty-time", "padded-times", "wide-time",
+            "odd-protocols",
         ],
     )
     def test_odd_rows_match_row_oracle(self, text, newline):
@@ -257,6 +269,45 @@ class TestChunkedLoader:
         )
         assert_matches_row_oracle(text, filter_protocols)
         assert not {raw.upper() for raw in mapped} & {"TCP", "UDP"}
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_benchmark_style_capture_never_leaves_the_column_parse(
+        self, tmp_path, newline, monkeypatch
+    ):
+        # Rows as the benchmark's capture generator writes them: sorted
+        # whole microseconds with six decimals, then TCP, UDP or ICMP.
+        # Results are the same on either path, so only the mocks show which
+        # one ran: no chunk may fall back to the row scan, and no protocol
+        # cell of these space- and tab-free ASCII chunks needs a string.
+        def no_call(*args, **kwargs):
+            raise AssertionError("plain capture left the column parse")
+
+        n = 50_000
+        us = np.sort((3e9 * uniform_stream(seed=11, n=n)).astype(np.int64))
+        tags = itertools.cycle(["TCP", "UDP", "TCP", "UDP", "ICMP"])
+        rows = [f"{t // 10**6}.{t % 10**6:06d},{p}" for t, p in zip(us.tolist(), tags)]
+        text = newline.join(["time,protocol", *rows]) + newline
+        path = tmp_path / "capture.csv"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(ingest, "_scan_rows", no_call)
+        monkeypatch.setattr(ingest, "_known_protocol", no_call)
+        rates = load_packet_rates(path)
+        times, _ = reference.load_packet_rows(text)
+        assert rates.values.tolist() == reference.count_per_bin(times, 1.0)
+
+    @pytest.mark.parametrize("extra, scans", [(0, 0), (1, 1)], ids=["at-limit", "over-limit"])
+    def test_time_cell_width_limit(self, extra, scans, monkeypatch):
+        # A wider cell would widen the whole chunk's cell matrix, so its
+        # chunk goes to the row scan, which reads it the same.
+        calls = []
+        scan = ingest._scan_rows
+        monkeypatch.setattr(
+            ingest, "_scan_rows", lambda *args, **kwargs: calls.append(1) or scan(*args, **kwargs)
+        )
+        wide = "1.5".rjust(ingest._MAX_TIME_BYTES + extra, "0")
+        text = f"time,protocol\n{wide},TCP\n0.5,UDP\n"
+        assert load_packet_trace(io.StringIO(text)).tolist() == [0.5, 1.5]
+        assert len(calls) == scans
 
     def test_large_capture_matches_row_oracle(self, capture_rows):
         assert_matches_row_oracle("time,protocol\n" + "\n".join(capture_rows) + "\n")
