@@ -35,7 +35,7 @@ from .evaluate import (
 from .ingest import load_packet_rates, load_series_csv, write_prediction_csv, write_series_csv
 from .preprocess import SCALE_MODES, PreprocessConfig, pipeline_with_stages
 from .rng import derive_seed
-from .series import TimeSeries, integer, real
+from .series import TimeSeries, integer, parse_number, real
 from .synth import SeasonalSpec, gen_seasonal_traffic
 
 DEFAULT_PREDICTOR_GRID = ["arma:2,0", "arma:2,1", "arma:2,2", "arma:3,0", "arma:3,1", "kf:0.01,0.01"]
@@ -61,15 +61,18 @@ CONFIG_KEYS = {
 }
 
 
-# What each typed read of a run-config value expects, for its error.
-_VALUE_KINDS = {"int": "an integer", "float": "a real number", "boolean": "a boolean"}
+# What each typed read of a setting expects, for its error.
+_VALUE_KINDS = {int: "an integer", float: "a real number", bool: "a boolean"}
 
 
-def _typed(section: configparser.SectionProxy, key: str, fallback, kind: str):
-    """``section.get<kind>(key, fallback)``; a value that does not parse is
-    a :class:`ValidationError` naming the section and key."""
+def _typed(section: configparser.SectionProxy, key: str, fallback, kind: type):
+    """The ``kind`` value of ``key``, a number as ``parse_number`` reads it,
+    or ``fallback`` if the key is absent; a value that does not parse is a
+    :class:`ValidationError` naming the section and key."""
+    if key not in section:
+        return fallback
     try:
-        return getattr(section, f"get{kind}")(key, fallback)
+        return section.getboolean(key) if kind is bool else parse_number(section[key], kind)
     except ValueError:
         raise ValidationError(
             f"[{section.name}] {key} must be {_VALUE_KINDS[kind]}, got {section[key]!r}"
@@ -129,32 +132,32 @@ def load_run_config(path: Path) -> RunConfig:
                 raise ValidationError(f"[{section}] {key} is empty")
         if parser.has_section("run"):
             run = parser["run"]
-            cfg.seed = _typed(run, "seed", cfg.seed, "int")
+            cfg.seed = _typed(run, "seed", cfg.seed, int)
             cfg.outdir = Path(run.get("outdir", cfg.outdir))
         if parser.has_section("synth"):
             sec = parser["synth"]
             spec = SeasonalSpec(
-                n=_typed(sec, "n", SeasonalSpec.n, "int"),
-                period=_typed(sec, "period", SeasonalSpec.period, "int"),
-                amplitude=_typed(sec, "amplitude", SeasonalSpec.amplitude, "float"),
-                base_rate=_typed(sec, "base_rate", SeasonalSpec.base_rate, "float"),
-                noise_std=_typed(sec, "noise_std", SeasonalSpec.noise_std, "float"),
+                n=_typed(sec, "n", SeasonalSpec.n, int),
+                period=_typed(sec, "period", SeasonalSpec.period, int),
+                amplitude=_typed(sec, "amplitude", SeasonalSpec.amplitude, float),
+                base_rate=_typed(sec, "base_rate", SeasonalSpec.base_rate, float),
+                noise_std=_typed(sec, "noise_std", SeasonalSpec.noise_std, float),
             )
             cfg.synth_specs = [(label, spec) for label in sec.get("datasets", "A").split()]
         if parser.has_section("ingest"):
             sec = parser["ingest"]
             cfg.ingest_inputs = [Path(p) for p in sec.get("inputs", "").split()]
-            bin_width = _typed(sec, "bin_width", cfg.bin_width, "float")
+            bin_width = _typed(sec, "bin_width", cfg.bin_width, float)
             cfg.bin_width = real("bin_width", bin_width, positive=True)
         if parser.has_section("preprocess"):
             sec = parser["preprocess"]
             cfg.preprocess = PreprocessConfig(
-                window_len=_typed(sec, "window", PreprocessConfig.window_len, "int"),
-                overlap_fraction=_typed(sec, "overlap", PreprocessConfig.overlap_fraction, "float"),
-                log_enabled=_typed(sec, "log", PreprocessConfig.log_enabled, "boolean"),
+                window_len=_typed(sec, "window", PreprocessConfig.window_len, int),
+                overlap_fraction=_typed(sec, "overlap", PreprocessConfig.overlap_fraction, float),
+                log_enabled=_typed(sec, "log", PreprocessConfig.log_enabled, bool),
                 scale_mode=sec.get("scale", PreprocessConfig.scale_mode),
             )
-            cfg.emit_stages = _typed(sec, "emit_stages", cfg.emit_stages, "boolean")
+            cfg.emit_stages = _typed(sec, "emit_stages", cfg.emit_stages, bool)
         specs = parser.get("predictors", "specs", fallback="").split()
         if specs:
             cfg.predictors = [parse_predictor(s) for s in specs]
@@ -183,7 +186,7 @@ def load_run_config(path: Path) -> RunConfig:
                 raise ValidationError(
                     f"[eval] out {cfg.report_name!r} names a file the run also writes"
                 )
-            timing_reps = _typed(sec, "timing_reps", cfg.timing_repetitions, "int")
+            timing_reps = _typed(sec, "timing_reps", cfg.timing_repetitions, int)
             cfg.timing_repetitions = integer("timing_reps", timing_reps, minimum=1)
         for label, _ in cfg.synth_specs:  # a label names files under outdir
             if "/" in label or os.sep in label:
@@ -408,8 +411,25 @@ def cmd_repro_paper(args) -> int:
     return status
 
 
+def number_flag(kind: type[int] | type[float]):
+    """The argparse type of a ``kind`` flag, read by ``parse_number``."""
+
+    def read(text: str) -> int | float:
+        try:
+            return parse_number(text, kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {_VALUE_KINDS[kind]}, got {text!r}"
+            ) from None
+
+    return read
+
+
+int_flag, real_flag = number_flag(int), number_flag(float)
+
+
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = int_flag(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -432,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="bin a time,protocol packet CSV into packets/s")
     p.add_argument("--input", required=True)
-    p.add_argument("--bin-width", type=float, default=RunConfig.bin_width)
+    p.add_argument("--bin-width", type=real_flag, default=RunConfig.bin_width)
     p.add_argument("--keep-all-protocols", action="store_true",
                    help="do not drop non-TCP/UDP packets")
     p.add_argument("--out", required=True)
@@ -440,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="log + box-center + scale a rate series")
     p.add_argument("--input", required=True)
-    p.add_argument("--window", type=int, default=PreprocessConfig.window_len)
-    p.add_argument("--overlap", type=float, default=PreprocessConfig.overlap_fraction)
+    p.add_argument("--window", type=int_flag, default=PreprocessConfig.window_len)
+    p.add_argument("--overlap", type=real_flag, default=PreprocessConfig.overlap_fraction)
     p.add_argument("--log", action=argparse.BooleanOptionalAction,
                    default=PreprocessConfig.log_enabled)
     p.add_argument("--scale", choices=SCALE_MODES, default=PreprocessConfig.scale_mode)
@@ -451,15 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("fit-arma", help="fit an ARMA(p,q) model to a series CSV")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=int_flag, required=True)
+    p.add_argument("--q", type=int_flag, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit_arma)
 
     p = sub.add_parser("predict-kf", help="one-step Kalman predictions for a series CSV")
-    p.add_argument("--q", type=float, default=Kalman.q, help="process noise variance")
-    p.add_argument("--r", type=float, default=Kalman.r, help="measurement noise variance")
+    p.add_argument("--q", type=real_flag, default=Kalman.q, help="process noise variance")
+    p.add_argument("--r", type=real_flag, default=Kalman.r, help="measurement noise variance")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict_kf)
@@ -467,12 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate seeded synthetic datasets")
     synth_sub = p.add_subparsers(dest="kind", required=True)
     ps = synth_sub.add_parser("seasonal", help="sinusoidal traffic with Gaussian noise")
-    ps.add_argument("--n", type=int, default=SeasonalSpec.n)
-    ps.add_argument("--period", type=int, default=SeasonalSpec.period)
-    ps.add_argument("--amplitude", type=float, default=SeasonalSpec.amplitude)
-    ps.add_argument("--base-rate", type=float, default=SeasonalSpec.base_rate)
-    ps.add_argument("--noise-std", type=float, default=SeasonalSpec.noise_std)
-    ps.add_argument("--seed", type=int, default=SeasonalSpec.seed)
+    ps.add_argument("--n", type=int_flag, default=SeasonalSpec.n)
+    ps.add_argument("--period", type=int_flag, default=SeasonalSpec.period)
+    ps.add_argument("--amplitude", type=real_flag, default=SeasonalSpec.amplitude)
+    ps.add_argument("--base-rate", type=real_flag, default=SeasonalSpec.base_rate)
+    ps.add_argument("--noise-std", type=real_flag, default=SeasonalSpec.noise_std)
+    ps.add_argument("--seed", type=int_flag, default=SeasonalSpec.seed)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_synth)
 
@@ -487,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an end-to-end pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int_flag)
     p.add_argument("--out", type=directory)
     p.set_defaults(func=cmd_run)
 
@@ -496,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="five seeded seasonal datasets x six predictors; writes the "
         "comparison tables and prediction CSVs",
     )
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--seed", type=int_flag, default=RunConfig.seed)
     p.add_argument("--out", type=directory, default="repro")
     p.add_argument("--timing-reps", type=positive_int, default=RunConfig.timing_repetitions)
     p.set_defaults(func=cmd_repro_paper)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import arma, kalman
 from .errors import TrafficastError, ValidationError
-from .series import TimeSeries, integer, pow2_scaled, quiet_overflow, values_of
+from .series import TimeSeries, integer, parse_number, pow2_scaled, quiet_overflow, values_of
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -102,11 +102,10 @@ def parse_predictor(text: str) -> PredictorSpec:
     kind, _, rest = text.partition(":")
     kinds = {"arma": (Arma, int), "kf": (Kalman, float)}
     make, number = kinds.get(kind.strip().lower(), (None, None))
-    parts = rest.split(",")  # int() and float() strip the spaces around each
-    # They also read "1_0" as 10 and non-ASCII digits; neither is accepted.
-    if make is not None and len(parts) == 2 and rest.isascii() and "_" not in rest:
+    parts = rest.split(",")
+    if make is not None and len(parts) == 2:
         try:
-            return make(number(parts[0]), number(parts[1]))
+            return make(parse_number(parts[0], number), parse_number(parts[1], number))
         except ValueError:
             pass
         except ValidationError as exc:
@@ -202,19 +201,23 @@ class EvalReport:
                             f"{name} cells must be null or finite nonnegative numbers,"
                             f" got {cell!r}"
                         )
+        if not isinstance(self.environment, str):
+            raise ValidationError(f"environment must be text, got {self.environment!r}")
 
 
 def _is_cell(cell) -> bool:
     """Whether ``cell`` is missing (None or NaN) or a finite nonnegative
-    float, int or Decimal; a bool is no number here."""
+    float, int or Decimal, the last within the float range; a bool is no
+    number here."""
     if cell is None or (isinstance(cell, float) and math.isnan(cell)):
         return True
     if isinstance(cell, bool):
         return False
     if isinstance(cell, (float, int)):
         return 0 <= cell < math.inf
-    # A Decimal NaN raises on comparison, so finiteness is tested first.
-    return _is_decimal(cell) and cell.is_finite() and cell >= 0
+    # A Decimal NaN raises on comparison, so finiteness is tested first; a
+    # finite Decimal beyond the float range would render as Infinity.
+    return _is_decimal(cell) and cell.is_finite() and cell >= 0 and float(cell) < math.inf
 
 
 def _run_cell(spec: PredictorSpec, series: TimeSeries, repetitions: int, skip: int, keep: bool):
@@ -406,7 +409,7 @@ def report_from_json(source: Union[str, IO[str]]) -> EvalReport:
             predictors=data["predictors"],
             mse_grid=data["mse_grid"],
             time_grid=data["time_grid"],
-            environment=str(data.get("environment", "")),
+            environment=data.get("environment", ""),
         )
     except KeyError as exc:
         raise ValidationError(f"report JSON missing key {exc}") from exc

@@ -156,11 +156,10 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     end at a line end, or at the end of the input.  Times keep file order;
     rows that are neither TCP nor UDP are dropped if ``filter_protocols``.
 
-    A chunk of plain rows is parsed column-wise, at the commas and
-    newlines found once for the whole chunk: a numpy bytes-to-float cast
-    reads the time cells and byte compares read the protocol tags.  Any
-    other chunk (quotes, blank or ragged rows, a bad value, a time cell
-    the cast leaves to ``float()``) goes through the ``csv`` row scan,
+    A plain chunk (``_parse_plain_chunk``) is parsed column-wise, at the
+    commas and newlines found once for the whole chunk: a numpy
+    bytes-to-float cast reads the time cells and byte compares read the
+    protocol tags.  Every other chunk goes through the ``csv`` row scan,
     which alone decides what else is accepted and which line an error
     names.
     """
@@ -218,48 +217,36 @@ def _parse_plain_chunk(
     """The times (column ``ti``) of a chunk of plain rows and whether each
     row's protocol (column ``pi``) is TCP or UDP, or None.
 
-    Plain means what a split at commas and newlines reads exactly as
-    ``csv`` does: LF or CRLF line ends, no quote character, and exactly one
-    cell per header column on every row.  The separators found for that
-    check bound every cell, so the chunk is split only once.  None also
-    when the chunk holds a control character other than tab and LF, or a
-    time cell that ``_parse_times`` rejects or that is not a finite
-    nonnegative float, so the row scan accepts or raises what the
+    Plain means ASCII with no ``"``, no byte at or below the space but the
+    LF or CRLF line ends, and one cell per header column on every row:
+    what a split at commas and newlines reads exactly as ``csv`` does.
+    None also for a time cell that ``_parse_times`` rejects or that is not
+    a finite nonnegative float, so the row scan accepts or raises what the
     row-by-row loader always did.
     """
-    if '"' in text:
+    if not text.isascii() or '"' in text:
         return None
+    # A one-character scan costs a fiftieth of the two-character replace.
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
     if text.endswith("\n"):
         text = text[:-1]
-    data = text.encode("utf-8", "surrogatepass")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    # Separator bytes in order; each row must read ",,...,\n".  Multi-byte
-    # UTF-8 sequences (surrogates too) hold no byte below 0x80, so these
-    # are exactly the commas and newlines of the text.
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # Separator bytes in order; each row must read ",,...,\n".
     seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
     nrows, ragged = divmod(seps.size + 1, ncols)
     row = np.array([_COMMA] * (ncols - 1) + [_NEWLINE], dtype=np.uint8)
     if ragged or not np.all(np.append(raw[seps], _NEWLINE).reshape(nrows, ncols) == row):
         return None
-    # The bytes cast drops a cell's trailing NULs, and float() takes
-    # \x1c-\x1f as whitespace in text but not in bytes; other control
-    # characters are rare enough to leave to the row scan as well.  Besides
-    # tabs, the only ones allowed are the nrows - 1 newlines.
-    tabs = np.count_nonzero(raw < 0x20) - (nrows - 1)
-    if tabs and tabs != text.count("\t"):
+    # The nrows - 1 newlines must be the only bytes up to the space: no
+    # tab, CR, NUL or other control character, and no space.
+    if np.count_nonzero(raw <= 0x20) != nrows - 1:
         return None
     ends = np.append(seps, raw.size).reshape(nrows, ncols)
     ts = _parse_times(raw, *_cell_bounds(ends, ti))
     if ts is None or not np.all(np.isfinite(ts) & (ts >= 0)):
         return None
-    # Without spaces, tabs or non-ASCII characters, strip() and upper()
-    # keep a cell's length, so only a 3-byte cell can be TCP or UDP.
-    bare = not tabs and text.isascii() and " " not in text
-    return ts, _known_protocols(data, raw, *_cell_bounds(ends, pi), bare)
+    return ts, _known_protocols(raw, *_cell_bounds(ends, pi))
 
 
 def _cell_bounds(ends: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,10 +265,7 @@ def _parse_times(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.nda
     The cells are copied into the rows of a NUL-padded byte matrix, cast
     from numpy bytes to float64: a cast that calls ``float()`` on each
     cell's bytes.  That reads what ``float()`` reads in the text of a cell
-    with no control character but tab, which ``_parse_plain_chunk``
-    ensures.  It rejects every non-ASCII cell, whose bytes (0x80 and up)
-    are neither digits nor whitespace to it, though ``float`` reads
-    ``"\uff11"`` as 1.0.
+    of printable ASCII, which ``_parse_plain_chunk`` ensures.
     """
     lengths = stop - start
     width = int(lengths.max())
@@ -302,16 +286,11 @@ def _parse_times(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.nda
         return None
 
 
-def _known_protocols(
-    data: bytes, raw: np.ndarray, start: np.ndarray, stop: np.ndarray, bare: bool
-) -> np.ndarray:
-    """Whether each cell ``data[start:stop]`` is a TCP or UDP tag.
-
-    A 3-byte cell that is ``TCP`` or ``UDP`` in any ASCII case is matched
-    on its bytes.  That decides every cell of a ``bare`` chunk, one with
-    no space, tab or non-ASCII character; in any other chunk the cells
-    left go through ``_known_protocol``.
-    """
+def _known_protocols(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Whether each cell ``raw[start:stop]`` of a plain chunk is a TCP or
+    UDP tag.  With no whitespace or non-ASCII byte in the chunk, ``strip()``
+    and ``upper()`` keep a cell's length, so ``_known_protocol`` accepts a
+    cell exactly when it is ``TCP`` or ``UDP`` in any ASCII case."""
     short = np.flatnonzero(stop - start == 3)
     # The bytes of each 3-byte cell as one integer, with 0x20 OR-ed into
     # each: b | 0x20 is a lower-case ASCII letter exactly when b is that
@@ -323,14 +302,6 @@ def _known_protocols(
     tcp, udp = (int.from_bytes(tag.lower().encode(), "big") for tag in _KNOWN_PROTOCOLS)
     known = np.zeros(start.size, dtype=bool)
     known[short] = (key == tcp) | (key == udp)
-    if bare:
-        return known
-    rest = np.flatnonzero(~known)
-    cells = [data[a:b] for a, b in zip(start[rest].tolist(), stop[rest].tolist())]
-    known_cell = {
-        c: _known_protocol(c.decode("utf-8", "surrogatepass")) for c in set(cells)
-    }
-    known[rest] = [known_cell[c] for c in cells]
     return known
 
 

@@ -45,6 +45,18 @@ def integer(name: str, value, *, minimum: int | None = None) -> int:
     return number
 
 
+def parse_number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``text`` read by ``kind``, ``int`` or ``float``, else a
+    :class:`ValueError`: the one rule for a number given as text in a
+    setting (a flag, a run-config value, a predictor descriptor).  ``kind``
+    strips the spaces around it, and would also read ``_`` separators and
+    non-ASCII digits (``"1_0"`` as 10, ``"\\uff12"`` as 2), which are
+    rejected here."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid {kind.__name__} text {text!r}")
+    return kind(text)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Real-valued samples on a uniform time grid.

@@ -677,6 +677,9 @@ def test_empty_list_key_exits_2_before_any_work(tmp_path, capsys, sections, key)
     ("preprocess", "log", "maybe", "a boolean"),
     ("preprocess", "emit_stages", "2", "a boolean"),
     ("eval", "timing_reps", "3.0", "an integer"),
+    # int() and float() read both; no setting does.
+    ("run", "seed", "1_0", "an integer"),
+    ("preprocess", "overlap", "0.2_5", "a real number"),
 ])
 def test_unparsable_config_value_names_its_key(tmp_path, capsys, section, key, value, kind):
     outdir, config = tmp_path / "out", tmp_path / "run.cfg"
@@ -689,6 +692,37 @@ def test_unparsable_config_value_names_its_key(tmp_path, capsys, section, key, v
         f" [{section}] {key} must be {kind}, got {value!r}\n"
     )
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, flag, kind", [
+    (["ingest"], "--bin-width", "a real number"),
+    (["preprocess"], "--window", "an integer"),
+    (["preprocess"], "--overlap", "a real number"),
+    (["fit-arma"], "--p", "an integer"),
+    (["fit-arma"], "--q", "an integer"),
+    (["predict-kf"], "--q", "a real number"),
+    (["predict-kf"], "--r", "a real number"),
+    (["synth", "seasonal"], "--n", "an integer"),
+    (["synth", "seasonal"], "--period", "an integer"),
+    (["synth", "seasonal"], "--amplitude", "a real number"),
+    (["synth", "seasonal"], "--base-rate", "a real number"),
+    (["synth", "seasonal"], "--noise-std", "a real number"),
+    (["synth", "seasonal"], "--seed", "an integer"),
+    (["compare"], "--timing-reps", "an integer"),
+    (["run"], "--seed", "an integer"),
+    (["repro-paper"], "--seed", "an integer"),
+    (["repro-paper"], "--timing-reps", "an integer"),
+])
+@pytest.mark.parametrize("value", ["1_0", "\uff12\uff10"], ids=["underscore", "fullwidth"])
+def test_number_flag_reads_as_a_setting(tmp_path, capsys, monkeypatch, argv, flag, kind, value):
+    # int() and float() read "1_0" as 10 and fullwidth digits as ASCII
+    # ones; a flag, like a run-config value, accepts neither.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: must be {kind}, got {value!r}\n")
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("sections", ["", "[ingest]\nbin_width = 2.0\n"],

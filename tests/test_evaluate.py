@@ -517,10 +517,15 @@ class TestReportFromJson:
         (json.dumps(REPORT | {"mse_grid": [[True]]}), CELL + "True"),
         (json.dumps(REPORT | {"mse_grid": [[float("inf")]]}), CELL + "inf"),
         (json.dumps(REPORT | {"mse_grid": [[-1]]}), CELL + "-1"),
+        # Finite as a Decimal, but Infinity as the float a JSON render writes.
+        (json.dumps(REPORT).replace("0.5", "1e999"), CELL + "Decimal('1E+999')"),
         (json.dumps({k: v for k, v in REPORT.items() if k != "time_grid"}),
          "report JSON missing key 'time_grid'"),
+        (json.dumps(REPORT | {"environment": None}), "environment must be text, got None"),
+        (json.dumps(REPORT | {"environment": [1, 2]}), "environment must be text, got [1, 2]"),
     ], ids=["list", "datasets", "label", "row", "text-cell", "bool-cell", "inf-cell",
-            "negative-cell", "missing-key"])
+            "negative-cell", "overflow-cell", "missing-key", "null-environment",
+            "list-environment"])
     def test_malformed_report_is_a_validation_error(self, text, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             evaluate.report_from_json(text)

@@ -113,6 +113,20 @@ _PLAIN_EXTRAS = ["x", "", "7", "a b"]
 _QUOTED_EXTRAS = ["a,b", 'say "hi"', "two\nlines"]
 _LINE_ENDS = [["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r\n", "\r"]]
 
+# Characters at the edges of the plain-chunk rule (at, below and just
+# above the space, DEL, a no-break space, a fullwidth digit and a lone
+# surrogate) among those of times and protocol tags.
+_BOUNDARY = st.sampled_from(list(
+    "\x00\t\x1c\x1f !~\x7f\xa0\uff11\udcff015.-+_eTCPUDtcpud"
+))
+_BOUNDARY_CELLS = st.text(_BOUNDARY, max_size=4)
+_BOUNDARY_TIMES = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(lambda ms: f"{ms / 1e3:.3f}"),
+    _BOUNDARY_CELLS,
+    st.tuples(_BOUNDARY, _VALID_TIMES, _BOUNDARY).map("".join),
+)
+_BOUNDARY_PROTOCOLS = st.one_of(st.sampled_from(["TCP", "udp", "ICMP", "tcP"]), _BOUNDARY_CELLS)
+
 
 def _quoted(cell):
     return '"' + cell.replace('"', '""') + '"'
@@ -197,11 +211,12 @@ class TestChunkedLoader:
             "time,protocol\n1.0,T\x00CP\n2.0,UDP\n",  # NUL inside a field
             "time,protocol\n1.0,\udcffTCP\n2.0,UDP\n\udcff,TCP\n",  # lone surrogates
             # Time cells: float() reads \x1c-\x1f as whitespace in text, not
-            # in bytes, which the column cast parses.
+            # in bytes, which the column cast parses; their chunks, at or
+            # below the space, go to the row scan.
             "time,protocol\n\x1c1.5,TCP\n2.0,UDP\n",
             "time,protocol\n0.5,TCP\n1.5\x1f,UDP\n",
-            # float() reads these in text; the cast reads the first alike and
-            # rejects the second's UTF-8 bytes.
+            # float() reads both; the cast reads the first alike, and the
+            # second's chunk is not ASCII.
             "time,protocol\n1_000,TCP\n2.0,UDP\n",
             "time,protocol\n0.5,TCP\n\uff11,UDP\n",
             "time,protocol\n+1,TCP\n-0,UDP\n.5,tcp\n",
@@ -217,9 +232,17 @@ class TestChunkedLoader:
             "time,protocol\n0.5,TCP\n,TCP\n",
             "time,protocol\n 1.5 ,UDP\n\t2.5,TCP\n",
             "time,protocol\n0.5,TCP\n" + "0" * 100 + "1.5,UDP\n",
-            # Protocol cells that no byte compare decides: \u00a0TCP strips
-            # to TCP.
+            # Protocol cells that strip() or upper() change the length of:
+            # \u00a0TCP strips to TCP.  Their chunks go to the row scan.
             "time,protocol\n0.5,ICMP\n1.5,TCPX\n2.5,\u00a0TCP\n3.5, udp\t\n",
+            "time,protocol\n0.5, TCP \n1.5,\u00dcDP\n2.5,T\u00c7P\n3.5,udp\t\n",
+            # DEL is above the space, so it stays in the column parse, and
+            # float() and the tags reject it there as in the row scan.
+            "time,protocol\n0.5,TCP\n1.5\x7f,TCP\n",
+            "time,protocol\n0.5,TCP\n1.5,TC\x7f\n",
+            # Written with ", " separators: the spaces send it to the row scan.
+            "time, protocol\n0.5, TCP\n1.5, udp\n2.5, ICMP\n",
+            "time,protocol,note\n0.5,TCP,a b\n1.5,UDP,c\n",
         ],
         ids=[
             "ragged", "lone-cr", "repeated-column", "whitespace-row", "after-blanks",
@@ -227,11 +250,24 @@ class TestChunkedLoader:
             "fullwidth-time", "signed-times", "overflow-time", "nan-time",
             "infinity-time", "hex-time", "nul-time", "hash-time", "hash-note",
             "trailing-nul-time", "empty-time", "padded-times", "wide-time",
-            "odd-protocols",
+            "odd-protocols", "padded-and-non-ascii", "del-time", "del-protocol",
+            "comma-space-separators", "space-in-extra-column",
         ],
     )
     def test_odd_rows_match_row_oracle(self, text, newline):
         assert_matches_row_oracle(text, newline=newline)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_BOUNDARY_TIMES, _BOUNDARY_PROTOCOLS), max_size=8),
+        end=st.sampled_from(["\n", "\r\n"]),
+        chunk=st.sampled_from([1, 7, 64]),
+        filter_protocols=st.booleans(),
+    )
+    def test_boundary_characters_match_row_oracle(self, rows, end, chunk, filter_protocols):
+        text = end.join(["time,protocol", *(f"{t},{p}" for t, p in rows)]) + end
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            assert_matches_row_oracle(text, filter_protocols)
 
     def test_lone_cr_in_a_file_ends_a_line(self, tmp_path):
         # A file is read with universal newlines, so a lone CR ends a line
@@ -248,11 +284,10 @@ class TestChunkedLoader:
             "time,protocol\n0.5,TCP\n1.5,UDP\n2.5,ICMP\n",
             "time,protocol\r\n0.5,TCP\r\n1.5,UDP\r\n2.5,ICMP",
             "time,protocol\n0.5,tcp\n1.5,Udp\n2.5,ICMP\n3.5,TCPX\n4.5,a-long-tag\n",
-            "time,protocol\n0.5, TCP \n1.5,\u00dcDP\n2.5,T\u00c7P\n3.5,udp\t\n",
             "note,Protocol, TIME ,extra\nx,TCP,0.5,1\n,UDP,1.5,\n",
             "time,protocol,time\n9.0,TCP,0.5\n9.0,UDP,1.5\n",
         ],
-        ids=["lf", "crlf", "tag-case-and-length", "padded-and-non-ascii", "columns", "repeated"],
+        ids=["lf", "crlf", "tag-case-and-length", "columns", "repeated"],
     )
     @pytest.mark.parametrize("filter_protocols", [True, False])
     def test_plain_chunks_skip_the_row_scan(self, text, filter_protocols, monkeypatch):
@@ -735,6 +770,12 @@ class TestSeriesCsv:
     def test_non_finite_value_reports_line(self, raw):
         with pytest.raises(ParseError, match=f"^line 4: non-finite value '{raw}'$"):
             load_series_csv(io.StringIO(f"value\n1\n2\n{raw}\n4\n"))
+
+    def test_blank_lines_are_skipped_and_counted(self):
+        series = load_series_csv(io.StringIO("value\n1.0\n\n  \n2.0\n"))
+        assert series.values.tolist() == [1.0, 2.0]
+        with pytest.raises(ParseError, match="^line 6: row has fewer columns than the header$"):
+            load_series_csv(io.StringIO("time,value\n0,1.0\n\n  \n1,2.0\n3\n"))
 
     def test_dt_metadata_honoured(self):
         series = load_series_csv(io.StringIO("# dt=0.5\nvalue\n1\n2\n"))
