@@ -365,25 +365,23 @@ def render_report(report: EvalReport, fmt: str = "markdown") -> str:
         return "\n".join(out) + "\n"
     if fmt == "json":
         import json
+        import re
 
-        return json.dumps(_report_payload(report), indent=2) + "\n"
+        # Each cell goes in as its CSV text, so a Decimal keeps its digits
+        # where json would write it through float, and loses its quotes
+        # here.  Only grid cells lie six spaces deep: json escapes every
+        # line break in a string, so no label starts a line.
+        text = json.dumps(_report_payload(report), indent=2)
+        return re.sub(r'^( {6})"(.*)"', r"\1\2", text, flags=re.M) + "\n"
     raise ValidationError(f"unknown report format {fmt!r}; use one of {REPORT_FORMATS}")
-
-
-def _json_cell(cell: Cell):
-    if cell is None or (isinstance(cell, float) and math.isnan(cell)):
-        return None
-    if _is_decimal(cell):
-        return float(cell)
-    return cell
 
 
 def _report_payload(report: EvalReport) -> dict:
     return {
         "datasets": report.datasets,
         "predictors": report.predictors,
-        "mse_grid": [[_json_cell(c) for c in row] for row in report.mse_grid],
-        "time_grid": [[_json_cell(c) for c in row] for row in report.time_grid],
+        "mse_grid": [[_cell_text(c) or None for c in row] for row in report.mse_grid],
+        "time_grid": [[_cell_text(c) or None for c in row] for row in report.time_grid],
         "environment": report.environment,
     }
 

@@ -70,6 +70,13 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 # make every row of the chunk's cell matrix that wide.
 _MAX_TIME_BYTES = 64
 
+# Most digits of a time cell that ``_fixed_point_times`` reads: 10**15 is
+# below 2**53, so the digits of such a cell are an exact float64 integer.
+_MAX_FIXED_DIGITS = 15
+
+# A "." less "0", as the uint8 it wraps to.
+_DOT = (ord(".") - ord("0")) % 256
+
 # 2**63 as a float: a bin count below it fits ``np.intp``.
 _MAX_BINS = float(np.iinfo(np.intp).max)
 
@@ -157,11 +164,15 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     rows that are neither TCP nor UDP are dropped if ``filter_protocols``.
 
     A plain chunk (``_parse_plain_chunk``) is parsed column-wise, at the
-    commas and newlines found once for the whole chunk: a numpy
-    bytes-to-float cast reads the time cells and byte compares read the
-    protocol tags.  Every other chunk goes through the ``csv`` row scan,
-    which alone decides what else is accepted and which line an error
-    names.
+    commas and newlines found once for the whole chunk, and byte compares
+    read the protocol tags.  Its time cells are read by an exact sum of
+    their digits when each is fixed-point text, digits with one ``.`` and
+    at most 15 digits, with the same number of decimals in every cell;
+    any other time column (a sign, an exponent, a ``_``, no ``.``, mixed
+    decimal counts or more digits) by numpy's bytes-to-float cast.  Both
+    read the bits that ``float()`` reads.  Every other chunk goes through
+    the ``csv`` row scan, which alone decides what else is accepted and
+    which line an error names.
     """
     import csv
 
@@ -229,20 +240,19 @@ def _parse_plain_chunk(
     # A one-character scan costs a fiftieth of the two-character replace.
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # A last row with no line end gets one, so that every row ends in one.
+    raw = np.frombuffer((text if text.endswith("\n") else text + "\n").encode("ascii"), np.uint8)
     # Separator bytes in order; each row must read ",,...,\n".
     seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
-    nrows, ragged = divmod(seps.size + 1, ncols)
+    nrows, ragged = divmod(seps.size, ncols)
     row = np.array([_COMMA] * (ncols - 1) + [_NEWLINE], dtype=np.uint8)
-    if ragged or not np.all(np.append(raw[seps], _NEWLINE).reshape(nrows, ncols) == row):
+    if ragged or not np.all(raw[seps].reshape(nrows, ncols) == row):
         return None
-    # The nrows - 1 newlines must be the only bytes up to the space: no
-    # tab, CR, NUL or other control character, and no space.
-    if np.count_nonzero(raw <= 0x20) != nrows - 1:
+    # The nrows newlines must be the only bytes up to the space: no tab,
+    # CR, NUL or other control character, and no space.
+    if np.count_nonzero(raw <= 0x20) != nrows:
         return None
-    ends = np.append(seps, raw.size).reshape(nrows, ncols)
+    ends = seps.reshape(nrows, ncols)
     ts = _parse_times(raw, *_cell_bounds(ends, ti))
     if ts is None or not np.all(np.isfinite(ts) & (ts >= 0)):
         return None
@@ -260,17 +270,76 @@ def _cell_bounds(ends: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray]:
 def _parse_times(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
     """The cells ``raw[start:stop]`` as floats, each read as ``float()``
     reads its text, or None for an empty cell, a cell wider than
-    ``_MAX_TIME_BYTES`` or one the cast rejects.
+    ``_MAX_TIME_BYTES`` or one that ``float()`` rejects.
 
-    The cells are copied into the rows of a NUL-padded byte matrix, cast
-    from numpy bytes to float64: a cast that calls ``float()`` on each
-    cell's bytes.  That reads what ``float()`` reads in the text of a cell
-    of printable ASCII, which ``_parse_plain_chunk`` ensures.
+    A chunk of fixed-point cells is read by ``_fixed_point_times``, and
+    every other chunk by ``_cast_times``: one with a sign, an exponent, a
+    ``_``, a cell with no ``.`` or with a different number of decimals
+    than the others, a lone ``.``, or a cell of more than
+    ``_MAX_FIXED_DIGITS`` digits.  Both read the same bits.
     """
     lengths = stop - start
     width = int(lengths.max())
     if lengths.min() < 1 or width > _MAX_TIME_BYTES:
         return None
+    times = _fixed_point_times(raw, stop, lengths, width)
+    return _cast_times(raw, start, lengths, width) if times is None else times
+
+
+def _fixed_point_times(
+    raw: np.ndarray, stop: np.ndarray, lengths: np.ndarray, width: int
+) -> np.ndarray | None:
+    """The cells of ``lengths`` bytes that end at ``stop`` as floats, if
+    each is digits with one ``.`` that every cell has the same number of
+    digits after, and at most ``_MAX_FIXED_DIGITS`` digits; else None.
+
+    Clinger's fast path (W. D. Clinger, "How to read floating point
+    numbers accurately", PLDI 1990): such a cell's digits are an integer
+    m < 2**53 and its decimals a count k <= 15, so m and 10**k are exact
+    float64 values and the one division m / 10**k rounds the cell's value
+    correctly, as ``float()`` does.  The cells are gathered right-aligned,
+    so each byte column holds one decimal place, and m is built a column
+    at a time as m * 10 + digit, in place and exact below 2**53.
+    """
+    if width > _MAX_FIXED_DIGITS + 1 or lengths.min() < 2:
+        return None
+    # Item i of this view is the ``width`` bytes before byte i, NUL before
+    # the chunk, so one gather copies every cell with what precedes it.
+    padded = np.concatenate([np.zeros(width, dtype=np.uint8), raw])
+    windows = np.ndarray(raw.size + 1, dtype=f"S{width}", buffer=padded, strides=(1,))
+    matrix = windows[stop].view(np.uint8).reshape(stop.size, width)
+    del padded, windows
+    # Digits now read 0-9 and every other byte more; then the bytes before
+    # each cell, only in the columns that the shortest cell leaves, read 0.
+    matrix -= ord("0")
+    lead = width - int(lengths.min())
+    matrix[:, :lead].T[...] *= np.arange(lead)[:, None] >= width - lengths
+    dot = int(np.argmax(matrix[0] == _DOT))
+    if not np.all(matrix[:, dot] == _DOT):
+        return None
+    matrix[:, dot] = 0
+    if matrix.max() > 9:
+        return None
+    times = np.zeros(stop.size)
+    for col in range(width):
+        if col != dot:
+            times *= 10.0
+            times += matrix[:, col]
+    times /= float(10 ** (width - 1 - dot))
+    return times
+
+
+def _cast_times(
+    raw: np.ndarray, start: np.ndarray, lengths: np.ndarray, width: int
+) -> np.ndarray | None:
+    """The cells of ``lengths`` bytes that start at ``start`` as floats, by
+    numpy's bytes-to-float64 cast, or None for a cell it rejects.
+
+    The cells are copied into the rows of a NUL-padded byte matrix and
+    cast, a cast that calls ``float()`` on each cell's bytes.  That reads
+    what ``float()`` reads in the text of a cell of printable ASCII, which
+    ``_parse_plain_chunk`` ensures.
+    """
     padded = np.concatenate([raw, np.zeros(width, dtype=np.uint8)])
     # Item i of this view is the ``width`` bytes from byte i on, so one
     # gather copies every cell with what follows it.  The bytes past each

@@ -426,7 +426,42 @@ class TestRendering:
         payload = json.loads(text)
         assert list(payload) == ["datasets", "predictors", "mse_grid", "time_grid", "environment"]
 
-    def test_grid_csv_layout(self):
+    def test_json_rerender_keeps_loaded_digits(self):
+        # json writes a Decimal only through float, which read 1e-999 as 0.0
+        # and cut the 25-digit cell to 17 digits.
+        text = (
+            '{"datasets": ["A"], "predictors": ["a", "b"],'
+            ' "mse_grid": [[1e-999, 0.1234567890123456789012345]],'
+            ' "time_grid": [[0.10, 12]]}'
+        )
+        report = evaluate.report_from_json(text)
+        rendered = evaluate.render_report(report, "json")
+        assert "\n      1E-999,\n      0.1234567890123456789012345\n" in rendered
+        assert "\n      0.10,\n      12\n" in rendered
+        again = evaluate.report_from_json(rendered)
+        assert [again.mse_grid, again.time_grid] == [report.mse_grid, report.time_grid]
+        assert [str(c) for c in again.mse_grid[0] + again.time_grid[0]] == [
+            "1E-999", "0.1234567890123456789012345", "0.10", "12"
+        ]
+        fixture = evaluate.report_from_json(FIXTURE.read_text())
+        reloaded = evaluate.report_from_json(evaluate.render_report(fixture, "json"))
+        assert evaluate.render_report(reloaded) == evaluate.render_report(fixture)
+
+    def test_json_of_a_measured_report_is_json_dumps(self):
+        # Float cells keep their repr bytes; labels that break lines or
+        # hold quotes and spaces stay strings.
+        labels = {"datasets": ["A", 'say "hi"\n      "1"'], "predictors": ["KF", '      "2"']}
+        report = evaluate.EvalReport(
+            **labels, mse_grid=[[0.1, None], [1e-300, float("nan")]],
+            time_grid=[[3, 2.5e-05], [0.0, 1e300]], environment='env\n      "3"',
+        )
+        payload = labels | {
+            "mse_grid": [[0.1, None], [1e-300, None]],
+            "time_grid": [[3, 2.5e-05], [0.0, 1e300]],
+            "environment": 'env\n      "3"',
+        }
+        assert evaluate.render_report(report, "json") == json.dumps(payload, indent=2) + "\n"
+
         report = evaluate.report_from_json(FIXTURE.read_text())
         text = evaluate.grid_csv(report, report.time_grid)
         lines = text.splitlines()

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficast import ingest
@@ -127,6 +127,30 @@ _BOUNDARY_TIMES = st.one_of(
 )
 _BOUNDARY_PROTOCOLS = st.one_of(st.sampled_from(["TCP", "udp", "ICMP", "tcP"]), _BOUNDARY_CELLS)
 
+# Chunks of time cells that are not all fixed-point with one number of
+# decimals, so the column parse reads them by the numpy cast.
+_NOT_FIXED_POINT = {
+    "mixed-decimals": "time,protocol\n0.5,TCP\n0.25,UDP\n",
+    "integer-and-decimal": "time,protocol\n12,TCP\n12.5,UDP\n",
+    # 2**53 + 1: its digits are no exact float64 integer.
+    "sixteen-digits": "time,protocol\n9007199254740993.0,TCP\n1.0,UDP\n",
+    "plus-sign": "time,protocol\n+1.5,TCP\n2.5,UDP\n",
+    "underscore-decimal": "time,protocol\n1_0.5,TCP\n2.5,UDP\n",
+    "exponent": "time,protocol\n1e5,TCP\n2.5,UDP\n",
+    "lone-dot": "time,protocol\n.,TCP\n2.5,UDP\n",
+    "two-dots": "time,protocol\n2.5,TCP\n1.2.5,UDP\n",
+}
+
+
+@st.composite
+def fixed_point_cells(draw):
+    """Time cells of one chunk: 1-15 digits each, leading zeros allowed,
+    and one ``.`` with the same 0-15 digits after it in every cell."""
+    decimals = draw(st.integers(min_value=0, max_value=15))
+    whole = st.text("0123456789", min_size=0 if decimals else 1, max_size=15 - decimals)
+    fraction = st.text("0123456789", min_size=decimals, max_size=decimals)
+    return draw(st.lists(st.tuples(whole, fraction).map(".".join), min_size=1, max_size=40))
+
 
 def _quoted(cell):
     return '"' + cell.replace('"', '""') + '"'
@@ -243,6 +267,7 @@ class TestChunkedLoader:
             # Written with ", " separators: the spaces send it to the row scan.
             "time, protocol\n0.5, TCP\n1.5, udp\n2.5, ICMP\n",
             "time,protocol,note\n0.5,TCP,a b\n1.5,UDP,c\n",
+            *_NOT_FIXED_POINT.values(),
         ],
         ids=[
             "ragged", "lone-cr", "repeated-column", "whitespace-row", "after-blanks",
@@ -251,11 +276,26 @@ class TestChunkedLoader:
             "infinity-time", "hex-time", "nul-time", "hash-time", "hash-note",
             "trailing-nul-time", "empty-time", "padded-times", "wide-time",
             "odd-protocols", "padded-and-non-ascii", "del-time", "del-protocol",
-            "comma-space-separators", "space-in-extra-column",
+            "comma-space-separators", "space-in-extra-column", *_NOT_FIXED_POINT,
         ],
     )
     def test_odd_rows_match_row_oracle(self, text, newline):
         assert_matches_row_oracle(text, newline=newline)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=fixed_point_cells())
+    @example(cells=[".5", "0.5", "00.5"])
+    @example(cells=["5.", "0.", "999999999999999."])
+    @example(cells=["0.000000", "1.000001", "999999999.999999"])
+    @example(cells=[".000000000000001", ".999999999999999"])
+    def test_fixed_point_cells_read_bit_exactly(self, cells):
+        # Such a chunk is read by the exact digit sum alone, never the cast.
+        def no_cast(*args, **kwargs):
+            raise AssertionError("fixed-point chunk sent to the numpy cast")
+
+        text = "time,protocol\n" + "".join(f"{cell},TCP\n" for cell in cells)
+        with mock.patch.object(ingest, "_cast_times", no_cast):
+            assert_matches_row_oracle(text)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -312,8 +352,9 @@ class TestChunkedLoader:
         # Rows as the benchmark's capture generator writes them: sorted
         # whole microseconds with six decimals, then TCP, UDP or ICMP.
         # Results are the same on either path, so only the mocks show which
-        # one ran: no chunk may fall back to the row scan, and no protocol
-        # cell of these space- and tab-free ASCII chunks needs a string.
+        # one ran: no chunk may fall back to the row scan or to the numpy
+        # cast, and no protocol cell of these space- and tab-free ASCII
+        # chunks needs a string.
         def no_call(*args, **kwargs):
             raise AssertionError("plain capture left the column parse")
 
@@ -325,6 +366,7 @@ class TestChunkedLoader:
         path = tmp_path / "capture.csv"
         path.write_bytes(text.encode())
         monkeypatch.setattr(ingest, "_scan_rows", no_call)
+        monkeypatch.setattr(ingest, "_cast_times", no_call)
         monkeypatch.setattr(ingest, "_known_protocol", no_call)
         rates = load_packet_rates(path)
         times, _ = reference.load_packet_rows(text)
