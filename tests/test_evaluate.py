@@ -462,6 +462,7 @@ class TestRendering:
         }
         assert evaluate.render_report(report, "json") == json.dumps(payload, indent=2) + "\n"
 
+    def test_grid_csv_layout(self):
         report = evaluate.report_from_json(FIXTURE.read_text())
         text = evaluate.grid_csv(report, report.time_grid)
         lines = text.splitlines()
