@@ -33,7 +33,10 @@ Prediction: header ``index`` and one name per column, such as
 Every reader and writer here opens a path as UTF-8 with no newline
 translation and closes it when done, uses a caller's stream as it is and
 leaves it open, and reports input that is not UTF-8 as a
-:class:`ParseError` that names the first bad byte.
+:class:`ParseError` that names the first bad byte.  A capture file is
+read as bytes: a chunk of ASCII rows is parsed without being decoded,
+and any other chunk is decoded as strict UTF-8, with the same error, and
+cut into lines at CR, LF and CRLF as a text read cuts it.
 
 The float writer ``_floattext`` is imported with this module, at start,
 when the heap is smallest, since every ``run`` writes a CSV; ``csv`` is
@@ -74,6 +77,10 @@ _MAX_TIME_BYTES = 64
 # below 2**53, so the digits of such a cell are an exact float64 integer.
 _MAX_FIXED_DIGITS = 15
 
+# Spare bytes before each chunk in the read buffer: the widest window
+# that ``_fixed_point_times`` reads, then a line end.
+_FRONT = _MAX_FIXED_DIGITS + 2
+
 # A "." less "0", as the uint8 it wraps to.
 _DOT = (ord(".") - ord("0")) % 256
 
@@ -96,15 +103,48 @@ _METADATA = {
 
 @contextlib.contextmanager
 def _text_file(source: Source, mode: str = "r") -> Iterator[IO[str]]:
-    """``source`` as a text stream, by the rule of the module docstring."""
+    """``source`` as a text stream, by the rule of the module docstring; a
+    path opened in mode ``"rb"`` comes as the ``_ByteLines`` of the file."""
     try:
-        if isinstance(source, (str, Path)):
+        if not isinstance(source, (str, Path)):
+            yield source
+        elif mode == "rb":
+            with open(source, "rb") as raw:
+                yield _ByteLines(raw)
+        else:
             with open(source, mode, encoding="utf-8", newline="") as stream:
                 yield stream
-        else:
-            yield source
     except UnicodeDecodeError as exc:
         raise _utf8_error(source, exc) from None
+
+
+class _ByteLines:
+    """A binary file read as a UTF-8 text stream with universal newlines
+    reads it.
+
+    Iterating gives one line at a time, as ``csv`` takes them; a line that
+    holds a lone CR is cut there, and the parts not yet taken wait in
+    ``rest``, last part first, for the next line or chunk.
+    """
+
+    # Not None, as for a universal-newline stream: ``_split_lines`` cuts a
+    # chunk of this file at CR, LF and CRLF.
+    newlines = ("\r", "\n", "\r\n")
+
+    def __init__(self, raw: IO[bytes]):
+        self.raw = raw
+        self.rest: list[str] = []
+
+    def __iter__(self) -> Iterator[str]:
+        return self
+
+    def __next__(self) -> str:
+        if not self.rest:
+            line = self.raw.readline()
+            if not line:
+                raise StopIteration
+            self.rest = io.StringIO(line.decode("utf-8"), newline="").readlines()[::-1]
+        return self.rest.pop()
 
 
 def _float_cell(raw: str, what: str, line: int) -> float:
@@ -163,21 +203,23 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     end at a line end, or at the end of the input.  Times keep file order;
     rows that are neither TCP nor UDP are dropped if ``filter_protocols``.
 
-    A plain chunk (``_parse_plain_chunk``) is parsed column-wise, at the
-    commas and newlines found once for the whole chunk, and byte compares
-    read the protocol tags.  Its time cells are read by an exact sum of
-    their digits when each is fixed-point text, digits with one ``.`` and
-    at most 15 digits, with the same number of decimals in every cell;
-    any other time column (a sign, an exponent, a ``_``, no ``.``, mixed
-    decimal counts or more digits) by numpy's bytes-to-float cast.  Both
-    read the bits that ``float()`` reads.  Every other chunk goes through
-    the ``csv`` row scan, which alone decides what else is accepted and
-    which line an error names.
+    A file is read as bytes, and a caller's stream as text, into one
+    buffer (``_body_chunks``).  A plain chunk (``_parse_plain_chunk``) is
+    parsed there, column-wise, at the commas and newlines found once for
+    the whole chunk, and one word compare per row reads the protocol tags.
+    Its time cells are read by an exact sum of their digits when each is
+    fixed-point text, digits with one ``.`` and at most 15 digits, with
+    the same number of decimals in every cell; any other time column (a
+    sign, an exponent, a ``_``, no ``.``, mixed decimal counts or more
+    digits) by numpy's bytes-to-float cast.  Both read the bits that
+    ``float()`` reads.  Every other chunk is decoded as strict UTF-8 and
+    goes through the ``csv`` row scan, which alone decides what else is
+    accepted and which line an error names.
     """
     import csv
 
-    with _text_file(source) as stream:
-        header_reader = csv.reader(stream)
+    with _text_file(source, "rb") as lines:
+        header_reader = csv.reader(lines)
         try:
             header = next(header_reader, None)
         except csv.Error as exc:
@@ -196,13 +238,14 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
         ti, pi = (len(header) - 1 - header[::-1].index(c) for c in (t_col, p_col))
 
         line = header_reader.line_num + 1
-        while text := stream.read(_CHUNK_BYTES) + stream.readline():
-            parsed = _parse_plain_chunk(text, len(header), ti, pi)
+        for buf, size, text in _body_chunks(lines):
+            parsed = None if text else _parse_plain_chunk(buf, size, len(header), ti, pi)
             if parsed is None:
-                lines = _split_lines(text, stream)
+                text = text or buf[_FRONT : _FRONT + size].decode("utf-8")
+                chunk_lines = _split_lines(text, lines)
                 times, known, n_read = _scan_rows(
-                    itertools.chain(lines, stream), ti, pi,
-                    first_line=line, min_lines=len(lines),
+                    itertools.chain(chunk_lines, lines), ti, pi,
+                    first_line=line, min_lines=len(chunk_lines),
                 )
             else:
                 (times, known), n_read = parsed, parsed[0].size
@@ -210,7 +253,52 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
             line += n_read
 
 
-def _split_lines(text: str, stream: IO[str]) -> list[str]:
+def _body_chunks(lines: IO[str] | _ByteLines) -> Iterator[tuple[bytearray, int, str]]:
+    """The chunks of a capture's body after its header, each
+    ``_CHUNK_BYTES`` long and on to the end of its line, or to the end of
+    the input.
+
+    Each comes as ``(buf, size, text)``: the chunk is the ``size`` bytes
+    of ``buf`` from ``_FRONT`` on, with one spare byte after them, and
+    ``text`` is empty; or, for a chunk of a stream that is not ASCII,
+    ``text`` is the chunk.  A ``_ByteLines`` chunk starts with the line
+    parts in its ``rest``.  Every chunk goes into the same buffer, or into
+    a larger copy when it does not fit, so each is used up before the next
+    is read.  The buffer's ``_FRONT`` bytes before a chunk hold NULs, then
+    a line end.
+    """
+    buf = bytearray(_FRONT + _CHUNK_BYTES + 1)
+    buf[_FRONT - 1] = _NEWLINE
+    while True:
+        text = ""
+        if isinstance(lines, _ByteLines):
+            head = "".join(reversed(lines.rest)).encode()
+            lines.rest.clear()
+            start = _FRONT + len(head)
+            buf = _fit(buf, start + _CHUNK_BYTES + 1)
+            buf[_FRONT:start] = head
+            end = start + lines.raw.readinto(memoryview(buf)[start : start + _CHUNK_BYTES])
+            data = lines.raw.readline()
+        else:
+            text = lines.read(_CHUNK_BYTES) + lines.readline()
+            end, data = _FRONT, b""
+            if text.isascii():
+                text, data = "", text.encode("ascii")
+        buf = _fit(buf, end + len(data) + 1)
+        buf[end : end + len(data)] = data
+        size = end + len(data) - _FRONT
+        if not (size or text):
+            return
+        yield buf, size, text
+
+
+def _fit(buf: bytearray, size: int) -> bytearray:
+    """``buf``, or a copy of it grown to at least ``size`` bytes.  The copy
+    is a new array, so no view of ``buf`` stops it growing."""
+    return buf if len(buf) >= size else buf + bytes(size + (size >> 4) - len(buf))
+
+
+def _split_lines(text: str, stream: IO[str] | _ByteLines) -> list[str]:
     """``text`` cut into lines where ``stream`` cuts them.
 
     Only a universal-newline stream (``newline=None`` or ``""``) reports
@@ -223,54 +311,55 @@ def _split_lines(text: str, stream: IO[str]) -> list[str]:
 
 
 def _parse_plain_chunk(
-    text: str, ncols: int, ti: int, pi: int
+    buf: bytearray, size: int, ncols: int, ti: int, pi: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The times (column ``ti``) of a chunk of plain rows and whether each
-    row's protocol (column ``pi``) is TCP or UDP, or None.
+    """The times (column ``ti``) of a chunk of plain rows, the ``size``
+    bytes of ``buf`` from ``_FRONT`` on, and whether each row's protocol
+    (column ``pi``) is TCP or UDP, or None.
 
     Plain means ASCII with no ``"``, no byte at or below the space but the
     LF or CRLF line ends, and one cell per header column on every row:
     what a split at commas and newlines reads exactly as ``csv`` does.
-    None also for a time cell that ``_parse_times`` rejects or that is not
-    a finite nonnegative float, so the row scan accepts or raises what the
-    row-by-row loader always did.
+    None also for a time cell that ``_parse_times`` rejects, so the row
+    scan accepts or raises what the row-by-row loader always did.  The
+    chunk's bytes stay as they were read, for that scan.
     """
-    if not text.isascii() or '"' in text:
+    end = _FRONT + size
+    if buf.find(b'"', _FRONT, end) >= 0:
         return None
-    # A one-character scan costs a fiftieth of the two-character replace.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
+    # A one-byte scan costs a fiftieth of the two-byte replace.
+    if buf.find(b"\r", _FRONT, end) >= 0:
+        buf = buf[:end].replace(b"\r\n", b"\n")
+        end = len(buf)
     # A last row with no line end gets one, so that every row ends in one.
-    raw = np.frombuffer((text if text.endswith("\n") else text + "\n").encode("ascii"), np.uint8)
-    # Separator bytes in order; each row must read ",,...,\n".
+    if buf[end - 1] != _NEWLINE:
+        buf[end : end + 1] = b"\n"
+        end += 1
+    # Offsets count from the buffer's start, so the line end before the
+    # chunk is the first separator and the spare bytes before it are there
+    # for the windows of ``_fixed_point_times`` and ``_known_protocols``.
+    raw = np.frombuffer(buf, np.uint8, count=end)
     seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
-    nrows, ragged = divmod(seps.size, ncols)
-    row = np.array([_COMMA] * (ncols - 1) + [_NEWLINE], dtype=np.uint8)
-    if ragged or not np.all(raw[seps].reshape(nrows, ncols) == row):
+    # Each row's separators read ",,...,\n": its last is a line end, and
+    # the nrows line ends are the only bytes up to the space (no tab, CR,
+    # NUL, other control character or space), so the others are commas.
+    # A byte past ASCII reads as negative in int8, so it counts too.
+    nrows, ragged = divmod(seps.size - 1, ncols)
+    if ragged or not np.all(raw[seps[ncols::ncols]] == _NEWLINE):
         return None
-    # The nrows newlines must be the only bytes up to the space: no tab,
-    # CR, NUL or other control character, and no space.
-    if np.count_nonzero(raw <= 0x20) != nrows:
+    if np.count_nonzero(raw[_FRONT:].view(np.int8) <= 0x20) != nrows:
         return None
-    ends = seps.reshape(nrows, ncols)
-    ts = _parse_times(raw, *_cell_bounds(ends, ti))
-    if ts is None or not np.all(np.isfinite(ts) & (ts >= 0)):
+    ts = _parse_times(raw, seps[ti:-1:ncols] + 1, seps[ti + 1 :: ncols])
+    if ts is None:
         return None
-    return ts, _known_protocols(raw, *_cell_bounds(ends, pi))
-
-
-def _cell_bounds(ends: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``[start, stop)`` byte offsets of column ``col``'s cells, where
-    row ``i``'s cells end at the offsets ``ends[i]``."""
-    stop = ends[:, col]
-    start = (ends[:, col - 1] if col else np.append(-1, ends[:-1, -1])) + 1
-    return start, stop
+    return ts, _known_protocols(raw, seps[pi + 1 :: ncols], b"," if pi else b"\n")
 
 
 def _parse_times(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
     """The cells ``raw[start:stop]`` as floats, each read as ``float()``
     reads its text, or None for an empty cell, a cell wider than
-    ``_MAX_TIME_BYTES`` or one that ``float()`` rejects.
+    ``_MAX_TIME_BYTES``, one that ``float()`` rejects or one that is not
+    a finite nonnegative float.
 
     A chunk of fixed-point cells is read by ``_fixed_point_times``, and
     every other chunk by ``_cast_times``: one with a sign, an exponent, a
@@ -292,23 +381,24 @@ def _fixed_point_times(
     """The cells of ``lengths`` bytes that end at ``stop`` as floats, if
     each is digits with one ``.`` that every cell has the same number of
     digits after, and at most ``_MAX_FIXED_DIGITS`` digits; else None.
+    Each cell has at least ``width`` bytes of ``raw`` up to its end.
 
     Clinger's fast path (W. D. Clinger, "How to read floating point
     numbers accurately", PLDI 1990): such a cell's digits are an integer
     m < 2**53 and its decimals a count k <= 15, so m and 10**k are exact
     float64 values and the one division m / 10**k rounds the cell's value
-    correctly, as ``float()`` does.  The cells are gathered right-aligned,
-    so each byte column holds one decimal place, and m is built a column
-    at a time as m * 10 + digit, in place and exact below 2**53.
+    correctly, as ``float()`` does.  So the result is finite and
+    nonnegative.  The cells are gathered right-aligned, so each byte
+    column holds one decimal place, and m is built a column at a time as
+    m * 10 + digit, in place and exact below 2**53.
     """
     if width > _MAX_FIXED_DIGITS + 1 or lengths.min() < 2:
         return None
-    # Item i of this view is the ``width`` bytes before byte i, NUL before
-    # the chunk, so one gather copies every cell with what precedes it.
-    padded = np.concatenate([np.zeros(width, dtype=np.uint8), raw])
-    windows = np.ndarray(raw.size + 1, dtype=f"S{width}", buffer=padded, strides=(1,))
-    matrix = windows[stop].view(np.uint8).reshape(stop.size, width)
-    del padded, windows
+    # Item i of this view is the ``width`` bytes from byte i on, so one
+    # gather copies every cell with what precedes it.
+    windows = np.ndarray(raw.size - width + 1, dtype=f"S{width}", buffer=raw, strides=(1,))
+    matrix = windows[stop - width].view(np.uint8).reshape(stop.size, width)
+    del windows
     # Digits now read 0-9 and every other byte more; then the bytes before
     # each cell, only in the columns that the shortest cell leaves, read 0.
     matrix -= ord("0")
@@ -333,7 +423,8 @@ def _cast_times(
     raw: np.ndarray, start: np.ndarray, lengths: np.ndarray, width: int
 ) -> np.ndarray | None:
     """The cells of ``lengths`` bytes that start at ``start`` as floats, by
-    numpy's bytes-to-float64 cast, or None for a cell it rejects.
+    numpy's bytes-to-float64 cast, or None for a cell it rejects or that
+    is not a finite nonnegative float.
 
     The cells are copied into the rows of a NUL-padded byte matrix and
     cast, a cast that calls ``float()`` on each cell's bytes.  That reads
@@ -350,28 +441,27 @@ def _cast_times(
     matrix = cells.view(np.uint8).reshape(start.size, width)
     matrix.T[...] *= np.arange(width)[:, None] < lengths
     try:
-        return cells.astype(np.float64)
+        times = cells.astype(np.float64)
     except ValueError:
         return None
+    return times if np.all(np.isfinite(times) & (times >= 0)) else None
 
 
-def _known_protocols(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Whether each cell ``raw[start:stop]`` of a plain chunk is a TCP or
-    UDP tag.  With no whitespace or non-ASCII byte in the chunk, ``strip()``
-    and ``upper()`` keep a cell's length, so ``_known_protocol`` accepts a
-    cell exactly when it is ``TCP`` or ``UDP`` in any ASCII case."""
-    short = np.flatnonzero(stop - start == 3)
-    # The bytes of each 3-byte cell as one integer, with 0x20 OR-ed into
-    # each: b | 0x20 is a lower-case ASCII letter exactly when b is that
-    # letter in either case.
-    at = start[short]
-    key = (
-        raw[at].astype(np.int32) << 16 | raw[at + 1].astype(np.int32) << 8 | raw[at + 2]
-    ) | 0x202020
-    tcp, udp = (int.from_bytes(tag.lower().encode(), "big") for tag in _KNOWN_PROTOCOLS)
-    known = np.zeros(start.size, dtype=bool)
-    known[short] = (key == tcp) | (key == udp)
-    return known
+def _known_protocols(raw: np.ndarray, stop: np.ndarray, sep: bytes) -> np.ndarray:
+    """Whether each cell of a plain chunk that ends at ``stop``, after the
+    separator ``sep``, is a TCP or UDP tag.  With no whitespace or
+    non-ASCII byte in the chunk, ``strip()`` and ``upper()`` keep a cell's
+    length, so ``_known_protocol`` accepts a cell exactly when it is
+    ``TCP`` or ``UDP`` in any ASCII case."""
+    # The four bytes before each cell's end as one little-endian word, with
+    # 0x20 OR-ed into the last three: b | 0x20 is a lower-case ASCII letter
+    # exactly when b is that letter in either case.  The first byte is
+    # ``sep`` exactly when the cell has three bytes, since a cell holds no
+    # separator, and a shorter cell has a separator among the last three.
+    words = np.ndarray(raw.size - 3, dtype="<u4", buffer=raw, strides=(1,))
+    key = words[stop - 4] | 0x20202000
+    tcp, udp = (int.from_bytes(sep + tag.lower().encode(), "little") for tag in _KNOWN_PROTOCOLS)
+    return (key == tcp) | (key == udp)
 
 
 def _scan_rows(

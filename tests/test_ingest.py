@@ -3,7 +3,9 @@ import io
 import itertools
 import math
 import re
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -86,10 +88,28 @@ class TestLoadPacketTrace:
 
 def assert_matches_row_oracle(text, filter_protocols=True, newline=""):
     """Load ``text`` and compare with the whole-text row oracle: the same
-    kept timestamps, or the same error class and line."""
+    kept timestamps, or the same error class and line.
+
+    The text is loaded from a stream that reads it with ``newline``, and,
+    when it encodes as UTF-8, from a file, which is read as bytes with
+    universal newlines."""
+    def stream():
+        return io.StringIO(text, newline=newline)
+
+    assert_source_matches_row_oracle(stream, text, filter_protocols, newline)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "packets.csv"
+        path.write_bytes(data)
+        assert_source_matches_row_oracle(lambda: path, text, filter_protocols, "")
+
+
+def assert_source_matches_row_oracle(make_source, text, filter_protocols, newline):
     def load():
-        stream = io.StringIO(text, newline=newline)
-        return load_packet_trace(stream, filter_protocols=filter_protocols)
+        return load_packet_trace(make_source(), filter_protocols=filter_protocols)
 
     try:
         times, _ = reference.load_packet_rows(text, filter_protocols, newline)
@@ -409,6 +429,25 @@ class TestChunkedLoader:
         assert message in str(raised.value)
         assert reference.error_line(raised.value) == line
 
+    @pytest.mark.parametrize("chunk", [1 << 10, 1 << 14])
+    def test_large_capture_from_a_path_equals_the_stream(self, capture_rows, chunk, tmp_path):
+        # Every chunk is read into one buffer, so an array that shared its
+        # bytes would read as a later chunk by the time the chunks are
+        # joined.  The stream is read as one chunk, which nothing overwrites.
+        text = "time,protocol\n" + "\n".join(capture_rows) + "\n"
+        path = tmp_path / "capture.csv"
+        path.write_bytes(text.encode())
+
+        def load(make_source, chunk_bytes, filter_protocols):
+            with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+                trace = load_packet_trace(make_source(), filter_protocols=filter_protocols)
+                rates = load_packet_rates(make_source(), 0.5, filter_protocols)
+            return trace.tobytes(), rates.values.tobytes()
+
+        for filter_protocols in (True, False):
+            want = load(lambda: io.StringIO(text), len(text), filter_protocols)
+            assert load(lambda: path, chunk, filter_protocols) == want
+
     def test_quoted_field_straddling_a_chunk_boundary(self, monkeypatch):
         monkeypatch.setattr(ingest, "_CHUNK_BYTES", 16)
         head = "time,protocol,note\n" + "0.5,TCP,plain\n" * 3
@@ -473,6 +512,25 @@ class TestUnreadableInput:
             load_packet_trace(path)
         assert raised.value.line == 5003
         assert f"byte 0xff at offset {data.index(0xFF)} " in str(raised.value)
+
+    @pytest.mark.parametrize("chunk", [64, 1 << 12, 1 << 18])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("loader", [load_packet_trace, load_packet_rates])
+    def test_bad_byte_in_a_later_chunk(self, tmp_path, monkeypatch, chunk, end, loader):
+        # The chunks before the bad byte are ASCII and parsed as bytes; the
+        # chunk that holds it is decoded, and fails as a text read did.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        rows = [f"{i * 0.001:.3f},TCP".encode() for i in range(40_000)]
+        rows[30_000] = b"30.000,T\xffP"  # line 30002: the header is line 1
+        data = end.encode().join([b"time,protocol", *rows, b""])
+        path = tmp_path / "packets.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as raised:
+            loader(path)
+        assert str(raised.value) == (
+            f"line 30002: byte 0xff at offset {data.index(0xFF)} is not valid UTF-8"
+            " (invalid start byte)"
+        )
 
     def test_truncated_character_at_the_end(self, tmp_path):
         path = tmp_path / "packets.csv"
