@@ -103,48 +103,63 @@ _METADATA = {
 
 @contextlib.contextmanager
 def _text_file(source: Source, mode: str = "r") -> Iterator[IO[str]]:
-    """``source`` as a text stream, by the rule of the module docstring; a
-    path opened in mode ``"rb"`` comes as the ``_ByteLines`` of the file."""
+    """``source`` as a text stream, by the rule of the module docstring."""
     try:
-        if not isinstance(source, (str, Path)):
+        if isinstance(source, (str, Path)):
+            with open(source, mode, encoding="utf-8", newline="") as stream:
+                yield stream
+        else:
             yield source
-        elif mode == "rb":
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(source, exc) from None
+
+
+@contextlib.contextmanager
+def _capture_lines(source: Source) -> Iterator[IO[str] | _ByteLines]:
+    """A packet capture to read: a path as the ``_ByteLines`` of the file,
+    and a caller's stream as it is; input that is not UTF-8 is reported as
+    ``_text_file`` reports it."""
+    try:
+        if isinstance(source, (str, Path)):
             with open(source, "rb") as raw:
                 yield _ByteLines(raw)
         else:
-            with open(source, mode, encoding="utf-8", newline="") as stream:
-                yield stream
+            yield source
     except UnicodeDecodeError as exc:
         raise _utf8_error(source, exc) from None
 
 
 class _ByteLines:
-    """A binary file read as a UTF-8 text stream with universal newlines
-    reads it.
+    """A capture file read as bytes.  Iterating gives its lines, as ``csv``
+    takes them, each decoded as strict UTF-8."""
 
-    Iterating gives one line at a time, as ``csv`` takes them; a line that
-    holds a lone CR is cut there, and the parts not yet taken wait in
-    ``rest``, last part first, for the next line or chunk.
-    """
-
-    # Not None, as for a universal-newline stream: ``_split_lines`` cuts a
-    # chunk of this file at CR, LF and CRLF.
-    newlines = ("\r", "\n", "\r\n")
-
-    def __init__(self, raw: IO[bytes]):
+    def __init__(self, raw: io.BufferedReader):
         self.raw = raw
-        self.rest: list[str] = []
 
     def __iter__(self) -> Iterator[str]:
         return self
 
     def __next__(self) -> str:
-        if not self.rest:
-            line = self.raw.readline()
-            if not line:
-                raise StopIteration
-            self.rest = io.StringIO(line.decode("utf-8"), newline="").readlines()[::-1]
-        return self.rest.pop()
+        line = self.readline()
+        if not line:
+            raise StopIteration
+        return line.decode("utf-8")
+
+    def readline(self) -> bytes:
+        """The bytes on to the next line end and that line end, or on to the
+        end of the file.  A line ends at LF, CRLF or a lone CR, where a
+        universal-newline text read ends it."""
+        parts = []
+        while ahead := self.raw.peek():
+            ends = [i for i in (ahead.find(b"\n"), ahead.find(b"\r")) if i >= 0]
+            if not ends:
+                parts.append(self.raw.read(len(ahead)))
+                continue
+            parts.append(self.raw.read(min(ends) + 1))
+            if parts[-1].endswith(b"\r") and self.raw.peek()[:1] == b"\n":
+                parts.append(self.raw.read(1))
+            break
+        return b"".join(parts)
 
 
 def _float_cell(raw: str, what: str, line: int) -> float:
@@ -218,7 +233,7 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     """
     import csv
 
-    with _text_file(source, "rb") as lines:
+    with _capture_lines(source) as lines:
         header_reader = csv.reader(lines)
         try:
             header = next(header_reader, None)
@@ -261,8 +276,7 @@ def _body_chunks(lines: IO[str] | _ByteLines) -> Iterator[tuple[bytearray, int, 
     Each comes as ``(buf, size, text)``: the chunk is the ``size`` bytes
     of ``buf`` from ``_FRONT`` on, with one spare byte after them, and
     ``text`` is empty; or, for a chunk of a stream that is not ASCII,
-    ``text`` is the chunk.  A ``_ByteLines`` chunk starts with the line
-    parts in its ``rest``.  Every chunk goes into the same buffer, or into
+    ``text`` is the chunk.  Every chunk goes into the same buffer, or into
     a larger copy when it does not fit, so each is used up before the next
     is read.  The buffer's ``_FRONT`` bytes before a chunk hold NULs, then
     a line end.
@@ -272,13 +286,8 @@ def _body_chunks(lines: IO[str] | _ByteLines) -> Iterator[tuple[bytearray, int, 
     while True:
         text = ""
         if isinstance(lines, _ByteLines):
-            head = "".join(reversed(lines.rest)).encode()
-            lines.rest.clear()
-            start = _FRONT + len(head)
-            buf = _fit(buf, start + _CHUNK_BYTES + 1)
-            buf[_FRONT:start] = head
-            end = start + lines.raw.readinto(memoryview(buf)[start : start + _CHUNK_BYTES])
-            data = lines.raw.readline()
+            end = _FRONT + lines.raw.readinto(memoryview(buf)[_FRONT : _FRONT + _CHUNK_BYTES])
+            data = lines.readline()
         else:
             text = lines.read(_CHUNK_BYTES) + lines.readline()
             end, data = _FRONT, b""
@@ -298,16 +307,17 @@ def _fit(buf: bytearray, size: int) -> bytearray:
     return buf if len(buf) >= size else buf + bytes(size + (size >> 4) - len(buf))
 
 
-def _split_lines(text: str, stream: IO[str] | _ByteLines) -> list[str]:
-    """``text`` cut into lines where ``stream`` cuts them.
+def _split_lines(text: str, lines: IO[str] | _ByteLines) -> list[str]:
+    """``text`` cut into lines where ``lines`` cuts them.
 
-    Only a universal-newline stream (``newline=None`` or ``""``) reports
-    the ``newlines`` it has read, and only it also ends a line at a lone
-    CR; it has reported one by the time a chunk holding it is split.  Any
-    other stream is taken to end lines at LF.
+    A capture file (``_ByteLines``) ends a line at a lone CR, and so does
+    a universal-newline stream (``newline=None`` or ``""``), which alone
+    reports the ``newlines`` it has read; it has reported one by the time
+    a chunk holding it is split.  Any other stream is taken to end lines
+    at LF.
     """
-    newline = "\n" if getattr(stream, "newlines", None) is None else ""
-    return io.StringIO(text, newline=newline).readlines()
+    universal = isinstance(lines, _ByteLines) or getattr(lines, "newlines", None) is not None
+    return io.StringIO(text, newline="" if universal else "\n").readlines()
 
 
 def _parse_plain_chunk(

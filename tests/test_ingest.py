@@ -338,6 +338,26 @@ class TestChunkedLoader:
         with pytest.raises(ParseError, match="^line 2: malformed CSV row"):
             load_packet_trace(io.StringIO("time,protocol\n1.0,TCP\r2.0,UDP\n"))
 
+    @pytest.mark.parametrize("loader", [load_packet_trace, load_packet_rates])
+    def test_cr_only_file_is_read_in_chunks(self, tmp_path, monkeypatch, loader):
+        # A chunk ends at the first line end after ``_CHUNK_BYTES``, a lone
+        # CR too, so a file with no LF is not read as one chunk.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 256)
+        text = "\r".join(["time,protocol", *(f"{i * 0.01:.2f},TCP" for i in range(2000))]) + "\r"
+        path = tmp_path / "packets.csv"
+        path.write_bytes(text.encode())
+        chunks = []
+        scan = ingest._scan_rows
+        monkeypatch.setattr(
+            ingest, "_scan_rows", lambda *args, **kwargs: chunks.append(1) or scan(*args, **kwargs)
+        )
+        times, _ = reference.load_packet_rows(text)
+        if loader is load_packet_trace:
+            assert loader(path).tolist() == times
+        else:
+            assert loader(path).values.tolist() == reference.count_per_bin(times, 1.0)
+        assert len(chunks) >= len(text) // (2 * 256)
+
     @pytest.mark.parametrize(
         "text",
         [
