@@ -29,9 +29,10 @@ its sign.
 
 Rows are written a chunk at a time.  A chunk is one ``uint8`` matrix, a
 row per CSV row and a fixed field per value, that a boolean mask
-compresses to the rows' text.  A value's mask row depends only on its
-sign, its digit count and its ``decpt`` class, so it comes from a small
-table.  The tables are built on first use, not at import.
+compresses to the rows' text, which ``write_csv_rows`` yields as it is.
+A value's mask row depends only on its sign, its digit count and its
+``decpt`` class, so it comes from a small table.  The tables are built
+on first use, not at import.
 
 The chunk is sized from the write (``chunk_rows``): of N values, it
 takes N // 32 at a time, but at least ``CHUNK_VALUES`` and at most
@@ -50,11 +51,22 @@ rows that the arithmetic writes into with ``out=``.  Its peak is about
 values); a new array per operation would take about 340.  Below 256
 bytes, a chunk of N // 32 values keeps the workspace under the N * 8
 bytes of the float64 columns being written.
+
+A write to a file of at least ``ingest._PARALLEL_VALUES`` values (2**17)
+is split between two processes where the system allows it: Linux, for
+its unnamed files and ``sendfile``, and two CPUs for the process.  A
+forked child writes the second half of the rows, numbered from where
+they start, and the parent the first; the file is the same bytes.  An
+index digit shows only from its row on, so an index field as wide as a
+half's last row number writes each row as the whole write does.  On 2
+shared x86-64 vCPUs, 200000 rows of 3 values took 0.098 s split, against
+0.151 s in one process (medians of 15); at 2**15 values the fork cost
+what it saved.
 """
 from __future__ import annotations
 
 import functools
-from typing import IO, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -373,16 +385,29 @@ def chunk_rows(n: int, ncols: int) -> int:
     return min(n, max(values // ncols, 1))
 
 
-def write_csv_rows(dest: IO[str], columns: Sequence[np.ndarray], index: bool) -> None:
-    """Write one line per row of the equal-length finite float64
-    ``columns``: the row number and a comma when ``index``, then each
-    value's ``repr`` text, comma-separated."""
-    n, ncols = len(columns[0]), len(columns)
-    if n == 0:
-        return
+def write_csv_rows(columns: Sequence[np.ndarray], index: bool,
+                   first_row: int = 0) -> Iterator[np.ndarray]:
+    """The lines of the rows of the equal-length finite float64
+    ``columns`` as ASCII text, one ``uint8`` array per chunk of rows,
+    which a binary file writes as it is.  Each line is the row number and
+    a comma when ``index``, then each value's ``repr`` text,
+    comma-separated.  Rows are numbered from ``first_row``, so the rows of
+    a write's later part read as they do in the whole write.  The call
+    builds the tables, so a process forked after it shares them; the
+    iteration makes the workspace and the text."""
+    if len(columns[0]) == 0:
+        return iter(())
     _ryu_tables()  # built before the workspace, so its temporaries add nothing to the peak
+    _layout_tables()
+    return _chunks(columns, index, first_row)
+
+
+def _chunks(columns: Sequence[np.ndarray], index: bool, first_row: int) -> Iterator[np.ndarray]:
+    n, ncols = len(columns[0]), len(columns)
     masks, classes, exponent_text = _layout_tables()
-    index_width = len(str(n - 1)) if index else 0
+    # Each index digit shows only from its row on, so a field as wide as
+    # the last row's number writes every row's text.
+    index_width = len(str(first_row + n - 1)) if index else 0
     width = index_width + ncols * len(_FIELD) + 1
     rows = chunk_rows(n, ncols)
     size = rows * ncols
@@ -416,12 +441,15 @@ def write_csv_rows(dest: IO[str], columns: Sequence[np.ndarray], index: bool) ->
         digits -= np.multiply(lead, _E16, out=scratch[0])
         lead += _U(ord("0"))
         fields[:, :, _INT_DIGITS] = fields[:, :, _FRAC_DIGITS] = lead.reshape(rows, ncols)
-        tail = _digit_bytes(digits, 16, scratch[:6]).reshape(rows, ncols, 16)
-        fields[:, :, _INT_DIGITS + 1 : _INT_DIGITS + 17] = tail
-        fields[:, :, _FRAC_DIGITS + 1 : _FRAC_DIGITS + 17] = tail
         decpt_row = exp10
         decpt_row += olen
         decpt_row += _DECPT_OFFSET
+        tail = _digit_bytes(digits, 16, scratch[:6]).reshape(rows, ncols, 16)
+        fields[:, :, _FRAC_DIGITS + 1 : _FRAC_DIGITS + 17] = tail
+        # Only a value with two or more integer digits shows the integer
+        # slots after the first; elsewhere the masks drop their stale bytes.
+        if decpt_row.max() >= _DECPT_OFFSET + 2:
+            fields[:, :, _INT_DIGITS + 1 : _INT_DIGITS + 17] = tail
         cls = classes.take(decpt_row, out=scratch[6].view(np.intp), mode="clip")
         if cls.max() >= _EXPONENT_FORM:
             exponents = exponent_text.take(decpt_row, axis=0)
@@ -439,10 +467,10 @@ def write_csv_rows(dest: IO[str], columns: Sequence[np.ndarray], index: bool) ->
                     out=field_keep[block : block + block_rows])
         if index:
             numbers = scratch[0, :rows]
-            numbers[:] = np.arange(first, first + rows)
+            numbers[:] = np.arange(first_row + first, first_row + first + rows)
             text[:, :index_width] = _digit_bytes(numbers, index_width, scratch[1:7])
             np.greater_equal(numbers[:, None], index_floor, out=keep[:, :index_width])
         else:
             keep[:, 0] = False  # no comma before the first value
         skip = start - first
-        dest.write(str(text[skip:][keep[skip:]], "ascii"))
+        yield text[skip:][keep[skip:]]

@@ -132,11 +132,20 @@ def test_prediction_csv_with_zero_or_one_row(n):
     assert reference.indexed_csv_loop(HEADER, *columns) == expected
 
 
+def test_short_integers_after_a_chunk_of_long_ones():
+    # Chunks of at most two and then one integer digit follow a chunk of
+    # up to 15, so an integer digit the writer leaves stale would show.
+    rows = _floattext.CHUNK_VALUES
+    rng = np.random.default_rng(99)
+    values = np.concatenate([rng.uniform(1e6, 1e15, rows), rng.uniform(-99.0, 99.0, rows),
+                             rng.uniform(-9.9, 9.9, rows)])
+    assert _floattext.chunk_rows(values.size, 1) == rows
+    assert series_rows(values) == reference.series_values_loop(values)
+
+
 def test_no_rows_write_nothing():
-    stream = io.StringIO()
-    _floattext.write_csv_rows(stream, (np.zeros(0),), index=False)
-    _floattext.write_csv_rows(stream, (np.zeros(0),) * 3, index=True)
-    assert stream.getvalue() == ""
+    assert list(_floattext.write_csv_rows((np.zeros(0),), index=False)) == []
+    assert list(_floattext.write_csv_rows((np.zeros(0),) * 3, index=True)) == []
 
 
 def rows_at(boundary, offset, ncols):
@@ -202,16 +211,16 @@ def test_index_width_changes_inside_a_grown_chunk():
     )
 
 
-class DiscardingSink:
-    def write(self, text):
+def write_and_discard(columns, index):
+    for _ in _floattext.write_csv_rows(columns, index):
         pass
 
 
 def test_workspace_of_a_long_write_stays_below_its_columns_bytes():
     columns = np.random.default_rng(4).normal(size=(3, 200_000))
     assert _floattext.chunk_rows(200_000, 3) * 3 == _floattext.MAX_CHUNK_VALUES
-    _floattext.write_csv_rows(DiscardingSink(), columns[:, :10], index=True)  # tables built first
-    _, peak = traced_peak(_floattext.write_csv_rows, DiscardingSink(), columns, index=True)
+    write_and_discard(columns[:, :10], index=True)  # tables built first
+    _, peak = traced_peak(write_and_discard, columns, index=True)
     assert peak < columns.nbytes
 
 

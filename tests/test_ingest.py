@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -989,6 +990,112 @@ class TestPredictionCsv:
                 write_prediction_csv(dest, actual=[1.0, 2.0], **{name: [3.0, 4.0]})
         assert not path.exists()
         assert stream.getvalue() == ""
+
+
+def awkward_columns(n, ncols):
+    """``ncols`` columns of ``n`` values whose decimal exponents run from
+    -6 to 20, so some are written in exponent form, with a -0.0."""
+    rng = np.random.default_rng(n * ncols)
+    columns = rng.normal(size=(ncols, n)) * 10.0 ** rng.integers(-6, 21, size=(ncols, n))
+    columns[0, 0] = -0.0
+    return list(columns)
+
+
+def serial_text(head, columns, index):
+    stream = io.StringIO()
+    ingest._write_rows(stream, head, columns, index)
+    return stream.getvalue().encode()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks of the writes in a test."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.fixture
+def every_write_splits(monkeypatch):
+    monkeypatch.setattr(ingest, "_PARALLEL_VALUES", 0)
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "O_TMPFILE"), reason="the split needs Linux's O_TMPFILE")
+class TestSplitWrite:
+    """A large write to a path formats its second half of the rows in a
+    forked child; the file holds the bytes one process writes."""
+
+    @pytest.mark.parametrize("n", [2 * 10**k + d for k in (3, 5) for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("ncols, index", [(1, False), (1, True), (3, False), (3, True)])
+    def test_bytes_match_one_process(self, tmp_path, forks, every_write_splits, n, ncols, index):
+        # The child's first row is near 10**k, where the index widens.
+        columns = awkward_columns(n, ncols)
+        path = tmp_path / "rows.csv"
+        ingest._write_rows(path, "head", columns, index)
+        assert len(forks) == 1
+        assert path.read_bytes() == serial_text("head", columns, index)
+        assert list(tmp_path.iterdir()) == [path]
+        assert_no_child_is_left()
+
+    def test_a_prediction_csv_of_the_long_run_splits_at_the_threshold(self, tmp_path, forks):
+        columns = dict(zip(("actual", "arma_pred", "kf_pred"), awkward_columns(200_000, 3)))
+        path = tmp_path / "predictions.csv"
+        write_prediction_csv(path, **columns)
+        stream = io.StringIO()
+        write_prediction_csv(stream, **columns)
+        assert len(forks) == 1 and path.read_bytes() == stream.getvalue().encode()
+        write_prediction_csv(path, **{k: v[:5000] for k, v in columns.items()})
+        assert len(forks) == 1  # 15000 values stay in one process
+
+    @pytest.mark.parametrize("lack", ["one-cpu", "no-unnamed-files", "no-fork"])
+    def test_one_process_writes_where_the_system_cannot_split(self, tmp_path, forks, every_write_splits,
+                                                              monkeypatch, lack):
+        if lack == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif lack == "no-unnamed-files":
+            monkeypatch.delattr(os, "O_TMPFILE")
+        else:
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "no process")))
+        columns = awkward_columns(2001, 3)
+        path = tmp_path / "rows.csv"
+        ingest._write_rows(path, "head", columns, index=True)
+        assert forks == []
+        assert lack != "no-fork" or os.fork.call_count == 1
+        assert path.read_bytes() == serial_text("head", columns, index=True)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_failed_half_is_an_error_and_leaves_no_process_or_file(self, tmp_path, forks,
+                                                                     every_write_splits,
+                                                                     monkeypatch, failing):
+        write_csv_rows = ingest.write_csv_rows
+
+        def full_disk(chunk):
+            raise OSError(28, "No space left on device")
+
+        def failing_rows(columns, index, first_row=0):
+            rows = write_csv_rows(columns, index, first_row)
+            return map(full_disk, rows) if (first_row > 0) == (failing == "child") else rows
+
+        monkeypatch.setattr(ingest, "write_csv_rows", failing_rows)
+        path = tmp_path / "rows.csv"
+        message = (f"^{re.escape(str(path))}: the process writing rows 1000 on exited with status 1$"
+                   if failing == "child" else "No space left on device")
+        with pytest.raises(OSError, match=message):
+            ingest._write_rows(path, "head", awkward_columns(2000, 3), index=True)
+        assert len(forks) == 1
+        assert_no_child_is_left()
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestTimeSeriesInvariants:
