@@ -33,19 +33,24 @@ Prediction: header ``index`` and one name per column, such as
 Every reader and writer here opens a path as UTF-8 with no newline
 translation and closes it when done, uses a caller's stream as it is and
 leaves it open, and reports input that is not UTF-8 as a
-:class:`ParseError` that names the first bad byte.  A capture file is
+:class:`ParseError` that names the first bad byte.  A reader accepts one
+UTF-8 byte-order mark before the first line.  A capture file is
 read as bytes: a chunk of ASCII rows is parsed without being decoded,
 and any other chunk is decoded as strict UTF-8, with the same error, and
-cut into lines at CR, LF and CRLF as a text read cuts it.  A CSV is
+cut into lines at CR, LF and CRLF as a text read cuts it.  A capture
+file of at least ``_PARALLEL_BYTES`` bytes is counted into bins by two
+processes where the system allows it (``_split``), with the series and
+the errors of one process's read.  A CSV is
 written to a path as bytes, its head line as UTF-8 and its rows as the
 ASCII that ``_floattext`` makes, and to a caller's stream as text.  A
 write to a path of at least ``_PARALLEL_VALUES`` values takes two
-processes where the system allows it (see ``_floattext``); the file holds
+processes where the system allows it (``_write_halves``); the file holds
 the same bytes either way.
 
 The float writer ``_floattext`` is imported with this module, at start,
 when the heap is smallest, since every ``run`` writes a CSV; ``csv`` is
-imported by the packet-capture reader, the one format that uses it.
+imported by the packet-capture reader, the one format that uses it, and
+``_split`` by a read or write large enough to take two processes.
 """
 from __future__ import annotations
 
@@ -54,9 +59,8 @@ import io
 import itertools
 import math
 import os
-import warnings
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NoReturn, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -104,6 +108,13 @@ _BINS_PER_PACKET = 64
 # split write took 0.81-1.01 of one process's time at 2**15 values and
 # 0.75-0.76 at 2**17; ``repro-paper``'s 15000-value CSVs stay in one.
 _PARALLEL_VALUES = 1 << 17
+
+# A capture file of at least this many bytes is counted in two processes
+# (``_split.count_capture``).  On 2 shared vCPUs, the first load in a
+# fresh process took 1.25 of one process's time at 1.4 MiB, 0.96 at
+# 1.9 MiB, 0.90 at 2.8 MiB and 0.81-0.89 from 3.8 to 5.8 MiB (medians of
+# 16 processes each); test and demo captures stay in one.
+_PARALLEL_BYTES = 1 << 22
 
 # Comment keys of a value series CSV and how each value is parsed.
 _METADATA = {
@@ -217,19 +228,39 @@ def load_packet_rates(
     file order: a timestamp too large to index a bin is reported when its
     chunk is read, before a malformed row further on, where
     ``load_packet_trace`` parses the whole file first.  The bins rule is
-    checked on the whole capture, after its last row.
+    checked on the whole capture, after its last row.  A capture file of
+    at least ``_PARALLEL_BYTES`` is counted in two processes where the
+    system allows it (``_split.count_capture``), with the same series and
+    the same errors.
     """
+    bin_width = real("bin_width", bin_width, positive=True)
+    if isinstance(source, (str, Path)) and _holds_parallel_bytes(source):
+        from ._split import count_capture
+
+        series = count_capture(source, bin_width, filter_protocols)
+        if series is not None:
+            return series
     chunks = _read_chunks(source, filter_protocols)
     with contextlib.closing(chunks):
         return _count_bins(chunks, bin_width)
 
 
+def _holds_parallel_bytes(path: str | Path) -> bool:
+    """Whether the file ``path`` holds at least ``_PARALLEL_BYTES`` bytes;
+    False where it cannot be read, for the one-process read to report."""
+    try:
+        return os.stat(path).st_size >= _PARALLEL_BYTES
+    except OSError:
+        return False
+
+
 def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]:
     """The kept times of a packet CSV's body, one array per chunk.
 
-    Checks the header, then reads the body in chunks of about 256 KB that
-    end at a line end, or at the end of the input.  Times keep file order;
-    rows that are neither TCP nor UDP are dropped if ``filter_protocols``.
+    Checks the header (``_read_header``), then reads the body in chunks of
+    about 256 KB that end at a line end, or at the end of the input.
+    Times keep file order; rows that are neither TCP nor UDP are dropped
+    if ``filter_protocols``.
 
     A file is read as bytes, and a caller's stream as text, into one
     buffer (``_body_chunks``).  A plain chunk (``_parse_plain_chunk``) is
@@ -244,30 +275,10 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
     goes through the ``csv`` row scan, which alone decides what else is
     accepted and which line an error names.
     """
-    import csv
-
     with _capture_lines(source) as lines:
-        header_reader = csv.reader(lines)
-        try:
-            header = next(header_reader, None)
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV row: {exc}", line=1) from None
-        if header is None:
-            raise ParseError("missing header row", line=1)
-        fields = [f.strip().lower() for f in header]
-        if "time" not in fields or "protocol" not in fields:
-            raise ParseError(
-                f"header must contain 'time' and 'protocol', got {header}", line=1
-            )
-        t_col = header[fields.index("time")]
-        p_col = header[fields.index("protocol")]
-        # A repeated name reads the last column that carries it, as a
-        # csv.DictReader keyed by column name would.
-        ti, pi = (len(header) - 1 - header[::-1].index(c) for c in (t_col, p_col))
-
-        line = header_reader.line_num + 1
+        ncols, ti, pi, line = _read_header(lines)
         for buf, size, text in _body_chunks(lines):
-            parsed = None if text else _parse_plain_chunk(buf, size, len(header), ti, pi)
+            parsed = None if text else _parse_plain_chunk(buf, size, ncols, ti, pi)
             if parsed is None:
                 text = text or buf[_FRONT : _FRONT + size].decode("utf-8")
                 chunk_lines = _split_lines(text, lines)
@@ -279,6 +290,34 @@ def _read_chunks(source: Source, filter_protocols: bool) -> Iterator[np.ndarray]
                 (times, known), n_read = parsed, parsed[0].size
             yield times[known] if filter_protocols else times
             line += n_read
+
+
+def _read_header(lines: IO[str] | _ByteLines) -> tuple[int, int, int, int]:
+    """Read and check a capture's header, which may follow one UTF-8
+    byte-order mark.  Returns its number of cells, the time and protocol
+    columns, and the line number of the first body line."""
+    import csv
+
+    first = next(lines, "")
+    first_lines = itertools.chain([first.removeprefix("\ufeff")], lines) if first else ()
+    header_reader = csv.reader(first_lines)
+    try:
+        header = next(header_reader, None)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV row: {exc}", line=1) from None
+    if header is None:
+        raise ParseError("missing header row", line=1)
+    fields = [f.strip().lower() for f in header]
+    if "time" not in fields or "protocol" not in fields:
+        raise ParseError(
+            f"header must contain 'time' and 'protocol', got {header}", line=1
+        )
+    t_col = header[fields.index("time")]
+    p_col = header[fields.index("protocol")]
+    # A repeated name reads the last column that carries it, as a
+    # csv.DictReader keyed by column name would.
+    ti, pi = (len(header) - 1 - header[::-1].index(c) for c in (t_col, p_col))
+    return len(header), ti, pi, header_reader.line_num + 1
 
 
 def _body_chunks(lines: IO[str] | _ByteLines) -> Iterator[tuple[bytearray, int, str]]:
@@ -576,60 +615,93 @@ def bin_to_rate(timestamps: np.ndarray, bin_width: float = 1.0) -> TimeSeries:
 
 def _count_bins(chunks: Iterable[np.ndarray], bin_width: float) -> TimeSeries:
     """The bin counts of the timestamps in ``chunks``, as ``bin_to_rate``
-    defines them.
+    defines them."""
+    bins = _Bins(real("bin_width", bin_width, positive=True))
+    for ts in chunks:
+        bins.add(ts)
+    return bins.series()
+
+
+class _Bins:
+    """The bin counts of timestamps added a chunk at a time.
 
     Each chunk is counted as it comes, by adding one per row into a count
     array that grows by doubling, up to the bins rule's limit.  So a chunk
     costs its rows, however many bins its timestamps span: an unsorted
     capture at fine bins does not pay for every bin with every chunk.  A
     chunk that needs more bins than the rule allows for the packets so far
-    waits, with every chunk after it, until the packets allow them.
+    waits, in ``held`` with every chunk after it, until the packets allow
+    them.
     """
-    bin_width = real("bin_width", bin_width, positive=True)
-    # Counted in float64, exact below 2**53: the series copies this array,
-    # and no other bin-sized array is made.
-    counts = np.zeros(0)
-    held: list[np.ndarray] = []  # chunks whose bins the packets so far do not allow
-    n_bins, last, packets = 0, 0.0, 0
-    for ts in chunks:
+
+    def __init__(self, bin_width: float):
+        self.bin_width = bin_width
+        # Counted in float64, exact below 2**53: the series copies this
+        # array, and no other bin-sized array is made.
+        self.counts = np.zeros(0)
+        self.held: list[np.ndarray] = []
+        self.n_bins, self.last, self.packets = 0, 0.0, 0
+
+    def limit(self) -> int:
+        return max(_MIN_BINS, _BINS_PER_PACKET * self.packets)
+
+    def add(self, ts: np.ndarray) -> None:
+        """Count the finite, nonnegative times ``ts``, or hold them; a
+        :class:`ValidationError` for a time past the bins an index holds,
+        or than memory holds."""
         if not ts.size:
-            continue
-        last = max(last, float(ts.max()))
-        packets += ts.size
-        if not last / bin_width + 1 < _MAX_BINS:
+            return
+        self.last = max(self.last, float(ts.max()))
+        self.packets += ts.size
+        if not self.last / self.bin_width + 1 < _MAX_BINS:
             raise ValidationError(
-                f"last timestamp {last!r} needs {last / bin_width + 1:.4g} bins of"
-                f" {bin_width!r} s, more than an array index can address"
+                f"last timestamp {self.last!r} needs {self.last / self.bin_width + 1:.4g} bins of"
+                f" {self.bin_width!r} s, more than an array index can address"
             )
-        held.append(ts)
-        n_bins = int(last / bin_width) + 1
-        limit = max(_MIN_BINS, _BINS_PER_PACKET * packets)
-        if n_bins > limit:
-            continue
-        if n_bins > counts.size:
-            try:
-                grown = np.zeros(max(n_bins, min(2 * counts.size, limit)))
-            except (MemoryError, ValueError):  # ValueError: more than 2**63 bytes
-                raise _no_memory_for(n_bins, last, bin_width) from None
-            grown[: counts.size] = counts
-            counts = grown
-        for times in held:
+        self.held.append(ts)
+        self.n_bins = int(self.last / self.bin_width) + 1
+        if self.n_bins > self.limit():
+            return
+        self._grow()
+        for times in self.held:
             # Times here are finite and >= 0, so truncation is floor; correctly
             # rounded division is monotone, so ``last`` falls in the top bin.
-            np.add.at(counts, (times / bin_width).astype(np.intp), 1.0)
-        held.clear()
-    if not n_bins:
-        raise ValidationError("cannot bin an empty trace: no capture duration")
-    if held:
-        raise ValidationError(
-            f"last timestamp {last!r} needs {n_bins} bins of {bin_width!r} s for"
-            f" {packets} packets; a capture may span at most {limit} bins"
-            f" ({_BINS_PER_PACKET} per packet, at least {_MIN_BINS})"
-        )
-    try:
-        return TimeSeries(values=counts[:n_bins], dt=bin_width)
-    except MemoryError:
-        raise _no_memory_for(n_bins, last, bin_width) from None
+            np.add.at(self.counts, (times / self.bin_width).astype(np.intp), 1.0)
+        self.held.clear()
+
+    def add_counts(self, packets: int, last: float, counts: np.ndarray) -> None:
+        """Add the bin counts of ``packets`` more packets, the last at
+        ``last``, counted with nothing held."""
+        self.packets += packets
+        self.last = max(self.last, last)
+        self.n_bins = max(self.n_bins, counts.size)
+        self._grow()
+        self.counts[: counts.size] += counts
+
+    def _grow(self) -> None:
+        if self.n_bins > self.counts.size:
+            try:
+                grown = np.zeros(max(self.n_bins, min(2 * self.counts.size, self.limit())))
+            except (MemoryError, ValueError):  # ValueError: more than 2**63 bytes
+                raise _no_memory_for(self.n_bins, self.last, self.bin_width) from None
+            grown[: self.counts.size] = self.counts
+            self.counts = grown
+
+    def series(self) -> TimeSeries:
+        """The counts as a series, once every packet is added: a
+        :class:`ValidationError` for no packet, or for held chunks."""
+        if not self.n_bins:
+            raise ValidationError("cannot bin an empty trace: no capture duration")
+        if self.held:
+            raise ValidationError(
+                f"last timestamp {self.last!r} needs {self.n_bins} bins of {self.bin_width!r} s for"
+                f" {self.packets} packets; a capture may span at most {self.limit()} bins"
+                f" ({_BINS_PER_PACKET} per packet, at least {_MIN_BINS})"
+            )
+        try:
+            return TimeSeries(values=self.counts[: self.n_bins], dt=self.bin_width)
+        except MemoryError:
+            raise _no_memory_for(self.n_bins, self.last, self.bin_width) from None
 
 
 def _no_memory_for(n_bins: int, last: float, bin_width: float) -> ValidationError:
@@ -640,15 +712,17 @@ def _no_memory_for(n_bins: int, last: float, bin_width: float) -> ValidationErro
 
 
 def load_series_csv(source: Source) -> TimeSeries:
-    """Load a value series CSV; ``# key=value`` comments set the metadata."""
+    """Load a value series CSV; ``# key=value`` comments set the metadata.
+    The first line may begin with a UTF-8 byte-order mark."""
     metadata: dict[str, float | bool] = {}
     values: list[float] = []
     header_seen = False
     value_idx = 0
     with _text_file(source) as stream:
         for line, text in enumerate(stream, start=1):
-            # Every cell is stripped, so the line end goes with the rest.
-            text = text.strip()
+            # Every cell is stripped, so the line end goes with the rest;
+            # ``strip`` keeps a byte-order mark, which the first line may hold.
+            text = (text.removeprefix("\ufeff") if line == 1 else text).strip()
             if not text:
                 continue
             if text.startswith("#"):
@@ -729,11 +803,14 @@ def _write_halves(out: IO[bytes], path: str | Path, columns: list[np.ndarray], i
     in the same directory while this process writes the first, and the
     child's bytes are then appended by ``sendfile``.  The child's text
     never enters this process's memory.  False, with nothing written, for
-    fewer than ``_PARALLEL_VALUES`` values, or where the system has fewer
-    than two CPUs for this process, no unnamed files (``O_TMPFILE``, Linux
-    only) or no process to spare."""
-    if (len(columns[0]) * len(columns) < _PARALLEL_VALUES or not hasattr(os, "O_TMPFILE")
-            or len(os.sched_getaffinity(0)) < 2):
+    fewer than ``_PARALLEL_VALUES`` values, with no unnamed files
+    (``O_TMPFILE``, Linux only), or where no helper can be forked
+    (``_split.can_fork``)."""
+    if len(columns[0]) * len(columns) < _PARALLEL_VALUES or not hasattr(os, "O_TMPFILE"):
+        return False
+    from ._split import Fork, can_fork
+
+    if not can_fork():
         return False
     try:
         spill = os.open(os.path.dirname(os.path.abspath(path)), os.O_TMPFILE | os.O_RDWR, 0o600)
@@ -742,24 +819,19 @@ def _write_halves(out: IO[bytes], path: str | Path, columns: list[np.ndarray], i
     try:
         half = len(columns[0]) // 2
         head_rows = write_csv_rows([c[:half] for c in columns], index)  # tables built for both
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12 and later warn on a fork in a process with
-                # threads, as numpy's BLAS has: a child could deadlock on
-                # a lock another thread held.  This child takes none: it
-                # runs elementwise numpy arithmetic and writes one file.
-                warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            return False
-        if pid == 0:
-            _write_in_child(spill, [c[half:] for c in columns], index, half)
-        try:
+
+        def write_tail() -> None:
+            with open(spill, "wb", closefd=False) as tail:
+                tail.writelines(write_csv_rows([c[half:] for c in columns], index, half))
+
+        with Fork(write_tail) as child:
+            if child.pid is None:
+                return False
             out.writelines(head_rows)
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status:
-            raise OSError(f"{path}: the process writing rows {half} on exited with status {status}")
+        if child.status:
+            raise OSError(
+                f"{path}: the process writing rows {half} on exited with status {child.status}"
+            )
         out.flush()
         size = left = os.fstat(spill).st_size
         while left:
@@ -767,16 +839,3 @@ def _write_halves(out: IO[bytes], path: str | Path, columns: list[np.ndarray], i
     finally:
         os.close(spill)
     return True
-
-
-def _write_in_child(fd: int, columns: list[np.ndarray], index: bool, first_row: int) -> NoReturn:
-    """The whole life of ``_write_halves``' child: write the rows to the
-    file ``fd``, then leave by ``os._exit``, 0 on success and 1 on any
-    exception, so that none of the parent's cleanup or buffers runs twice."""
-    status = 1
-    try:
-        with open(fd, "wb", closefd=False) as tail:
-            tail.writelines(write_csv_rows(columns, index, first_row))
-        status = 0
-    finally:
-        os._exit(status)

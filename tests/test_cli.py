@@ -470,6 +470,31 @@ def test_start_loads_the_formatter_and_no_module_of_one_format(tmp_path):
     assert done.stdout.splitlines()[-2:] == ["trafficast._floattext", "0"]
 
 
+def test_a_split_capture_read_loads_no_process_or_signal_module(tmp_path):
+    # The split read forks with os alone; multiprocessing and the modules
+    # it pulls in would add to every run's start.  Its own module loads
+    # only for a read or write large enough to split.
+    write_packet_csv(tmp_path / "cap.csv")
+    code = (
+        "import os, sys\n"
+        "import trafficast.cli\n"
+        "from trafficast import ingest\n"
+        "names = ('multiprocessing', 'subprocess', 'selectors', 'signal', 'mmap',"
+        " 'concurrent.futures')\n"
+        "print([name for name in names + ('trafficast._split',) if name in sys.modules])\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or fork()\n"
+        "ingest._PARALLEL_BYTES = 0\n"
+        f"ingest.load_packet_rates({str(tmp_path / 'cap.csv')!r})\n"
+        "print(len(forks), [name for name in names if name in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "1 []"]
+
+
 def test_run_holds_one_dataset_row_at_a_time(tmp_path):
     # Each dataset is made, measured and written before the next is made,
     # so six datasets peak where one does.

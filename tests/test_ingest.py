@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trafficast import ingest
+from trafficast import _split, ingest
 from trafficast.errors import ParseError, TrafficastError, ValidationError
 from trafficast.ingest import (
     bin_to_rate,
@@ -85,6 +85,25 @@ class TestLoadPacketTrace:
         # A positional second argument would be read as the filter flag.
         with pytest.raises(TypeError):
             load_packet_trace(packet_csv([]), False)
+
+    @pytest.mark.parametrize("header", ["time,protocol", '"time",protocol'])
+    @pytest.mark.parametrize("loader", [load_packet_trace, load_packet_rates])
+    @pytest.mark.parametrize("from_path", [False, True], ids=["stream", "path"])
+    def test_a_byte_order_mark_may_lead_the_header(self, tmp_path, header, loader, from_path):
+        # Excel's "CSV UTF-8" export writes one; lines are numbered as before.
+        def source(body):
+            text = "\ufeff" + header + "\n" + body
+            if not from_path:
+                return io.StringIO(text, newline="")
+            path = tmp_path / "packets.csv"
+            path.write_text(text, encoding="utf-8")
+            return path
+
+        got = loader(source("0.5,TCP\n2.5,UDP\n"))
+        want = [1.0, 0.0, 1.0] if loader is load_packet_rates else [0.5, 2.5]
+        assert getattr(got, "values", got).tolist() == want
+        with pytest.raises(ParseError, match="^line 3: invalid time value 'oops'$"):
+            loader(source("0.5,TCP\noops,UDP\n"))
 
 
 def assert_matches_row_oracle(text, filter_protocols=True, newline=""):
@@ -898,6 +917,17 @@ class TestSeriesCsv:
         series = load_series_csv(io.StringIO("# dt=0.5\nvalue\n1\n2\n"))
         assert series.dt == 0.5
 
+    @pytest.mark.parametrize("text, dt", [("value\n1.5\n", 1.0), ("# dt=0.5\nvalue\n1.5\n", 0.5)],
+                             ids=["header", "comment"])
+    @pytest.mark.parametrize("from_path", [False, True], ids=["stream", "path"])
+    def test_a_byte_order_mark_may_lead_the_file(self, tmp_path, text, dt, from_path):
+        source = io.StringIO("\ufeff" + text)
+        if from_path:
+            source = tmp_path / "series.csv"
+            source.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        series = load_series_csv(source)
+        assert (series.values.tolist(), series.dt) == ([1.5], dt)
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             load_series_csv(io.StringIO(""))
@@ -1057,11 +1087,13 @@ class TestSplitWrite:
         write_prediction_csv(path, **{k: v[:5000] for k, v in columns.items()})
         assert len(forks) == 1  # 15000 values stay in one process
 
-    @pytest.mark.parametrize("lack", ["one-cpu", "no-unnamed-files", "no-fork"])
+    @pytest.mark.parametrize("lack", ["one-cpu", "no-affinity", "no-unnamed-files", "no-fork"])
     def test_one_process_writes_where_the_system_cannot_split(self, tmp_path, forks, every_write_splits,
                                                               monkeypatch, lack):
         if lack == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif lack == "no-affinity":  # macOS has fork but not sched_getaffinity
+            monkeypatch.delattr(os, "sched_getaffinity")
         elif lack == "no-unnamed-files":
             monkeypatch.delattr(os, "O_TMPFILE")
         else:
@@ -1096,6 +1128,153 @@ class TestSplitWrite:
         assert len(forks) == 1
         assert_no_child_is_left()
         assert list(tmp_path.iterdir()) == [path]
+
+
+def split_capture_rows(variant):
+    """The rows of a capture of 3000 unsorted packets, one in five
+    neither TCP nor UDP; ``rows-change-width`` writes its times with 6, 2,
+    0 and 9 decimals in turn, 500 rows each."""
+    rows = capture_lines(3000)
+    if variant == "rows-change-width":
+        times = [float(row.partition(",")[0]) for row in rows]
+        rows = [f"{t:.{(6, 2, 0, 9)[i // 500 % 4]}f},{row.partition(',')[2]}"
+                for i, (t, row) in enumerate(zip(times, rows))]
+    return rows
+
+
+def capture_bytes(rows, variant=""):
+    end = "\r\n" if variant == "crlf" else "\n"
+    text = "time,protocol" + end + end.join(rows)
+    return (text if variant == "no-final-line-end" else text + end).encode()
+
+
+def read_outcome(source, *args):
+    """``load_packet_rates(source, *args)`` as its values' bytes and dt,
+    or as the type and text of its error."""
+    try:
+        series = load_packet_rates(source, *args)
+    except TrafficastError as exc:
+        return type(exc), str(exc)
+    return series.values.tobytes(), series.dt
+
+
+def one_process_outcome(path, *args):
+    with mock.patch.object(ingest, "_PARALLEL_BYTES", math.inf):
+        return read_outcome(path, *args)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def every_read_splits(monkeypatch):
+    """Capture files of any size split, in pieces of 2 KiB that are read in
+    chunks of 700 bytes and on to a line end within 64; a 3000-row capture
+    makes about 25 pieces."""
+    monkeypatch.setattr(ingest, "_PARALLEL_BYTES", 0)
+    monkeypatch.setattr(_split, "_PIECE_BYTES", 2048)
+    monkeypatch.setattr(_split, "_PROBE_BYTES", 64)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 700)
+
+
+@pytest.mark.skipif(not _split.can_fork(), reason="the split read needs fork and two CPUs")
+class TestSplitRead:
+    """A large capture file is counted in two processes that take pieces
+    from a pipe, with the series and the errors of one process's read."""
+
+    @pytest.mark.parametrize("variant", ["", "crlf", "no-final-line-end", "rows-change-width"])
+    @pytest.mark.parametrize("bin_width", [1.0, 0.1, 7.3])
+    @pytest.mark.parametrize("filter_protocols", [True, False])
+    def test_same_series_as_one_process(self, tmp_path, forks, every_read_splits,
+                                        variant, bin_width, filter_protocols):
+        path = tmp_path / "packets.csv"
+        path.write_bytes(capture_bytes(split_capture_rows(variant), variant))
+        fds = open_fds()
+        with mock.patch.object(ingest, "_read_chunks", side_effect=AssertionError("fell back")):
+            got = read_outcome(path, bin_width, filter_protocols)
+        assert len(forks) == 1
+        assert got == one_process_outcome(path, bin_width, filter_protocols)
+        assert_no_child_is_left()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("last_row", [
+        '2999.5,"TCP"', "2999.5, TCP", "29x9.5,TCP", "1e300,TCP", "20000.5,TCP", "9000.5,TCP", "ICMP",
+    ], ids=["quoted-cell", "comma-space", "malformed-time", "past-the-index", "bins-rule-excess",
+            "bins-rule-of-the-total", "all-icmp"])
+    def test_same_outcome_when_the_last_piece_is_bad(self, tmp_path, forks, every_read_splits,
+                                                     monkeypatch, last_row):
+        # At 4 bins per packet the 2400 TCP and UDP packets allow 9600 bins,
+        # and neither process's own packets allow all of them.
+        monkeypatch.setattr(ingest, "_MIN_BINS", 100)
+        monkeypatch.setattr(ingest, "_BINS_PER_PACKET", 4)
+        rows = split_capture_rows("")
+        if last_row == "ICMP":
+            rows = [row.partition(",")[0] + ",ICMP" for row in rows]
+        else:
+            rows[-1] = last_row
+        path = tmp_path / "packets.csv"
+        path.write_bytes(capture_bytes(rows))
+        fds = open_fds()
+        got = read_outcome(path)
+        assert len(forks) == 1
+        assert got == one_process_outcome(path)
+        assert_no_child_is_left()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("lack", ["one-cpu", "no-affinity", "no-fork", "stream"])
+    def test_one_process_reads_where_the_system_cannot_split(self, tmp_path, forks, every_read_splits,
+                                                             monkeypatch, lack):
+        path = tmp_path / "packets.csv"
+        path.write_bytes(capture_bytes(split_capture_rows("")))
+        want = one_process_outcome(path)
+        source = path
+        if lack == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif lack == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        elif lack == "no-fork":
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "no process")))
+        else:
+            source = io.StringIO(path.read_text(), newline="")
+        fds = open_fds()
+        assert read_outcome(source) == want
+        assert forks == []
+        assert lack != "no-fork" or os.fork.call_count == 1
+        assert open_fds() == fds
+
+    def test_a_failed_child_leaves_the_read_to_one_process(self, tmp_path, forks, every_read_splits,
+                                                           monkeypatch):
+        path = tmp_path / "packets.csv"
+        path.write_bytes(capture_bytes(split_capture_rows("")))
+        parent, count_pieces = os.getpid(), _split._count_pieces
+
+        def failing_in_the_child(*args):
+            if os.getpid() != parent:
+                raise OSError(5, "Input/output error")
+            return count_pieces(*args)
+
+        monkeypatch.setattr(_split, "_count_pieces", failing_in_the_child)
+        fds = open_fds()
+        got = read_outcome(path)
+        assert len(forks) == 1
+        assert got == one_process_outcome(path)
+        assert_no_child_is_left()
+        assert open_fds() == fds
+
+    def test_a_capture_splits_from_the_threshold(self, tmp_path, forks):
+        # Rows of 16 bytes after a 14-byte header.
+        rows = (ingest._PARALLEL_BYTES - 14) // 16 + 1
+        times = np.arange(rows) * (3000.0 / rows)
+        path = tmp_path / "packets.csv"
+        path.write_bytes(capture_bytes([f"{t:011.6f},TCP" for t in times]))
+        assert path.stat().st_size >= ingest._PARALLEL_BYTES
+        got = read_outcome(path)
+        assert len(forks) == 1 and got == one_process_outcome(path)
+        with open(path, "r+b") as file:
+            file.truncate(path.stat().st_size - 16)
+        read_outcome(path)
+        assert len(forks) == 1
 
 
 class TestTimeSeriesInvariants:
